@@ -11,9 +11,10 @@ measured count rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
+from ._formats import write_json
+from .dynamics import correlation_amplitude
 from .errors import ConfigError
 from .params import SpadConfig, SystemParams, TWO_PI
 
@@ -34,18 +35,15 @@ class BudgetReport:
         return asdict(self)
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def cavity_flux(params: SystemParams, coupling=None):
-    """Anti-Stokes photon flux (2 kappa2_ext/2pi) nbar_th G^2/(kappa2 (kappa2+gamma))."""
+    """Anti-Stokes photon flux: (2 kappa2_ext/2pi) times the scattered occupation."""
     g = params.pump_enhanced_coupling() if coupling is None else coupling
     if g < 0:
         raise ConfigError("coupling must be >= 0")
-    occupation = params.nbar_th * g ** 2 / (params.kappa2 * (params.kappa2 + params.gamma))
-    return (2.0 * params.kappa2_ext / TWO_PI) * occupation
+    return (2.0 * params.kappa2_ext / TWO_PI) * correlation_amplitude(params, g)
 
 
 def detector_rate(f_cav, arm_efficiencies):

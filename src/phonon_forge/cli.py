@@ -11,6 +11,7 @@ headline numbers.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -21,18 +22,17 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import dynamics, phase_space, simulator
+from ._formats import write_csv, write_json
 from .errors import ConfigError, NumericsError, PhononForgeError
-from .params import SpadConfig, default_params, default_spad
+from .params import SpadConfig, SystemParams, default_params, default_spad, \
+    require_integer
 
-_SYSTEM_KEYS = {"kappa1", "kappa1_ext", "kappa2", "kappa2_ext", "gamma", "g0",
-                "omega_m", "omega_het", "nbar_th", "p_in", "wavelength",
-                "eta_total"}
-_SPAD_KEYS = {"gate_rate", "gate_len", "dead_time", "dark_rate", "quantum_eff",
-              "arm_efficiencies"}
-_SIM_KEYS = {"sample_rate", "dt", "trace_len", "n_traces", "demod_bandwidth",
-             "demod_filter", "decimate", "mech_linewidth", "adiabatic",
-             "chunk_traces"}
-_GRID_KEYS = {"npts", "half_width", "units"}
+_SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
+_SPAD_KEYS = {f.name for f in dataclasses.fields(SpadConfig)}
+# the system, detector and seed come from their own sections
+_SIM_KEYS = {f.name for f in dataclasses.fields(simulator.SimConfig)} \
+    - {"params", "spad", "seed"}
+_GRID_KEYS = {f.name for f in dataclasses.fields(phase_space.GridConfig)}
 _TOP_KEYS = {"system", "spad", "sim", "grid", "output_dir", "seed"}
 
 
@@ -40,27 +40,17 @@ class RunConfig:
     """Validated bundle of system, detector, simulation, and grid settings."""
 
     def __init__(self, doc=None):
-        doc = doc or {}
-        _reject_unknown(doc, _TOP_KEYS, "top level")
-        sys_doc = dict(doc.get("system", {}))
-        _reject_unknown(sys_doc, _SYSTEM_KEYS, "system")
-        spad_doc = dict(doc.get("spad", {}))
-        _reject_unknown(spad_doc, _SPAD_KEYS, "spad")
-        sim_doc = dict(doc.get("sim", {}))
-        _reject_unknown(sim_doc, _SIM_KEYS, "sim")
-        grid_doc = dict(doc.get("grid", {}))
-        _reject_unknown(grid_doc, _GRID_KEYS, "grid")
+        doc = _reject_unknown({} if doc is None else doc, _TOP_KEYS, "top level")
+        sys_doc = _reject_unknown(doc.get("system", {}), _SYSTEM_KEYS, "system")
+        spad_doc = _reject_unknown(doc.get("spad", {}), _SPAD_KEYS, "spad")
+        self.sim_doc = _reject_unknown(doc.get("sim", {}), _SIM_KEYS, "sim")
+        self.grid_doc = _reject_unknown(doc.get("grid", {}), _GRID_KEYS, "grid")
 
-        base = default_params()
-        self.params = base.with_updates(**sys_doc) if sys_doc else base
-        if "arm_efficiencies" in spad_doc:
-            spad_doc["arm_efficiencies"] = tuple(spad_doc["arm_efficiencies"])
-        self.spad = SpadConfig(**{**default_spad().__dict__, **spad_doc}) \
-            if spad_doc else default_spad()
-        self.sim_doc = sim_doc
-        self.grid_doc = grid_doc
+        self.params = dataclasses.replace(default_params(), **sys_doc)
+        self.spad = dataclasses.replace(default_spad(), **spad_doc)
         self.output_dir = Path(doc.get("output_dir", "."))
-        self.seed = int(doc.get("seed", 20210))
+        self.seed = doc.get("seed", 20210)
+        require_integer("seed", self.seed, minimum=0)
 
     def sim_config(self, **overrides):
         kwargs = dict(self.sim_doc)
@@ -75,9 +65,13 @@ class RunConfig:
 
 
 def _reject_unknown(doc, allowed, where):
+    """Return the config section doc after checking its keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} config must be a JSON object")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} config keys: {sorted(unknown)}")
+    return doc
 
 
 def load_config(path) -> RunConfig:
@@ -88,8 +82,6 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     return RunConfig(doc)
 
 
@@ -103,6 +95,8 @@ def _thread_count(args):
         except ValueError as exc:
             raise ConfigError(f"PHONON_FORGE_THREADS={env!r} is not an integer") \
                 from exc
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -210,9 +204,7 @@ def cmd_simulate(cfg: RunConfig, args):
             "budget_coincidence_rate": budget_pred.coincidence_rate,
         }
 
-    with open(out / f"report_{args.herald}.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / f"report_{args.herald}.json", report)
     if ens.order:
         print(f"peak ratio {report['peak_ratio']:.4f} "
               f"(ideal {report['ideal_ratio']}, filter-adjusted "
@@ -235,27 +227,21 @@ def cmd_characterize(cfg: RunConfig, args):
     out = _outdir(cfg, args)
     powers = [float(p) for p in args.powers.split(",")] if args.powers \
         else [cfg.params.p_in]
-    rows = []
-    for p in powers:
-        params_p = cfg.params.with_updates(p_in=p)
-        chain = dynamics.characterize(params_p)
-        rows.append((p, chain))
+    rows = [(p, dynamics.characterize(cfg.params.with_updates(p_in=p)))
+            for p in powers]
     path = out / "characterization.csv"
-    with open(path, "w") as fh:
-        fh.write("p_in,n_cav,G_over_2pi,cooperativity,nbar,gamma_eff_over_2pi,"
-                 "decay_time\n")
-        for p, ch in rows:
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                p, ch.n_cav, ch.coupling / (2 * math.pi), ch.cooperativity,
-                ch.nbar_cooled, ch.gamma_eff / (2 * math.pi), ch.decay_time))
+    table = [(p, ch.n_cav, ch.coupling / (2 * math.pi), ch.cooperativity,
+              ch.nbar_cooled, ch.gamma_eff / (2 * math.pi), ch.decay_time)
+             for p, ch in rows]
+    write_csv(path, "p_in,n_cav,G_over_2pi,cooperativity,nbar,"
+              "gamma_eff_over_2pi,decay_time", list(zip(*table)))
     for p, ch in rows:
         print(f"P_in={p * 1e3:.3g} mW: N_cav={ch.n_cav:.4g}, "
               f"G/2pi={ch.coupling / 2 / math.pi / 1e6:.4g} MHz, "
               f"C={ch.cooperativity:.4g}, nbar={ch.nbar_cooled:.4g}, "
               f"1/gamma_eff={ch.decay_time * 1e9:.4g} ns")
     if args.fit:
-        n_cavs = np.array([dynamics.characterize(
-            cfg.params.with_updates(p_in=p)).n_cav for p in powers])
+        n_cavs = np.array([ch.n_cav for _, ch in rows])
         if n_cavs.size < 2:
             n_cavs = dynamics.characterize(cfg.params).n_cav \
                 * np.linspace(0.2, 1.0, 5)

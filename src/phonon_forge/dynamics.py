@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
+from ._formats import write_csv
 from .errors import ConfigError, NumericsError
 from .params import SystemParams
 
@@ -187,10 +188,14 @@ def correlation_bracket(kappa, rate, tau):
     return (kappa * np.exp(-rate * at) - rate * np.exp(-kappa * at)) / (kappa - rate)
 
 
-def correlation_amplitude(params: SystemParams, coupling):
-    """Equal-time scattered-field occupation nbar_th G^2 / (kappa (kappa + gamma))."""
+def correlation_amplitude(params: SystemParams, coupling, rate=None):
+    """Equal-time scattered-field occupation nbar_th G^2 / (kappa (kappa + r)).
+
+    r is the mechanical relaxation rate, the intrinsic gamma unless given.
+    """
     k = params.kappa2
-    return params.nbar_th * coupling ** 2 / (k * (k + params.gamma))
+    r = params.gamma if rate is None else rate
+    return params.nbar_th * coupling ** 2 / (k * (k + r))
 
 
 def correlation(params: SystemParams, coupling):
@@ -283,7 +288,4 @@ def wick_oracle(params: SystemParams, n, tau, n_samples=1_000_000, seed=0,
 # ---------------------------------------------------------------------------
 
 def write_variance_curve(curve: VarianceCurve, csv_path):
-    with open(csv_path, "w") as fh:
-        fh.write("tau,variance\n")
-        for t, v in zip(curve.taus, curve.values):
-            fh.write("%.17g,%.17g\n" % (t, v))
+    write_csv(csv_path, "tau,variance", [curve.taus, curve.values])

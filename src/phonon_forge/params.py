@@ -10,7 +10,8 @@ dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -18,6 +19,21 @@ HBAR = 1.054571817e-34
 K_BOLTZMANN = 1.380649e-23
 C_LIGHT = 299792458.0
 TWO_PI = 2.0 * math.pi
+
+
+def require_positive(name, value, zero_ok=False):
+    """Reject anything but a finite real number > 0 (>= 0 with zero_ok)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        raise ConfigError(f"{name} must be a finite number {'>=' if zero_ok else '>'}"
+                          f" 0, got {value!r}")
+
+
+def require_integer(name, value, minimum):
+    """Reject anything but an integer >= minimum (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def thermal_occupation(temperature, omega_m):
@@ -56,18 +72,13 @@ class SystemParams:
     eta_total: float
 
     def __post_init__(self):
-        for name in ("kappa1", "kappa1_ext", "kappa2", "kappa2_ext", "gamma",
-                     "g0", "omega_m", "omega_het", "wavelength"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+        for f in fields(self):
+            require_positive(f.name, getattr(self, f.name),
+                             zero_ok=f.name in ("nbar_th", "p_in"))
         if self.kappa1_ext > self.kappa1:
             raise ConfigError("kappa1_ext must not exceed kappa1")
         if self.kappa2_ext > self.kappa2:
             raise ConfigError("kappa2_ext must not exceed kappa2")
-        if self.nbar_th < 0:
-            raise ConfigError("nbar_th must be >= 0")
-        if self.p_in < 0:
-            raise ConfigError("p_in must be >= 0")
         if not 0.0 < self.eta_total <= 1.0:
             raise ConfigError("eta_total must lie in (0, 1]")
         g = self.pump_enhanced_coupling()
@@ -121,15 +132,20 @@ class SpadConfig:
     arm_efficiencies: tuple = (0.67, 0.25, 0.15, 0.5)
 
     def __post_init__(self):
-        if self.gate_rate <= 0 or self.gate_len <= 0:
-            raise ConfigError("gate_rate and gate_len must be > 0")
+        for name in ("gate_rate", "gate_len", "dead_time", "dark_rate",
+                     "quantum_eff"):
+            require_positive(name, getattr(self, name),
+                             zero_ok=name in ("dead_time", "dark_rate"))
+        try:
+            object.__setattr__(self, "arm_efficiencies", tuple(self.arm_efficiencies))
+        except TypeError:
+            raise ConfigError("arm_efficiencies must be a list") from None
         if self.gate_len * self.gate_rate >= 1.0:
             raise ConfigError("gate duty cycle gate_len*gate_rate must be < 1")
-        if self.dead_time < 0 or self.dark_rate < 0:
-            raise ConfigError("dead_time and dark_rate must be >= 0")
         if not 0.0 < self.quantum_eff <= 1.0:
             raise ConfigError("quantum_eff must lie in (0, 1]")
         for e in self.arm_efficiencies:
+            require_positive("arm efficiency", e)
             if not 0.0 < e <= 1.0:
                 raise ConfigError("arm efficiencies must lie in (0, 1]")
 

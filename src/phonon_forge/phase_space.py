@@ -29,7 +29,6 @@ X_zp = X_het/sqrt(eta) with densities scaled by eta.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +36,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
+from ._formats import write_csv, write_json
 from .errors import ConfigError, GridError, NumericsError
 
 UNITS_HETERODYNE = "heterodyne_vacuum"
@@ -561,21 +561,10 @@ def grid_header(grid: PhaseSpaceGrid) -> dict:
 
 def write_grid(grid: PhaseSpaceGrid, csv_path, json_path):
     ax = grid.axis
-    with open(csv_path, "w") as fh:
-        fh.write("X,P,value\n")
-        for i in range(grid.npts):
-            xi = ax[i]
-            row = grid.values[i]
-            fh.write("\n".join("%.17g,%.17g,%.17g" % (xi, ax[j], row[j])
-                               for j in range(grid.npts)))
-            fh.write("\n")
-    with open(json_path, "w") as fh:
-        json.dump(grid_header(grid), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(csv_path, "X,P,value", [np.repeat(ax, grid.npts),
+                                      np.tile(ax, grid.npts), grid.values.ravel()])
+    write_json(json_path, grid_header(grid))
 
 
 def write_marginal(marg: Marginal, csv_path):
-    with open(csv_path, "w") as fh:
-        fh.write("X,density\n")
-        for x, dens in zip(marg.xs, marg.density):
-            fh.write("%.17g,%.17g\n" % (x, dens))
+    write_csv(csv_path, "X,density", [marg.xs, marg.density])

@@ -40,9 +40,12 @@ from scipy.ndimage import uniform_filter1d
 from scipy.signal import butter, sosfiltfilt
 
 from . import budget as budget_mod
-from .dynamics import correlation_bracket
+from ._formats import write_csv, write_json
+from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket, \
+    cooperativity, effective_linewidth, steady_state_variance
 from .errors import ConfigError, NumericsError
-from .params import SpadConfig, SystemParams, TWO_PI, default_params, default_spad
+from .params import SpadConfig, SystemParams, TWO_PI, default_params, \
+    default_spad, require_integer, require_positive
 from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, s_from_eta
 
 HERALD_NONE = "none"
@@ -74,8 +77,15 @@ class SimConfig:
     chunk_traces: int = 256
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be > 0")
+        require_positive("sample_rate", self.sample_rate)
+        require_positive("demod_bandwidth", self.demod_bandwidth)
+        if self.dt is not None:
+            require_positive("dt", self.dt)
+        for name, minimum in (("trace_len", 256), ("n_traces", 1),
+                              ("decimate", 1), ("chunk_traces", 1), ("seed", 0)):
+            require_integer(name, getattr(self, name), minimum)
+        if not isinstance(self.adiabatic, bool):
+            raise ConfigError(f"adiabatic must be true or false, got {self.adiabatic!r}")
         if self.sample_rate < 4.0 * self.params.omega_het / TWO_PI:
             raise ConfigError("sample_rate below 4x the heterodyne frequency")
         dt_max = 1.0 / (20.0 * self.params.kappa2)
@@ -88,21 +98,13 @@ class SimConfig:
         if self.dt > dt_max * (1 + 1e-12):
             raise ConfigError(
                 f"dt={self.dt:.3e} too coarse; need dt <= 1/(20 kappa2) = {dt_max:.3e}")
-        if self.trace_len < 256:
-            raise ConfigError("trace_len must be >= 256 samples")
-        if self.n_traces < 1:
-            raise ConfigError("n_traces must be >= 1")
         if not 0 < self.demod_bandwidth < self.params.omega_het / TWO_PI:
             raise ConfigError("demod_bandwidth must be positive and below "
                               "the heterodyne frequency")
         if self.demod_filter not in ("butter4", "boxcar"):
             raise ConfigError("demod_filter must be 'butter4' or 'boxcar'")
-        if self.decimate < 1 or int(self.decimate) != self.decimate:
-            raise ConfigError("decimate must be a positive integer")
         if self.mech_linewidth not in ("bare", "effective"):
             raise ConfigError("mech_linewidth must be 'bare' or 'effective'")
-        if self.chunk_traces < 1:
-            raise ConfigError("chunk_traces must be >= 1")
 
     @property
     def oversample(self):
@@ -126,11 +128,8 @@ class FieldModel:
         self.nbar_th = p.nbar_th
         self.dt = cfg.dt if dt is None else float(dt)
         self.adiabatic = cfg.adiabatic
-        if cfg.mech_linewidth == "bare":
-            self.rate = p.gamma
-        else:
-            coop = self.coupling ** 2 / (p.kappa2 * p.gamma)
-            self.rate = p.gamma * (1.0 + coop)
+        self.rate = p.gamma if cfg.mech_linewidth == "bare" \
+            else effective_linewidth(p, cooperativity(p, self.coupling))
 
         r, k, g, dt = self.rate, self.kappa, self.coupling, self.dt
         if self.adiabatic:
@@ -147,7 +146,7 @@ class FieldModel:
                 e_ab = -1j * g * (e_bb - e_aa) / (k - r)
             self.E = np.array([[e_bb, 0.0], [e_ab, e_aa]], dtype=complex)
             sig_ba = 1j * g * self.nbar_th / (k + r)
-            sig_aa = self.nbar_th * g ** 2 / (k * (k + r))
+            sig_aa = correlation_amplitude(p, g, r)
             self.Sigma = np.array([[self.nbar_th, sig_ba],
                                    [np.conj(sig_ba), sig_aa]], dtype=complex)
             q = self.Sigma - self.E @ self.Sigma @ self.E.conj().T
@@ -291,12 +290,12 @@ class DemodPlan:
         offsets = (np.arange(self.h.size) - self.h_center) * self.dt_s
         self.cross_a_filtered = float(np.sum(self.h * model.correlation_a(offsets)))
 
-        eta_nbar_th = cfg.params.eta_total * cfg.params.nbar_th
         if self.var_a_filtered > 0:
+            eta_nbar_th = cfg.params.eta_total * cfg.params.nbar_th
             self.gain = math.sqrt(2.0 * eta_nbar_th / self.var_a_filtered)
         else:
             self.gain = 0.0          # no scattered signal, pure vacuum record
-        self.sigma_inf = 1.0 + eta_nbar_th
+        self.sigma_inf = steady_state_variance(cfg.params)
         # margin wide enough for filter transients at both trace edges
         margin_time = (3 * self._core_half_width + 16) * self.dt_s
         self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
@@ -468,9 +467,8 @@ def _simulate_chunk(cfg, model, plan, n, order, rng):
     return zc, wc
 
 
-def ensemble_variance(ens: TraceEnsemble) -> "VarianceCurve":
+def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     """Pooled X/P sample variance versus herald-relative time."""
-    from .dynamics import VarianceCurve
     if ens.n_traces < 2:
         raise ConfigError("need at least 2 traces for a variance estimate")
     w = ens.weights
@@ -567,6 +565,40 @@ def _apply_dead_time(times, dead_time):
     return keep
 
 
+def _draw_events(lam, row_starts, dt, gate_starts, spad: SpadConfig, t_end, rng):
+    """Raw (times, detector, is_dark) of both detectors for one block, unsorted.
+
+    lam[i, j] is the registered intensity in the step of width dt from
+    row_starts[i] + j*dt.  Each detector draws, in this order: thinning per
+    step, jitter within it, dark counts per gate, dark offsets within it.
+    """
+    p_hit = np.clip(lam * dt, 0.0, 1.0)
+    times, det, dark = [], [], []
+    for d in range(2):
+        rows, steps = np.nonzero(rng.random(p_hit.shape) < p_hit)
+        t_hit = row_starts[rows] + (steps + rng.random(rows.size)) * dt
+        counts = rng.poisson(spad.dark_rate * spad.gate_len, size=gate_starts.size)
+        t_dark = np.repeat(gate_starts, counts) \
+            + rng.random(counts.sum()) * spad.gate_len
+        t_dark = t_dark[t_dark < t_end]          # a last gate may overrun t_end
+        times += [t_hit, t_dark]
+        dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]
+        det.append(np.full(t_hit.size + t_dark.size, d, dtype=np.int8))
+    return np.concatenate(times), np.concatenate(det), np.concatenate(dark)
+
+
+def _register_events(times, det, dark, dead_time):
+    """Per detector: stable time sort and dead time; then a stable time merge."""
+    kept = []
+    for d in range(2):
+        sel = np.nonzero(det == d)[0]
+        order = sel[np.argsort(times[sel], kind="stable")]
+        kept.append(order[_apply_dead_time(times[order], dead_time)])
+    kept = np.concatenate(kept)
+    kept = kept[np.argsort(times[kept], kind="stable")]
+    return times[kept], det[kept], dark[kept]
+
+
 def spad_clicks(a_traj, dt, spad: SpadConfig, seed, mean_registered_rate,
                 mean_intensity, t_start=0.0) -> ClickStream:
     """Thin a field trajectory into gated detector events.
@@ -590,38 +622,14 @@ def spad_clicks(a_traj, dt, spad: SpadConfig, seed, mean_registered_rate,
                       "approximation is strained" % n_det_per_gate)
 
     gate_period = 1.0 / spad.gate_rate
-    times_all, det_all, dark_all = [], [], []
     t = np.arange(n_steps) * dt + t_start
-    gate_phase = np.mod(t, gate_period)
-    in_gate = gate_phase < spad.gate_len
-
-    for det in range(2):
-        u = rng.random(n_steps)
-        hit = in_gate & (u < np.clip(intensity * dt, 0.0, 1.0))
-        hit_times = t[hit] + rng.random(int(hit.sum())) * dt
-        # dark events, laid down gate by gate
-        n_gates = int(math.floor(duration / gate_period)) + 1
-        dark_counts = rng.poisson(spad.dark_rate * spad.gate_len, size=n_gates)
-        g_idx = np.repeat(np.arange(n_gates), dark_counts)
-        dark_times = (t_start + g_idx * gate_period
-                      + rng.random(g_idx.size) * spad.gate_len)
-        dark_times = dark_times[dark_times < t_start + duration]
-        times = np.concatenate([hit_times, dark_times])
-        dark = np.concatenate([np.zeros(hit_times.size, dtype=bool),
-                               np.ones(dark_times.size, dtype=bool)])
-        order = np.argsort(times, kind="stable")
-        times, dark = times[order], dark[order]
-        keep = _apply_dead_time(times, spad.dead_time)
-        times_all.append(times[keep])
-        dark_all.append(dark[keep])
-        det_all.append(np.full(int(keep.sum()), det, dtype=np.int8))
-
-    times = np.concatenate(times_all)
-    det = np.concatenate(det_all)
-    dark = np.concatenate(dark_all)
-    order = np.argsort(times, kind="stable")
-    return ClickStream(times[order], det[order], dark[order], duration,
-                       spad.gate_rate, spad.gate_len)
+    # one row per step, so each hit is jittered within its own step
+    lam = np.where(np.mod(t, gate_period) < spad.gate_len, intensity, 0.0)[:, None]
+    n_gates = int(math.floor(duration / gate_period)) + 1
+    gate_starts = t_start + np.arange(n_gates) * gate_period
+    events = _draw_events(lam, t, dt, gate_starts, spad, t_start + duration, rng)
+    times, det, dark = _register_events(*events, spad.dead_time)
+    return ClickStream(times, det, dark, duration, spad.gate_rate, spad.gate_len)
 
 
 def gated_click_stream(cfg: SimConfig, duration, seed=None,
@@ -650,7 +658,7 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None,
     n_blocks = (n_gates + gates_per_block - 1) // gates_per_block
     seeds = np.random.SeedSequence(cfg.seed if seed is None else seed).spawn(n_blocks)
 
-    times_all, det_all, dark_all = [], [], []
+    blocks = []
     for bi in range(n_blocks):
         lo = bi * gates_per_block
         hi = min(lo + gates_per_block, n_gates)
@@ -665,42 +673,20 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None,
         lam = r_registered * intens / model.var_a if model.var_a > 0 \
             else np.zeros_like(intens)
         gate_starts = (lo + np.arange(nb)) / spad.gate_rate
-        for det in range(2):
-            u = rng.random((nb, m_steps))
-            hit = u < np.clip(lam * dt, 0.0, 1.0)
-            g_idx, s_idx = np.nonzero(hit)
-            t_hit = gate_starts[g_idx] + (s_idx + rng.random(g_idx.size)) * dt
-            dark_counts = rng.poisson(spad.dark_rate * spad.gate_len, size=nb)
-            d_idx = np.repeat(np.arange(nb), dark_counts)
-            t_dark = gate_starts[d_idx] + rng.random(d_idx.size) * spad.gate_len
-            times_all.append(np.concatenate([t_hit, t_dark]))
-            dark_all.append(np.concatenate([np.zeros(t_hit.size, dtype=bool),
-                                            np.ones(t_dark.size, dtype=bool)]))
-            det_all.append(np.full(t_hit.size + t_dark.size, det, dtype=np.int8))
+        blocks.append(_draw_events(lam, gate_starts, dt, gate_starts, spad,
+                                   duration, rng))
 
-    times = np.concatenate(times_all)
-    det = np.concatenate(det_all)
-    dark = np.concatenate(dark_all)
-    keep_parts = []
-    for d in range(2):
-        sel = np.nonzero(det == d)[0]
-        order = sel[np.argsort(times[sel], kind="stable")]
-        kept = order[_apply_dead_time(times[order], spad.dead_time)]
-        keep_parts.append(kept)
-    kept = np.concatenate(keep_parts)
-    kept = kept[np.argsort(times[kept], kind="stable")]
+    times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
+                                        spad.dead_time)
     meta = {"registered_rate_per_detector": r_registered,
             "n_gates": n_gates}
-    return ClickStream(times[kept], det[kept], dark[kept], duration,
-                       spad.gate_rate, spad.gate_len, meta)
+    return ClickStream(times, det, dark, duration, spad.gate_rate,
+                       spad.gate_len, meta)
 
 
 def registered_rate(cfg: SimConfig):
     """Expected registered rate per detector, from the photon-flux budget."""
-    g = cfg.params.pump_enhanced_coupling()
-    f_cav = budget_mod.cavity_flux(cfg.params, g)
-    r_det = budget_mod.detector_rate(f_cav, cfg.spad.arm_efficiencies)
-    return cfg.spad.quantum_eff * r_det
+    return budget_mod.build_report(cfg.params, cfg.spad).singles_rate_ungated
 
 
 def herald_select(clicks: ClickStream, kind=HERALD_SINGLE):
@@ -719,17 +705,12 @@ def herald_select(clicks: ClickStream, kind=HERALD_SINGLE):
 
 
 def write_clicks_csv(clicks: ClickStream, path):
-    with open(path, "w") as fh:
-        fh.write("time,detector,is_dark\n")
-        for t, d, dark in zip(clicks.times, clicks.detector, clicks.is_dark):
-            fh.write("%.17g,%d,%d\n" % (t, d, int(dark)))
+    write_csv(path, "time,detector,is_dark",
+              [clicks.times, clicks.detector, clicks.is_dark])
 
 
 def write_heralds_csv(times, path):
-    with open(path, "w") as fh:
-        fh.write("herald_time\n")
-        for t in times:
-            fh.write("%.17g\n" % t)
+    write_csv(path, "herald_time", [times])
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +734,7 @@ def save_ensemble(ens: TraceEnsemble, path_base):
         "n_traces": int(ens.n_traces),
         "meta": _jsonable(ens.meta),
     }
-    with open(str(path_base) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(path_base) + ".json", sidecar)
 
 
 def load_ensemble(path_base) -> TraceEnsemble:

@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -152,3 +155,75 @@ class TestDeterminism:
         monkeypatch.setenv("PHONON_FORGE_THREADS", "zebra")
         assert run(["--out", str(outdir), "simulate", "--herald", "none",
                     "--n-traces", "20", "--trace-len", "1024"]) == 2
+
+
+_NAN, _INF = float("nan"), float("inf")
+_SIMULATE = ["simulate", "--trace-len", "1024", "--click-seconds", "0"]
+_BAD_CONFIGS = [
+    ({"system": {"nbar_th": _NAN}}, ["budget"]),
+    ({"system": {"nbar_th": _NAN}}, ["variance", "--n", "1"]),
+    ({"system": {"nbar_th": _NAN}}, ["wigner", "--n", "1", "--npts", "129"]),
+    ({"spad": {"gate_rate": _NAN}}, ["budget"]),
+    ({"spad": {"gate_rate": _NAN}}, ["variance", "--n", "1"]),
+    ({"spad": {"gate_rate": _NAN}}, ["wigner", "--n", "1", "--npts", "129"]),
+    ({"system": {"gamma": _INF}}, ["variance", "--n", "1"]),
+    ({"system": {"nbar_th": "766"}}, ["budget"]),
+    ({"spad": {"arm_efficiencies": 0.5}}, ["budget"]),
+    ({"seed": -1}, _SIMULATE + ["--n-traces", "10"]),
+    ({"sim": {"n_traces": 1.5}}, _SIMULATE),
+    ({"sim": {"adiabatic": "yes"}}, _SIMULATE + ["--n-traces", "10"]),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("doc,command", _BAD_CONFIGS)
+    def test_bad_value_exits_2_without_non_finite_output(self, tmp_path, outdir,
+                                                         doc, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["--config", str(cfg), "--out", str(outdir), *command]) == 2
+        for path in (outdir.rglob("*") if outdir.exists() else ()):
+            if path.is_file():
+                text = path.read_text().lower()
+                assert "nan" not in text and "inf" not in text, path
+
+    def test_every_dataclass_field_is_a_config_key(self, tmp_path, outdir):
+        defaults = cli.RunConfig()
+        sim_defaults = defaults.sim_config()
+        doc = {
+            "system": dataclasses.asdict(defaults.params),
+            "spad": {**dataclasses.asdict(defaults.spad),
+                     "arm_efficiencies": list(defaults.spad.arm_efficiencies)},
+            "sim": {f.name: getattr(sim_defaults, f.name)
+                    for f in dataclasses.fields(sim_defaults)
+                    if f.name not in ("params", "spad", "seed")},
+            "grid": dataclasses.asdict(defaults.grid_config()),
+        }
+        loaded = cli.RunConfig(doc)
+        assert loaded.params == defaults.params
+        assert loaded.spad == defaults.spad
+        assert loaded.sim_config() == sim_defaults
+        assert loaded.grid_config() == defaults.grid_config()
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {"chunk_traces": 128, "adiabatic": False},
+                                   "spad": {"arm_efficiencies": [0.67, 0.25, 0.15, 0.5]}}))
+        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 0
+
+    @pytest.mark.parametrize("sim_doc", [{"seed": 1}, {"params": {}}])
+    def test_sim_section_takes_no_seed_or_params(self, tmp_path, outdir, sim_doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": sim_doc}))
+        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 2
+
+
+class TestThreadCount:
+    def test_default_is_the_usable_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("PHONON_FORGE_THREADS", raising=False)
+        args = argparse.Namespace(threads=None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._thread_count(args) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._thread_count(args) == 64

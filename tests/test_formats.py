@@ -1,0 +1,83 @@
+"""Every CSV writer round-trips its arrays bit for bit."""
+
+import numpy as np
+import pytest
+
+from phonon_forge import dynamics as dyn
+from phonon_forge import phase_space as ps
+from phonon_forge import simulator as sim
+
+
+def _read_columns(path, parsers):
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == len(parsers) for row in rows)
+    return lines[0], [[parse(row[i]) for row in rows]
+                      for i, parse in enumerate(parsers)]
+
+
+def _same_bits(parsed, expected):
+    expected = np.asarray(expected)
+    got = np.asarray(parsed, dtype=expected.dtype)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def clicks():
+    cfg = sim.SimConfig(seed=5)
+    return sim.gated_click_stream(cfg, 1.0)
+
+
+def test_grid_round_trip(tmp_path, params):
+    spec = ps.StateSpec(nbar=50.0, n=1, eta=params.eta_total)
+    grid = ps.wigner_s(spec, ps.GridConfig(npts=65))
+    ps.write_grid(grid, tmp_path / "g.csv", tmp_path / "g.json")
+    header, (x, p, value) = _read_columns(tmp_path / "g.csv", [float] * 3)
+    assert header == "X,P,value"
+    _same_bits(x, np.repeat(grid.axis, grid.npts))
+    _same_bits(p, np.tile(grid.axis, grid.npts))
+    _same_bits(value, grid.values.ravel())
+
+
+def test_marginal_round_trip(tmp_path, params):
+    spec = ps.StateSpec(nbar=50.0, n=2, eta=params.eta_total)
+    marg = ps.marginal_on_grid(ps.measured_marginal(spec), np.linspace(-9, 9, 301))
+    ps.write_marginal(marg, tmp_path / "m.csv")
+    header, (x, dens) = _read_columns(tmp_path / "m.csv", [float] * 2)
+    assert header == "X,density"
+    _same_bits(x, marg.xs)
+    _same_bits(dens, marg.density)
+
+
+def test_variance_curve_round_trip(tmp_path, params):
+    curve = dyn.variance_curve(params, 2, np.linspace(-1e-7, 1e-7, 201))
+    dyn.write_variance_curve(curve, tmp_path / "v.csv")
+    header, (tau, var) = _read_columns(tmp_path / "v.csv", [float] * 2)
+    assert header == "tau,variance"
+    _same_bits(tau, curve.taus)
+    _same_bits(var, curve.values)
+
+
+def test_clicks_round_trip(tmp_path, clicks):
+    assert clicks.n_events > 10 and clicks.is_dark.any() and (clicks.detector == 1).any()
+    sim.write_clicks_csv(clicks, tmp_path / "c.csv")
+    header, (t, det, dark) = _read_columns(tmp_path / "c.csv", [float, int, int])
+    assert header == "time,detector,is_dark"
+    assert set(det) <= {0, 1} and set(dark) <= {0, 1}
+    _same_bits(t, clicks.times)
+    _same_bits(det, clicks.detector)
+    _same_bits(np.asarray(dark).astype(bool), clicks.is_dark)
+
+
+def test_heralds_round_trip(tmp_path, clicks):
+    pairs = sim.ClickStream(np.array([1e-3, 1e-3 + 1e-9, 0.25]),
+                            np.array([0, 1, 0], dtype=np.int8), np.zeros(3, dtype=bool),
+                            duration=1.0, gate_rate=5e4, gate_len=3.5e-9)
+    for heralds in (sim.herald_select(clicks, "single"),
+                    sim.herald_select(pairs, "coincidence")):
+        assert heralds.size > 0
+        sim.write_heralds_csv(heralds, tmp_path / "h.csv")
+        header, (t,) = _read_columns(tmp_path / "h.csv", [float])
+        assert header == "herald_time"
+        _same_bits(t, heralds)
