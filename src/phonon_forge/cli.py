@@ -43,25 +43,32 @@ class RunConfig:
         doc = _reject_unknown({} if doc is None else doc, _TOP_KEYS, "top level")
         sys_doc = _reject_unknown(doc.get("system", {}), _SYSTEM_KEYS, "system")
         spad_doc = _reject_unknown(doc.get("spad", {}), _SPAD_KEYS, "spad")
-        self.sim_doc = _reject_unknown(doc.get("sim", {}), _SIM_KEYS, "sim")
-        self.grid_doc = _reject_unknown(doc.get("grid", {}), _GRID_KEYS, "grid")
+        sim_doc = _reject_unknown(doc.get("sim", {}), _SIM_KEYS, "sim")
+        grid_doc = _reject_unknown(doc.get("grid", {}), _GRID_KEYS, "grid")
+        output_dir = doc.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
 
+        # every section is built here, so a bad value fails every command
         self.params = dataclasses.replace(default_params(), **sys_doc)
         self.spad = dataclasses.replace(default_spad(), **spad_doc)
-        self.output_dir = Path(doc.get("output_dir", "."))
+        self.output_dir = Path(output_dir)
         self.seed = doc.get("seed", 20210)
         require_integer("seed", self.seed, minimum=0)
+        self.sim = simulator.SimConfig(params=self.params, spad=self.spad,
+                                       seed=self.seed, **sim_doc)
+        self.grid = phase_space.GridConfig(**grid_doc)
 
     def sim_config(self, **overrides):
-        kwargs = dict(self.sim_doc)
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
-        return simulator.SimConfig(params=self.params, spad=self.spad,
-                                   seed=self.seed, **kwargs)
+        return dataclasses.replace(self.sim, **_given(overrides))
 
     def grid_config(self, **overrides):
-        kwargs = dict(self.grid_doc)
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
-        return phase_space.GridConfig(**kwargs)
+        return dataclasses.replace(self.grid, **_given(overrides))
+
+
+def _given(overrides):
+    """The command-line overrides that were actually passed."""
+    return {k: v for k, v in overrides.items() if v is not None}
 
 
 def _reject_unknown(doc, allowed, where):

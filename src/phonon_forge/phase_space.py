@@ -38,6 +38,7 @@ from scipy.special import gammaln
 
 from ._formats import write_csv, write_json
 from .errors import ConfigError, GridError, NumericsError
+from .params import require_integer, require_positive
 
 UNITS_HETERODYNE = "heterodyne_vacuum"
 UNITS_ZERO_POINT = "zero_point"
@@ -78,10 +79,11 @@ class GridConfig:
     units: str = UNITS_ZERO_POINT
 
     def __post_init__(self):
-        if self.npts < 3 or self.npts % 2 == 0:
+        require_integer("npts", self.npts, 3)
+        if self.npts % 2 == 0:
             raise ConfigError("npts must be odd and >= 3 so the origin is a node")
-        if self.half_width is not None and self.half_width <= 0:
-            raise ConfigError("half_width must be > 0")
+        if self.half_width is not None:
+            require_positive("half_width", self.half_width)
         if self.units not in _VALID_UNITS:
             raise ConfigError(f"units must be one of {_VALID_UNITS}")
 

@@ -9,7 +9,8 @@ whose stationary two-time correlation <a*(0) a(tau)> reproduces the closed
 forms in :mod:`phonon_forge.dynamics` exactly (r = gamma).  Integration uses
 the exact one-step discretization x[k+1] = E x[k] + w with E = expm(M dt) and
 noise covariance Q = Sigma - E Sigma E^dag, so there is no step-size bias at
-any dt.  The measured heterodyne voltage is
+any dt; heralded ensembles therefore step at the sample rate.  The measured
+heterodyne voltage is
 
     v(t) = sqrt(2) g Re[a(t) e^(-i w_het t)] + vacuum noise,
 
@@ -403,7 +404,8 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     if n_traces < 1:
         raise ConfigError("n_traces must be >= 1")
 
-    model = FieldModel(cfg)
+    # the propagator is exact at any step, so step at the sample rate
+    model = FieldModel(cfg, dt=1.0 / cfg.sample_rate)
     plan = DemodPlan(cfg, model)
     order = _HERALD_ORDER[herald_kind]
 
@@ -450,15 +452,11 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
 
 
 def _simulate_chunk(cfg, model, plan, n, order, rng):
-    k = cfg.oversample
-    n_steps = cfg.trace_len * k
     b0, a0 = model.stationary_sample(n, rng)
-    _, a = model.evolve_block(b0, a0, n_steps, rng)
-    a_sampled = a[:, ::k]
+    _, a = model.evolve_block(b0, a0, cfg.trace_len, rng)
+    a_center = a[:, plan.center].copy()
+    v = plan.voltage_from_field(a, rng)
     del a
-    a_center = a_sampled[:, plan.center].copy()
-    v = plan.voltage_from_field(a_sampled, rng)
-    del a_sampled
     zc = plan.demodulate(v)
     if order:
         wc = np.abs(a_center) ** (2 * order)
@@ -475,9 +473,11 @@ def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     wsum = w.sum()
     if wsum <= 0:
         raise ConfigError("ensemble weights sum to zero (no herald signal)")
-    mean = (w @ ens.z) / wsum
+    # einsum without optimize never calls BLAS, whose reduction order
+    # depends on its thread count; these sums are the same on any host
+    mean = np.einsum("i,ij->j", w, ens.z) / wsum
     dev = ens.z - mean
-    var = (w @ (dev.real ** 2) + w @ (dev.imag ** 2)) / (2.0 * wsum)
+    var = np.einsum("i,ij->j", w, dev.real ** 2 + dev.imag ** 2) / (2.0 * wsum)
     return VarianceCurve(ens.taus.copy(), var, order=ens.order)
 
 
@@ -738,16 +738,28 @@ def save_ensemble(ens: TraceEnsemble, path_base):
 
 
 def load_ensemble(path_base) -> TraceEnsemble:
+    """Read what save_ensemble wrote; ConfigError if its parts disagree."""
     with open(str(path_base) + ".json") as fh:
         sidecar = json.load(fh)
     if sidecar.get("schema") != ENSEMBLE_SCHEMA:
         raise ConfigError("unrecognized ensemble schema "
                           f"{sidecar.get('schema')!r}")
-    data = np.load(str(path_base) + ".npz")
-    z = data["z_real"] + 1j * data["z_imag"]
-    return TraceEnsemble(z=z, taus=data["taus"],
+    with np.load(str(path_base) + ".npz") as data:
+        z_real, z_imag, taus, weights = (data[k] for k in
+                                         ("z_real", "z_imag", "taus", "weights"))
+    if z_real.shape != z_imag.shape:
+        raise ConfigError(f"z_real {z_real.shape} and z_imag {z_imag.shape} "
+                          "differ in shape")
+    if z_real.ndim != 2 or z_real.shape[0] != sidecar["n_traces"]:
+        raise ConfigError(f"z has shape {z_real.shape}, the sidecar says "
+                          f"{sidecar['n_traces']!r} traces")
+    if weights.shape != z_real.shape[:1] or taus.shape != z_real.shape[1:]:
+        raise ConfigError(f"weights {weights.shape} and taus {taus.shape} "
+                          f"do not match z {z_real.shape}")
+    z = z_real + 1j * z_imag
+    return TraceEnsemble(z=z, taus=taus,
                          herald_col=int(sidecar["herald_col"]),
-                         weights=data["weights"],
+                         weights=weights,
                          herald_kind=sidecar["herald_kind"],
                          margin_cols=int(sidecar["margin_cols"]),
                          units=sidecar["units"], meta=sidecar["meta"])

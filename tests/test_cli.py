@@ -217,6 +217,34 @@ class TestConfigValues:
         assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 2
 
 
+_COMMANDS = [["budget"], ["characterize"], ["variance", "--n", "1"],
+             ["marginal", "--n", "1"], ["wigner", "--n", "1", "--npts", "129"],
+             _SIMULATE + ["--n-traces", "10"]]
+_BAD_SECTIONS = [
+    ({"grid": {"half_width": _NAN}}, ["wigner", "--n", "1", "--npts", "129"]),
+    ({"grid": {"half_width": _INF}}, ["wigner", "--n", "1", "--npts", "129"]),
+    ({"grid": {"npts": "129"}}, ["wigner", "--n", "1"]),
+    ({"grid": {"npts": 129.0}}, ["wigner", "--n", "1"]),
+    ({"grid": {"half_width": _NAN}}, ["marginal", "--n", "1"]),
+    ({"sim": {"dt": 0}}, ["budget"]),
+    ({"sim": {"trace_len": _NAN}}, ["variance", "--n", "1"]),
+    *(({"output_dir": 5}, command) for command in _COMMANDS),
+    *(({"output_dir": ["out"]}, command) for command in _COMMANDS),
+]
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("doc,command", _BAD_SECTIONS)
+    def test_bad_section_exits_2_on_load(self, tmp_path, outdir, doc, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["--config", str(cfg), "--out", str(outdir), *command]) == 2
+        for path in (outdir.rglob("*") if outdir.exists() else ()):
+            if path.is_file():
+                text = path.read_text().lower()
+                assert "nan" not in text and "inf" not in text, path
+
+
 class TestThreadCount:
     def test_default_is_the_usable_cpu_count(self, monkeypatch):
         monkeypatch.delenv("PHONON_FORGE_THREADS", raising=False)

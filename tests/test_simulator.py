@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +73,20 @@ class TestFieldModel:
             emp = np.mean(np.conj(a[:, :a.shape[1] - lag]) * a[:, lag:]).real
             ana = model.correlation_a(lag * cfg.dt)
             assert emp == pytest.approx(ana, rel=0.05)
+
+    def test_sample_rate_step_correlation(self, cfg):
+        # the propagator is exact at any step, so stepping at the sample rate
+        # (as heralded ensembles do) keeps the analytic two-time correlation
+        model = sim.FieldModel(cfg, dt=1.0 / cfg.sample_rate)
+        rng = np.random.Generator(np.random.Philox(12))
+        b0, a0 = model.stationary_sample(128, rng)
+        _, a = model.evolve_block(b0, a0, 8192, rng)
+        for lag in (0, 16, 94):
+            per_trace = np.mean(np.conj(a[:, :a.shape[1] - lag]) * a[:, lag:],
+                                axis=1).real
+            se = per_trace.std(ddof=1) / math.sqrt(per_trace.size)
+            ana = model.correlation_a(lag / cfg.sample_rate)
+            assert abs(per_trace.mean() - ana) < 5 * se
 
     def test_zero_coupling_gives_vacuum(self, cfg):
         c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
@@ -176,6 +195,51 @@ class TestHeraldedEnsembles:
         b = sim.run_ensemble(cfg, herald_kind="single", n_traces=600, threads=2)
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_herald_kinds_share_the_quadratures(self, cfg):
+        # only the weights depend on the herald kind, so one simulation
+        # could serve all three kinds
+        ens = {kind: sim.run_ensemble(cfg, herald_kind=kind, n_traces=300)
+               for kind in ("none", "single", "coincidence")}
+        assert np.array_equal(ens["none"].z, ens["single"].z)
+        assert np.array_equal(ens["none"].z, ens["coincidence"].z)
+        np.testing.assert_allclose(ens["single"].weights ** 2,
+                                   ens["coincidence"].weights, rtol=1e-12)
+
+    def test_demod_calibration_independent_of_step(self, cfg):
+        coarse = sim.DemodPlan(cfg, sim.FieldModel(cfg, dt=1.0 / cfg.sample_rate))
+        fine = sim.DemodPlan(cfg)
+        assert coarse.gain == fine.gain
+        assert coarse.sigma_vac == fine.sigma_vac
+        for order in (1, 2):
+            assert coarse.predicted_ratio(order) == fine.predicted_ratio(order)
+
+    def test_variance_matches_weighted_reference(self):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((40, 9)) + 1j * rng.standard_normal((40, 9))
+        w = rng.random(40)
+        ens = sim.TraceEnsemble(z=z, taus=np.arange(9.0), herald_col=4,
+                                weights=w, herald_kind="single", margin_cols=0)
+        mean = np.average(z, axis=0, weights=w)
+        ref = np.average(np.abs(z - mean) ** 2, axis=0, weights=w) / 2.0
+        np.testing.assert_allclose(sim.ensemble_variance(ens).values, ref,
+                                   rtol=1e-13)
+
+    def test_variance_independent_of_blas_threads(self):
+        script = ("from phonon_forge import simulator as sim\n"
+                  "ens = sim.run_ensemble(sim.SimConfig(n_traces=32, seed=11),"
+                  " 'single', threads=2)\n"
+                  "print(sim.ensemble_variance(ens).values.tobytes().hex())\n")
+        src = str(Path(sim.__file__).resolve().parents[1])
+        out = []
+        for blas_threads in ("1", "2"):
+            path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, path))}
+            out.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      capture_output=True, text=True,
+                                      check=True).stdout)
+        assert out[0] == out[1]
 
     def test_filter_sensitivity_documented(self, cfg):
         # halving the demodulation bandwidth moves the predicted herald-time
@@ -350,9 +414,40 @@ class TestPersistence:
         ens = sim.run_ensemble(cfg, herald_kind="none", n_traces=10)
         base = tmp_path / "ens"
         sim.save_ensemble(ens, base)
-        import json
         doc = json.loads((tmp_path / "ens.json").read_text())
         doc["schema"] = "other"
+        (tmp_path / "ens.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            sim.load_ensemble(base)
+
+    # each case drops the last trace (row) or the last column of some arrays
+    @pytest.mark.parametrize("rows,cols", [
+        (("z_real", "z_imag"), ()),          # fewer traces than the sidecar says
+        (("z_real",), ()),
+        ((), ("z_imag",)),
+        (("weights",), ()),
+        ((), ("taus",)),
+    ])
+    def test_mismatched_parts_rejected(self, cfg, tmp_path, rows, cols):
+        ens = sim.run_ensemble(cfg, herald_kind="single", n_traces=10)
+        base = tmp_path / "ens"
+        sim.save_ensemble(ens, base)
+        with np.load(tmp_path / "ens.npz") as data:
+            arrays = dict(data)
+        for name in rows:
+            arrays[name] = arrays[name][:-1]
+        for name in cols:
+            arrays[name] = arrays[name][..., :-1]
+        np.savez(tmp_path / "ens.npz", **arrays)
+        with pytest.raises(ConfigError):
+            sim.load_ensemble(base)
+
+    def test_sidecar_trace_count_checked(self, cfg, tmp_path):
+        ens = sim.run_ensemble(cfg, herald_kind="single", n_traces=10)
+        base = tmp_path / "ens"
+        sim.save_ensemble(ens, base)
+        doc = json.loads((tmp_path / "ens.json").read_text())
+        doc["n_traces"] += 1
         (tmp_path / "ens.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             sim.load_ensemble(base)
