@@ -25,7 +25,7 @@ from . import dynamics, phase_space, simulator
 from ._formats import write_csv, write_json
 from .errors import ConfigError, NumericsError, PhononForgeError
 from .params import SpadConfig, SystemParams, default_params, default_spad, \
-    require_integer
+    require_integer, require_positive
 
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
 _SPAD_KEYS = {f.name for f in dataclasses.fields(SpadConfig)}
@@ -113,17 +113,22 @@ def _outdir(cfg, args):
     return out
 
 
+def _state_spec(cfg, args):
+    """The state of --n, --nbar (default: cooled) and --eta (default: config)."""
+    nbar = args.nbar
+    if nbar is None:
+        nbar = dynamics.characterize(cfg.params).nbar_cooled
+    eta = args.eta if args.eta is not None else cfg.params.eta_total
+    return phase_space.StateSpec(nbar=nbar, n=args.n, eta=eta)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_wigner(cfg: RunConfig, args):
     out = _outdir(cfg, args)
-    nbar = args.nbar
-    if nbar is None:
-        nbar = dynamics.characterize(cfg.params).nbar_cooled
-    eta = args.eta if args.eta is not None else cfg.params.eta_total
-    spec = phase_space.StateSpec(nbar=nbar, n=args.n, eta=eta)
+    spec = _state_spec(cfg, args)
     gcfg = cfg.grid_config(npts=args.npts, half_width=args.half_width,
                            units=args.units)
     grid = phase_space.wigner_s(spec, gcfg, s_override=args.s)
@@ -138,18 +143,12 @@ def cmd_wigner(cfg: RunConfig, args):
 
 def cmd_marginal(cfg: RunConfig, args):
     out = _outdir(cfg, args)
-    nbar = args.nbar
-    if nbar is None:
-        nbar = dynamics.characterize(cfg.params).nbar_cooled
-    eta = args.eta if args.eta is not None else cfg.params.eta_total
-    spec = phase_space.StateSpec(nbar=nbar, n=args.n, eta=eta)
-    if args.n <= 2:
-        func = phase_space.measured_marginal(spec)
-    else:
-        func = phase_space.measured_marginal_general(spec)
-    xmax = args.xmax or 5.0 * math.sqrt(1.0 + spec.eta_nbar)
-    xs = np.linspace(-xmax, xmax, args.npts or 1001)
-    marg = phase_space.marginal_on_grid(func, xs)
+    spec = _state_spec(cfg, args)
+    xmax = 5.0 * math.sqrt(1.0 + spec.eta_nbar) if args.xmax is None else args.xmax
+    require_positive("xmax", xmax)
+    require_integer("npts", args.npts, 2)
+    xs = np.linspace(-xmax, xmax, args.npts)
+    marg = phase_space.marginal_on_grid(phase_space.measured_marginal_general(spec), xs)
     path = out / f"marginal_n{args.n}.csv"
     phase_space.write_marginal(marg, path)
     print(f"wrote {path} (integral={marg.integral():.6f})")
@@ -160,7 +159,8 @@ def cmd_variance(cfg: RunConfig, args):
     out = _outdir(cfg, args)
     chain = dynamics.characterize(cfg.params)
     t_max = 5.0 / chain.gamma_eff
-    taus = np.linspace(-t_max, t_max, args.npts or 2001)
+    require_integer("npts", args.npts, 2)
+    taus = np.linspace(-t_max, t_max, args.npts)
     curve = dynamics.variance_curve(cfg.params, args.n, taus)
     path = out / f"variance_n{args.n}.csv"
     dynamics.write_variance_curve(curve, path)
@@ -172,6 +172,7 @@ def cmd_variance(cfg: RunConfig, args):
 
 
 def cmd_simulate(cfg: RunConfig, args):
+    require_positive("click_seconds", args.click_seconds, zero_ok=True)
     out = _outdir(cfg, args)
     sim = cfg.sim_config(trace_len=args.trace_len, n_traces=args.n_traces)
     threads = _thread_count(args)
@@ -232,8 +233,12 @@ def cmd_budget(cfg: RunConfig, args):
 
 def cmd_characterize(cfg: RunConfig, args):
     out = _outdir(cfg, args)
-    powers = [float(p) for p in args.powers.split(",")] if args.powers \
-        else [cfg.params.p_in]
+    try:
+        powers = [float(p) for p in args.powers.split(",")] if args.powers \
+            else [cfg.params.p_in]
+    except ValueError:
+        raise ConfigError(f"--powers must be comma-separated numbers, "
+                          f"got {args.powers!r}") from None
     rows = [(p, dynamics.characterize(cfg.params.with_updates(p_in=p)))
             for p in powers]
     path = out / "characterization.csv"
@@ -296,12 +301,12 @@ def build_parser():
     p.add_argument("--eta", type=float)
     p.add_argument("--nbar", type=float)
     p.add_argument("--xmax", type=float)
-    p.add_argument("--npts", type=int)
+    p.add_argument("--npts", type=int, default=1001)
     p.set_defaults(func=cmd_marginal)
 
     p = sub.add_parser("variance", help="analytic heralded variance curve")
     p.add_argument("--n", type=int, choices=(1, 2), required=True)
-    p.add_argument("--npts", type=int)
+    p.add_argument("--npts", type=int, default=2001)
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("simulate", help="run the stochastic emulator")

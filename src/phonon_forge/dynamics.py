@@ -145,7 +145,7 @@ def fit_linewidth(omegas, psd_values):
     return abs(popt[2])
 
 
-def fit_g0_from_spectra(params: SystemParams, n_cavs, n_points=4001, span=10.0):
+def fit_g0_from_spectra(params: SystemParams, n_cavs):
     """Recover (g0, gamma) from simulated spectra across a power sweep.
 
     For each photon number, samples the spectrum around +omega_het, fits the
@@ -155,11 +155,10 @@ def fit_g0_from_spectra(params: SystemParams, n_cavs, n_points=4001, span=10.0):
     n_cavs = np.asarray(n_cavs, dtype=float)
     widths = []
     for n_cav in n_cavs:
-        g = coupling_rate(params, n_cav)
-        c = cooperativity(params, g)
-        g_eff = effective_linewidth(params, c)
-        omegas = params.omega_het + np.linspace(-span * g_eff, span * g_eff, n_points)
-        psd = anti_stokes_spectrum(params, g)(omegas)
+        chain = characterize(params, n_cav)
+        half = 10.0 * chain.gamma_eff
+        omegas = params.omega_het + np.linspace(-half, half, 4001)
+        psd = anti_stokes_spectrum(params, chain.coupling)(omegas)
         widths.append(fit_linewidth(omegas - params.omega_het, psd))
     slope, intercept = np.polyfit(n_cavs, widths, 1)
     if slope <= 0:
@@ -242,8 +241,7 @@ def steady_state_variance(params: SystemParams):
 # Monte-Carlo oracle for the conditional variance ratio
 # ---------------------------------------------------------------------------
 
-def wick_oracle(params: SystemParams, n, tau, n_samples=1_000_000, seed=0,
-                n_batches=32):
+def wick_oracle(params: SystemParams, n, tau, n_samples=1_000_000, seed=0):
     """Sampling check of the conditional variance enhancement 1 + n b(tau)^2.
 
     Draws correlated circular complex Gaussian pairs (a0, a_tau) with the
@@ -268,6 +266,7 @@ def wick_oracle(params: SystemParams, n, tau, n_samples=1_000_000, seed=0,
     l21 = b * l11
     l22 = math.sqrt(max(v * (1.0 - b * b), 0.0))
 
+    n_batches = 32
     ratios = np.empty(n_batches)
     per = n_samples // n_batches
     for i in range(n_batches):

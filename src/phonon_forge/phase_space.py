@@ -60,8 +60,7 @@ class StateSpec:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ConfigError("nbar must be >= 0")
+        require_positive("nbar", self.nbar, zero_ok=True)
         if int(self.n) != self.n or self.n < 0:
             raise ConfigError("subtraction order n must be a non-negative integer")
         if not 0.0 < self.eta <= 1.0:
@@ -122,7 +121,6 @@ class Marginal:
 
     xs: np.ndarray
     density: np.ndarray
-    closed_form: bool = False
 
     def integral(self):
         return float(np.trapezoid(self.density, self.xs))
@@ -229,8 +227,8 @@ def _grid_geometry(spec, cfg, s_override):
     if cfg.units == UNITS_ZERO_POINT:
         occupation = spec.nbar
         s_build = s_from_eta(spec.eta) if s_override is None else float(s_override)
-        if s_build >= 1.0:
-            raise ConfigError("s must be < 1")
+        if not (math.isfinite(s_build) and s_build < 1.0):
+            raise ConfigError(f"s must be finite and < 1, got {s_build!r}")
         s_tag = s_build
     else:
         if s_override is not None:
@@ -417,33 +415,16 @@ def measured_marginal(spec: StateSpec):
 def measured_marginal_general(spec: StateSpec):
     """Detected quadrature distribution for any subtraction order.
 
-    Triple sum over half-integer gamma factors, assembled per power of X in
-    log space so it stays finite at large order; reduces to the explicit
-    n <= 2 forms.
+    Heterodyne detection smooths the P-function by one vacuum unit, twice the
+    smoothing of the state's own marginal, and the n-subtracted P-family is
+    closed under that rescaling: at m = eta*nbar this is
+    quadrature_marginal(m/2, n) stretched by sqrt(2), and the vacuum N(0, 1)
+    at m = 0.  Reduces to the explicit n <= 2 forms.
     """
     m = spec.eta_nbar
-    n = int(spec.n)
-    v = 1.0 + m
-    log_pref = -(gammaln(n + 1) + 2.0 * math.log(math.pi)
-                 + 0.5 * math.log(2.0 * v))
-
-    powers = np.zeros(n + 1)
-    for k in range(n + 1):
-        for l in range(k + 1):
-            e_kl = k - l
-            if m == 0.0 and e_kl > 0:
-                continue
-            for r in range(e_kl + 1):
-                logc = (_log_binom(n, k) + _log_binom(2 * k, 2 * l)
-                        + _log_binom(2 * e_kl, 2 * r)
-                        + _log_gamma_half(n - k) + _log_gamma_half(l)
-                        + _log_gamma_half(r)
-                        - (l + r) * math.log1p(2.0 * m)
-                        - (2 * e_kl - r) * math.log(2.0 * v))
-                if m > 0.0:
-                    logc += e_kl * math.log(2.0 * m)
-                powers[e_kl - r] += math.exp(logc)
-    return _poly_gaussian(powers, log_pref, 0.5 / v)
+    inner = quadrature_marginal(m / 2.0, spec.n if m > 0.0 else 0)
+    root = math.sqrt(2.0)
+    return lambda x: inner(np.asarray(x, dtype=float) / root) / root
 
 
 def _poly_gaussian(powers, log_pref, inv_two_var):
@@ -500,23 +481,21 @@ def ring_radius(n, eta_nbar) -> RingGeometry:
 def marginal_from_grid(grid: PhaseSpaceGrid) -> Marginal:
     """Integrate the grid over P by column sums times the cell height."""
     density = grid.values.sum(axis=1) * grid.cell
-    return Marginal(xs=grid.axis.copy(), density=density, closed_form=False)
+    return Marginal(xs=grid.axis.copy(), density=density)
 
 
 def marginal_on_grid(func, xs) -> Marginal:
     return Marginal(xs=np.asarray(xs, dtype=float),
-                    density=np.asarray(func(xs), dtype=float),
-                    closed_form=True)
+                    density=np.asarray(func(xs), dtype=float))
 
 
 def marginal_to_heterodyne(marg: Marginal, eta) -> Marginal:
     """Convert a zero-point marginal to heterodyne coordinates."""
     root = math.sqrt(eta)
-    return Marginal(xs=marg.xs * root, density=marg.density / root,
-                    closed_form=marg.closed_form)
+    return Marginal(xs=marg.xs * root, density=marg.density / root)
 
 
-def lossy_marginal_convolution(marg: Marginal, eta, npts_out=None) -> Marginal:
+def lossy_marginal_convolution(marg: Marginal, eta) -> Marginal:
     """Propagate a quadrature marginal through a transmission-eta beamsplitter.
 
     Numerical quadrature of
@@ -525,22 +504,22 @@ def lossy_marginal_convolution(marg: Marginal, eta, npts_out=None) -> Marginal:
                      exp(-eta/(1-eta) (X' - X/sqrt(eta))^2),
 
     which for the states in scope must coincide with the closed form at the
-    rescaled occupation nbar -> eta*nbar.
+    rescaled occupation nbar -> eta*nbar.  The output grid has
+    max(len(marg.xs), 801) points.
     """
     if not 0.0 < eta <= 1.0:
         raise ConfigError("eta must lie in (0, 1]")
     if eta == 1.0:
-        return Marginal(marg.xs.copy(), marg.density.copy(), marg.closed_form)
+        return Marginal(marg.xs.copy(), marg.density.copy())
     sig_vac = math.sqrt((1.0 - eta) / 2.0)
     l_out = math.sqrt(eta) * float(marg.xs[-1]) + 5.0 * sig_vac
-    npts_out = npts_out or max(marg.xs.size, 801)
-    xs_out = np.linspace(-l_out, l_out, npts_out)
+    xs_out = np.linspace(-l_out, l_out, max(marg.xs.size, 801))
 
     a = eta / (1.0 - eta)
     diff = marg.xs[None, :] - xs_out[:, None] / math.sqrt(eta)
     kernel = np.exp(-a * diff**2) / math.sqrt(math.pi * (1.0 - eta))
     density = np.trapezoid(kernel * marg.density[None, :], marg.xs, axis=1)
-    return Marginal(xs=xs_out, density=density, closed_form=False)
+    return Marginal(xs=xs_out, density=density)
 
 
 # ---------------------------------------------------------------------------

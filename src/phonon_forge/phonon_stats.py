@@ -137,12 +137,13 @@ def mean_occupation(spec: ThermalSpec, n, kind=SUBTRACT):
     raise ConfigError(f"unknown kind {kind!r}, expected 'subtract' or 'add'")
 
 
-def add_sub_fidelity(spec: ThermalSpec, n, m_max=None, tail_tol=1e-9):
+def add_sub_fidelity(spec: ThermalSpec, n, m_max=None):
     """Fidelity sum_m sqrt(p_sub(m) p_add(m)) between the two heralded states.
 
     Both states are diagonal in the number basis, so the fidelity reduces to
     the Bhattacharyya overlap.  It obeys x^(n/2) < F < 1 and approaches one
-    from below as nbar grows.
+    from below as nbar grows.  A truncation whose tail mass reaches 1e-9 is
+    refused.
     """
     n = _check_order(n)
     if n < 1:
@@ -151,9 +152,8 @@ def add_sub_fidelity(spec: ThermalSpec, n, m_max=None, tail_tol=1e-9):
         raise ConfigError("fidelity undefined for nbar = 0 (no heralds)")
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
     tail = float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
-    if tail >= tail_tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} >= {tail_tol:.1e}; increase m_max")
+    if tail >= 1e-9:
+        raise TruncationError(f"tail mass {tail:.3e} >= 1.0e-09; increase m_max")
     j = np.arange(m_max + 1 - n)
     lp = _subtracted_logpmf(spec.x, n, j)         # p_add(m=j+n) = p_sub(j)
     lq = _subtracted_logpmf(spec.x, n, j + n)     # p_sub at the shifted index

@@ -229,18 +229,15 @@ def _circular_normal(shape, rng):
             / math.sqrt(2.0))
 
 
-def simulate_fields(cfg: SimConfig, n_steps, n_traces=1, seed=None,
-                    return_mech=False):
+def simulate_fields(cfg: SimConfig, n_steps, n_traces=1, seed=None):
     """Stationary scattered-field trajectories sampled every cfg.dt.
 
-    Returns a complex array of shape (n_traces, n_steps); with return_mech
-    the mechanical trajectories come back too.
+    Returns a complex array of shape (n_traces, n_steps).
     """
     model = FieldModel(cfg)
     rng = np.random.Generator(np.random.Philox(cfg.seed if seed is None else seed))
     b0, a0 = model.stationary_sample(n_traces, rng)
-    b, a = model.evolve_block(b0, a0, n_steps, rng)
-    return (a, b) if return_mech else a
+    return model.evolve_block(b0, a0, n_steps, rng)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +392,13 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     """Simulate an ensemble of herald-aligned traces.
 
     Work is split into fixed chunks, each with its own counter-based random
-    stream, so results are bit-identical for a given (cfg, seed) regardless
-    of the thread count.
+    stream and run on a pool of max(1, threads) workers, so results are
+    bit-identical for a given (cfg, seed) regardless of the thread count.
     """
     if herald_kind not in _HERALD_KINDS:
         raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}")
-    n_traces = cfg.n_traces if n_traces is None else int(n_traces)
-    if n_traces < 1:
-        raise ConfigError("n_traces must be >= 1")
+    n_traces = cfg.n_traces if n_traces is None else n_traces
+    require_integer("n_traces", n_traces, 1)
 
     # the propagator is exact at any step, so step at the sample rate
     model = FieldModel(cfg, dt=1.0 / cfg.sample_rate)
@@ -423,13 +419,8 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
         z[lo:hi] = zc
         weights[lo:hi] = wc
 
-    threads = threads or 1
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n_chunks)))
-    else:
-        for ci in range(n_chunks):
-            work(ci)
+    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+        list(pool.map(work, range(n_chunks)))
 
     taus = (plan.cols - plan.center) * plan.dt_s
     meta = {
@@ -481,11 +472,12 @@ def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     return VarianceCurve(ens.taus.copy(), var, order=ens.order)
 
 
-def variance_ratio_report(ens: TraceEnsemble, wing_fraction=0.6) -> dict:
+def variance_ratio_report(ens: TraceEnsemble) -> dict:
     """Herald-time enhancement relative to the ensemble's own wings.
 
-    Wing columns must sit beyond three relaxation times of the herald so the
-    denominator is genuinely the steady state; shorter traces are refused.
+    Wings are the usable columns beyond 0.6 of the usable half-span from the
+    herald and beyond three relaxation times of it, so the denominator is
+    genuinely the steady state; shorter traces are refused.
     """
     curve = ensemble_variance(ens)
     m = ens.margin_cols
@@ -493,7 +485,7 @@ def variance_ratio_report(ens: TraceEnsemble, wing_fraction=0.6) -> dict:
     usable[m:curve.taus.size - m] = True
     usable_max = np.abs(curve.taus[usable]).max() if usable.any() else 0.0
     slow_rate = ens.meta.get("slow_rate")
-    tau_wing = wing_fraction * usable_max
+    tau_wing = 0.6 * usable_max
     if slow_rate:
         tau_wing = max(tau_wing, 3.0 / slow_rate)
     wings = usable & (np.abs(curve.taus) >= tau_wing)
@@ -550,9 +542,6 @@ class ClickStream:
     def n_events(self):
         return self.times.size
 
-    def rate(self):
-        return self.n_events / self.duration
-
 
 def _apply_dead_time(times, dead_time):
     """Keep events separated by at least dead_time; earlier events win."""
@@ -600,14 +589,14 @@ def _register_events(times, det, dark, dead_time):
 
 
 def spad_clicks(a_traj, dt, spad: SpadConfig, seed, mean_registered_rate,
-                mean_intensity, t_start=0.0) -> ClickStream:
+                mean_intensity) -> ClickStream:
     """Thin a field trajectory into gated detector events.
 
     a_traj has one row per detector-time series is shared: shape (n_steps,).
     The per-detector registered intensity is
     mean_registered_rate * |a(t)|^2 / mean_intensity inside gates, plus dark
     events at the intrinsic dark rate; events within the dead time of an
-    accepted one vanish.
+    accepted one vanish.  The trajectory and the first gate start at t = 0.
     """
     a_traj = np.asarray(a_traj)
     n_steps = a_traj.size
@@ -622,27 +611,30 @@ def spad_clicks(a_traj, dt, spad: SpadConfig, seed, mean_registered_rate,
                       "approximation is strained" % n_det_per_gate)
 
     gate_period = 1.0 / spad.gate_rate
-    t = np.arange(n_steps) * dt + t_start
+    t = np.arange(n_steps) * dt
     # one row per step, so each hit is jittered within its own step
     lam = np.where(np.mod(t, gate_period) < spad.gate_len, intensity, 0.0)[:, None]
     n_gates = int(math.floor(duration / gate_period)) + 1
-    gate_starts = t_start + np.arange(n_gates) * gate_period
-    events = _draw_events(lam, t, dt, gate_starts, spad, t_start + duration, rng)
+    gate_starts = np.arange(n_gates) * gate_period
+    events = _draw_events(lam, t, dt, gate_starts, spad, duration, rng)
     times, det, dark = _register_events(*events, spad.dead_time)
     return ClickStream(times, det, dark, duration, spad.gate_rate, spad.gate_len)
 
 
-def gated_click_stream(cfg: SimConfig, duration, seed=None,
-                       gates_per_block=200_000) -> ClickStream:
+def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
     """Click stream over a long duration via per-gate field snapshots.
 
     Gates are free running at spad.gate_rate.  Successive gates are separated
     by far more than the field correlation time, so each gate gets an
     independent stationary field snippet evolved exactly across the gate.
-    Gates are processed in fixed-size blocks with per-block random streams.
+    Gates are processed in blocks of 200 000 with per-block random streams.
     """
+    require_positive("duration", duration)
     spad = cfg.spad
-    model = FieldModel(cfg)
+    m_steps = max(2, int(math.ceil(spad.gate_len / cfg.dt)))
+    dt = spad.gate_len / m_steps
+    # stationary statistics do not depend on the step, so one model serves
+    model = FieldModel(cfg, dt=dt)
     corr_time = 1.0 / min(model.rate, model.kappa)
     if 1.0 / spad.gate_rate < 20.0 * corr_time:
         raise ConfigError("gates too dense for independent-gate sampling")
@@ -650,18 +642,16 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None,
     n_gates = int(math.floor(duration * spad.gate_rate))
     if n_gates < 1:
         raise ConfigError("duration shorter than one gate period")
-    m_steps = max(2, int(math.ceil(spad.gate_len / cfg.dt)))
-    dt = spad.gate_len / m_steps
-    step_model = FieldModel(cfg, dt=dt)
-    r_registered = registered_rate(cfg)
+    r_registered = budget_mod.build_report(cfg.params, cfg.spad).singles_rate_ungated
 
-    n_blocks = (n_gates + gates_per_block - 1) // gates_per_block
+    per_block = 200_000
+    n_blocks = (n_gates + per_block - 1) // per_block
     seeds = np.random.SeedSequence(cfg.seed if seed is None else seed).spawn(n_blocks)
 
     blocks = []
     for bi in range(n_blocks):
-        lo = bi * gates_per_block
-        hi = min(lo + gates_per_block, n_gates)
+        lo = bi * per_block
+        hi = min(lo + per_block, n_gates)
         rng = np.random.Generator(np.random.Philox(seeds[bi]))
         nb = hi - lo
         b, a = model.stationary_sample(nb, rng)
@@ -669,7 +659,7 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None,
         for j in range(m_steps):
             intens[:, j] = np.abs(a) ** 2
             if j + 1 < m_steps:
-                b, a = step_model.step_states(b, a, rng)
+                b, a = model.step_states(b, a, rng)
         lam = r_registered * intens / model.var_a if model.var_a > 0 \
             else np.zeros_like(intens)
         gate_starts = (lo + np.arange(nb)) / spad.gate_rate
@@ -684,11 +674,6 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None,
                        spad.gate_len, meta)
 
 
-def registered_rate(cfg: SimConfig):
-    """Expected registered rate per detector, from the photon-flux budget."""
-    return budget_mod.build_report(cfg.params, cfg.spad).singles_rate_ungated
-
-
 def herald_select(clicks: ClickStream, kind=HERALD_SINGLE):
     """Herald times: every event, or two-detector coincidences within a gate."""
     if kind == HERALD_SINGLE:
@@ -696,12 +681,9 @@ def herald_select(clicks: ClickStream, kind=HERALD_SINGLE):
     if kind != HERALD_COINCIDENCE:
         raise ConfigError("kind must be 'single' or 'coincidence'")
     gate_idx = np.floor(clicks.times * clicks.gate_rate).astype(np.int64)
-    det0 = set(gate_idx[clicks.detector == 0].tolist())
-    det1 = set(gate_idx[clicks.detector == 1].tolist())
-    both = sorted(det0 & det1)
-    centers = (np.asarray(both, dtype=float) + 0.0) / clicks.gate_rate \
-        + 0.5 * clicks.gate_len
-    return centers
+    both = np.intersect1d(gate_idx[clicks.detector == 0],
+                          gate_idx[clicks.detector == 1])
+    return both / clicks.gate_rate + 0.5 * clicks.gate_len
 
 
 def write_clicks_csv(clicks: ClickStream, path):

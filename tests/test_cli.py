@@ -172,6 +172,21 @@ _BAD_CONFIGS = [
     ({"seed": -1}, _SIMULATE + ["--n-traces", "10"]),
     ({"sim": {"n_traces": 1.5}}, _SIMULATE),
     ({"sim": {"adiabatic": "yes"}}, _SIMULATE + ["--n-traces", "10"]),
+    # command-line values get the same checks as config values
+    ({}, ["marginal", "--n", "2", "--nbar", "nan"]),
+    ({}, ["marginal", "--n", "1", "--xmax", "nan"]),
+    ({}, ["marginal", "--n", "1", "--xmax", "inf"]),
+    ({}, ["marginal", "--n", "5", "--eta", "1", "--nbar", "inf"]),
+    ({}, ["marginal", "--n", "1", "--npts", "-5"]),
+    ({}, ["wigner", "--n", "1", "--nbar", "nan"]),
+    ({}, ["wigner", "--n", "1", "--nbar", "inf"]),
+    ({}, ["wigner", "--n", "1", "--s", "nan"]),
+    ({}, ["variance", "--n", "1", "--npts", "-3"]),
+    ({}, ["characterize", "--powers", "a,b"]),
+    ({}, ["simulate", "--trace-len", "1024", "--n-traces", "10",
+          "--click-seconds", "inf"]),
+    ({}, ["simulate", "--trace-len", "1024", "--n-traces", "10",
+          "--click-seconds", "-1"]),
 ]
 
 

@@ -189,6 +189,13 @@ class TestMeasuredMarginal:
             xs = np.linspace(-8 * sigma, 8 * sigma, 6001)
             assert np.trapezoid(f(xs), xs) == pytest.approx(1.0, abs=1e-6)
 
+    def test_general_vacuum_limit(self):
+        # at eta*nbar = 0 every subtraction order detects the vacuum, N(0, 1)
+        xs = np.linspace(-8, 8, 801)
+        f = ps.measured_marginal_general(ps.StateSpec(nbar=0.0, n=3))
+        np.testing.assert_allclose(f(xs), np.exp(-xs**2 / 2) / math.sqrt(2 * math.pi),
+                                   rtol=1e-12)
+
     def test_high_order_rejected_by_closed_form(self):
         with pytest.raises(ConfigError):
             ps.measured_marginal(ps.StateSpec(nbar=1.0, n=3, eta=1.0))
@@ -235,12 +242,17 @@ class TestGridMarginal:
 
     def test_matches_closed_form(self):
         eta = ps.eta_from_s(-3.0)
-        spec = ps.StateSpec(nbar=4.1 / eta, n=1, eta=eta)
-        grid = ps.wigner_s(spec, ps.GridConfig(npts=513))
-        mh = ps.marginal_to_heterodyne(ps.marginal_from_grid(grid), eta)
-        closed = ps.measured_marginal(spec)(mh.xs)
-        l1 = np.trapezoid(np.abs(mh.density - closed), mh.xs)
-        assert l1 < 1e-3
+        # n = 3 against the general series, on a window of seven of its widths
+        cases = [(1, 4.1, None, ps.measured_marginal)]
+        cases += [(3, m, 7.0 * math.sqrt(4.0 * m / eta + 2.0),
+                   ps.measured_marginal_general) for m in (0.5, 4.1, 10.0)]
+        for n, eta_nbar, half_width, reference in cases:
+            spec = ps.StateSpec(nbar=eta_nbar / eta, n=n, eta=eta)
+            grid = ps.wigner_s(spec, ps.GridConfig(npts=513, half_width=half_width))
+            mh = ps.marginal_to_heterodyne(ps.marginal_from_grid(grid), eta)
+            closed = reference(spec)(mh.xs)
+            l1 = np.trapezoid(np.abs(mh.density - closed), mh.xs)
+            assert l1 < 1e-3, (n, eta_nbar)
 
     def test_symmetric(self):
         spec = ps.StateSpec(nbar=3.0, n=2, eta=0.9)

@@ -196,6 +196,11 @@ class TestHeraldedEnsembles:
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("n_traces", [1.5, True, 0])
+    def test_n_traces_must_be_a_positive_integer(self, cfg, n_traces):
+        with pytest.raises(ConfigError):
+            sim.run_ensemble(cfg, n_traces=n_traces)
+
     def test_herald_kinds_share_the_quadratures(self, cfg):
         # only the weights depend on the herald kind, so one simulation
         # could serve all three kinds
@@ -343,6 +348,11 @@ class TestClicks:
             t = clicks.times[clicks.detector == d]
             if t.size > 1:
                 assert np.diff(t).min() >= cfg.spad.dead_time
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, -1.0, 0.0, 1e-6])
+    def test_click_stream_duration_checked(self, cfg, duration):
+        with pytest.raises(ConfigError):
+            sim.gated_click_stream(cfg, duration)
 
     def test_click_stream_deterministic(self, cfg):
         a = sim.gated_click_stream(cfg, 1.0, seed=3)
