@@ -93,18 +93,20 @@ def load_config(path) -> RunConfig:
 
 
 def _thread_count(args):
-    if args.threads is not None:
-        return args.threads
+    threads = args.threads
     env = os.environ.get("PHONON_FORGE_THREADS")
-    if env:
+    if threads is None and env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise ConfigError(f"PHONON_FORGE_THREADS={env!r} is not an integer") \
                 from exc
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    if threads is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    require_integer("threads", threads, 1)
+    return threads
 
 
 def _outdir(cfg, args):
@@ -166,16 +168,17 @@ def cmd_variance(cfg: RunConfig, args):
     dynamics.write_variance_curve(curve, path)
     peak = curve.values.max()
     inf = dynamics.steady_state_variance(cfg.params)
-    print(f"wrote {path} (peak ratio {(peak - 1.0) / (inf - 1.0):.6f}, "
-          f"steady state {inf:.6f})")
+    # with no mechanical signal above the vacuum the ratio is 0/0
+    ratio = f"{(peak - 1.0) / (inf - 1.0):.6f}" if inf > 1.0 else "undefined"
+    print(f"wrote {path} (peak ratio {ratio}, steady state {inf:.6f})")
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, args):
     require_positive("click_seconds", args.click_seconds, zero_ok=True)
+    threads = _thread_count(args)
     out = _outdir(cfg, args)
     sim = cfg.sim_config(trace_len=args.trace_len, n_traces=args.n_traces)
-    threads = _thread_count(args)
     ens = simulator.run_ensemble(sim, herald_kind=args.herald,
                                  threads=threads)
     base = out / f"ensemble_{args.herald}"
@@ -337,11 +340,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.func(cfg, args)
+        # a float that leaves the double range is a numerics error, wherever
+        # it happens, rather than an inf or NaN carried on towards the output
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"numerical validity error: {exc}", file=sys.stderr)
         return 3
     except PhononForgeError as exc:

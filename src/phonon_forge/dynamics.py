@@ -57,16 +57,6 @@ class Characterization:
 # steady-state characterization chain
 # ---------------------------------------------------------------------------
 
-def intracavity_photons(params: SystemParams):
-    """Pump photon number eta_c1 P_in / (kappa1 hbar omega)."""
-    return params.intracavity_photons()
-
-
-def coupling_rate(params: SystemParams, n_cav):
-    """Pump-enhanced coupling G = g0 sqrt(N_cav) in rad/s."""
-    return params.pump_enhanced_coupling(n_cav)
-
-
 def cooperativity(params: SystemParams, coupling):
     """C = G^2 / (kappa2 gamma)."""
     if coupling < 0:
@@ -91,8 +81,8 @@ def effective_linewidth(params: SystemParams, coop):
 def characterize(params: SystemParams, n_cav=None) -> Characterization:
     """Evaluate the full chain N_cav -> G -> C -> (nbar, gamma_eff)."""
     if n_cav is None:
-        n_cav = intracavity_photons(params)
-    g = coupling_rate(params, n_cav)
+        n_cav = params.intracavity_photons()
+    g = params.pump_enhanced_coupling(n_cav)
     c = cooperativity(params, g)
     return Characterization(
         n_cav=n_cav,
@@ -197,17 +187,6 @@ def correlation_amplitude(params: SystemParams, coupling, rate=None):
     return params.nbar_th * coupling ** 2 / (k * (k + r))
 
 
-def correlation(params: SystemParams, coupling):
-    """Two-time amplitude correlation of the scattered field, as a callable."""
-    amp = correlation_amplitude(params, coupling)
-    k, g = params.kappa2, params.gamma
-
-    def corr(tau):
-        return amp * correlation_bracket(k, g, tau)
-
-    return corr
-
-
 def heralded_variance(params: SystemParams, n):
     """Heterodyne variance about an n-photon herald, in optical vacuum units.
 
@@ -235,51 +214,6 @@ def variance_curve(params: SystemParams, n, taus) -> VarianceCurve:
 def steady_state_variance(params: SystemParams):
     """Unconditional heterodyne variance 1 + eta nbar_th."""
     return 1.0 + params.eta_total * params.nbar_th
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracle for the conditional variance ratio
-# ---------------------------------------------------------------------------
-
-def wick_oracle(params: SystemParams, n, tau, n_samples=1_000_000, seed=0):
-    """Sampling check of the conditional variance enhancement 1 + n b(tau)^2.
-
-    Draws correlated circular complex Gaussian pairs (a0, a_tau) with the
-    model's two-time correlation, weights the quadrature second moment of
-    a_tau by |a0|^(2n), and returns (ratio, standard_error) of the weighted
-    to the unweighted moment.  Gaussian moment factorization predicts
-    1 + n bracket(tau)^2; the estimator must agree within a few sigma.
-    """
-    if n not in (1, 2):
-        raise ConfigError("oracle supports n in {1, 2}")
-    if n_samples < 100_000:
-        raise ConfigError("need at least 1e5 samples for a meaningful estimate")
-    g = params.pump_enhanced_coupling()
-    v = correlation_amplitude(params, g)
-    b = float(correlation_bracket(params.kappa2, params.gamma, tau))
-    if abs(b) > 1.0:
-        raise NumericsError("correlation matrix is not positive semidefinite")
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    # Cholesky factor of [[v, v b], [v b, v]]
-    l11 = math.sqrt(v)
-    l21 = b * l11
-    l22 = math.sqrt(max(v * (1.0 - b * b), 0.0))
-
-    n_batches = 32
-    ratios = np.empty(n_batches)
-    per = n_samples // n_batches
-    for i in range(n_batches):
-        z1 = (rng.standard_normal(per) + 1j * rng.standard_normal(per)) / math.sqrt(2)
-        z2 = (rng.standard_normal(per) + 1j * rng.standard_normal(per)) / math.sqrt(2)
-        a0 = l11 * z1
-        at = l21 * z1 + l22 * z2
-        w = np.abs(a0) ** (2 * n)
-        q = np.abs(at) ** 2          # pooled X and P second moments
-        ratios[i] = np.average(q, weights=w) / q.mean()
-    ratio = float(ratios.mean())
-    stderr = float(ratios.std(ddof=1)) / math.sqrt(n_batches)
-    return ratio, stderr
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ X_zp = X_het/sqrt(eta) with densities scaled by eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -241,8 +241,8 @@ def _grid_geometry(spec, cfg, s_override):
     return occupation, s_build, s_tag, half_width
 
 
-def wigner_s(spec: StateSpec, cfg: GridConfig | None = None, s_override=None,
-             _direct=False) -> PhaseSpaceGrid:
+def wigner_s(spec: StateSpec, cfg: GridConfig | None = None,
+             s_override=None) -> PhaseSpaceGrid:
     """Convolve the state's diagonal density with the smoothing kernel.
 
     Produces the distribution sampled by dual-quadrature detection: in
@@ -283,10 +283,7 @@ def wigner_s(spec: StateSpec, cfg: GridConfig | None = None, s_override=None,
     kx, kp = np.meshgrid(k_axis, k_axis, indexing="ij")
     kvals = gaussian_kernel(s_build)(kx, kp)
 
-    if _direct:
-        values = _direct_correlate(pvals, kvals) * d * d
-    else:
-        values = fftconvolve(pvals, kvals, mode="valid") * d * d
+    values = fftconvolve(pvals, kvals, mode="valid") * d * d
     if values.shape != (cfg.npts, cfg.npts):
         raise NumericsError("unexpected convolution output shape")
     values = np.maximum(values, 0.0)
@@ -294,18 +291,6 @@ def wigner_s(spec: StateSpec, cfg: GridConfig | None = None, s_override=None,
     grid = PhaseSpaceGrid(half_width, cfg.npts, values, s_tag, cfg.units)
     _validate_grid(grid)
     return grid
-
-
-def _direct_correlate(field, kernel):
-    """Summation reference for the FFT convolution (symmetric kernels only)."""
-    kn = kernel.shape[0]
-    out_n = field.shape[0] - kn + 1
-    out = np.empty((out_n, out_n))
-    for i in range(out_n):
-        sub = field[i:i + kn]
-        for j in range(out_n):
-            out[i, j] = np.sum(sub[:, j:j + kn] * kernel)
-    return out
 
 
 def _validate_grid(grid):
@@ -317,15 +302,6 @@ def _validate_grid(grid):
         raise GridError(
             f"grid too small: mass={mass:.6f}, edge mass={edge:.2e}",
             suggested_half_width=1.5 * grid.half_width)
-
-
-def grid_to_heterodyne(grid: PhaseSpaceGrid, eta) -> PhaseSpaceGrid:
-    """Rescale a zero-point grid to heterodyne coordinates (X -> sqrt(eta) X)."""
-    if grid.units != UNITS_ZERO_POINT:
-        raise ConfigError("expected a zero_point grid")
-    root = math.sqrt(eta)
-    return PhaseSpaceGrid(grid.half_width * root, grid.npts,
-                          grid.values / eta, grid.s_param, UNITS_HETERODYNE)
 
 
 # ---------------------------------------------------------------------------
@@ -487,39 +463,6 @@ def marginal_from_grid(grid: PhaseSpaceGrid) -> Marginal:
 def marginal_on_grid(func, xs) -> Marginal:
     return Marginal(xs=np.asarray(xs, dtype=float),
                     density=np.asarray(func(xs), dtype=float))
-
-
-def marginal_to_heterodyne(marg: Marginal, eta) -> Marginal:
-    """Convert a zero-point marginal to heterodyne coordinates."""
-    root = math.sqrt(eta)
-    return Marginal(xs=marg.xs * root, density=marg.density / root)
-
-
-def lossy_marginal_convolution(marg: Marginal, eta) -> Marginal:
-    """Propagate a quadrature marginal through a transmission-eta beamsplitter.
-
-    Numerical quadrature of
-
-        pr(X; eta) = (pi (1-eta))^(-1/2) Int dX' pr(X')
-                     exp(-eta/(1-eta) (X' - X/sqrt(eta))^2),
-
-    which for the states in scope must coincide with the closed form at the
-    rescaled occupation nbar -> eta*nbar.  The output grid has
-    max(len(marg.xs), 801) points.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ConfigError("eta must lie in (0, 1]")
-    if eta == 1.0:
-        return Marginal(marg.xs.copy(), marg.density.copy())
-    sig_vac = math.sqrt((1.0 - eta) / 2.0)
-    l_out = math.sqrt(eta) * float(marg.xs[-1]) + 5.0 * sig_vac
-    xs_out = np.linspace(-l_out, l_out, max(marg.xs.size, 801))
-
-    a = eta / (1.0 - eta)
-    diff = marg.xs[None, :] - xs_out[:, None] / math.sqrt(eta)
-    kernel = np.exp(-a * diff**2) / math.sqrt(math.pi * (1.0 - eta))
-    density = np.trapezoid(kernel * marg.density[None, :], marg.xs, axis=1)
-    return Marginal(xs=xs_out, density=density)
 
 
 # ---------------------------------------------------------------------------

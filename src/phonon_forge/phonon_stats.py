@@ -175,44 +175,3 @@ def similarity_threshold(n):
     return (-(1.0 + n) + math.sqrt(4.0 * n**3 + 5.0 * n**2 + 2.0 * n + 1.0)) \
         / (2.0 * (1.0 + n))
 
-
-def fock_oracle(spec: ThermalSpec, n, kind=SUBTRACT, m_max=None) -> NumberPmf:
-    """Brute-force check: apply ladder operators to the truncated thermal state.
-
-    Builds the diagonal of the thermal density operator, applies the
-    annihilation (or creation) map n times using the exact matrix elements,
-    and renormalizes.  Independent of the closed forms above; the thermal
-    tail beyond m_max must already be below 1e-12.
-    """
-    n = _check_order(n)
-    if kind not in (SUBTRACT, ADD):
-        raise ConfigError(f"unknown kind {kind!r}")
-    if spec.nbar == 0.0 and n >= 1 and kind == SUBTRACT:
-        raise ConfigError("subtraction from the ground state is undefined")
-    x = spec.x
-    if m_max is None:
-        m_max = default_m_max(spec.nbar, n)
-        if x > 0.0:
-            # the oracle precondition is a thermal tail below 1e-12
-            m_max = max(m_max, int(math.ceil(27.7 / math.log(1.0 / x))) + n)
-    else:
-        m_max = int(m_max)
-    thermal_tail = x ** (m_max + 1) if x > 0 else 0.0
-    if thermal_tail >= 1e-12:
-        raise TruncationError(
-            f"thermal tail {thermal_tail:.3e} >= 1e-12 at m_max={m_max}")
-    diag = thermal_pmf(spec, m_max).probs.copy()
-    m = np.arange(m_max + 1, dtype=float)
-    for _ in range(n):
-        if kind == SUBTRACT:
-            # (b rho b^dag)_mm = (m+1) rho_{m+1,m+1}
-            diag[:-1] = (m[:-1] + 1.0) * diag[1:]
-            diag[-1] = 0.0
-        else:
-            # (b^dag rho b)_mm = m rho_{m-1,m-1}
-            diag[1:] = m[1:] * diag[:-1]
-            diag[0] = 0.0
-    norm = diag.sum()
-    if norm <= 0.0:
-        raise NumericsError("conditioned state has vanishing norm")
-    return NumberPmf(diag / norm, m_max, 0.0)

@@ -229,17 +229,6 @@ def _circular_normal(shape, rng):
             / math.sqrt(2.0))
 
 
-def simulate_fields(cfg: SimConfig, n_steps, n_traces=1, seed=None):
-    """Stationary scattered-field trajectories sampled every cfg.dt.
-
-    Returns a complex array of shape (n_traces, n_steps).
-    """
-    model = FieldModel(cfg)
-    rng = np.random.Generator(np.random.Philox(cfg.seed if seed is None else seed))
-    b0, a0 = model.stationary_sample(n_traces, rng)
-    return model.evolve_block(b0, a0, n_steps, rng)[1]
-
-
 # ---------------------------------------------------------------------------
 # demodulation plan (filters and calibration)
 # ---------------------------------------------------------------------------
@@ -338,21 +327,6 @@ class DemodPlan:
         return zf[..., self.cols]
 
 
-def heterodyne_trace(a_sampled, cfg: SimConfig, seed=0):
-    """Voltage-like record of a field trajectory given at the sample rate."""
-    plan = DemodPlan(cfg)
-    rng = np.random.Generator(np.random.Philox(seed))
-    return plan.voltage_from_field(np.asarray(a_sampled), rng)
-
-
-def demodulate(trace, cfg: SimConfig):
-    """Extract (X(t), P(t), t) from a voltage record by IQ demodulation."""
-    plan = DemodPlan(cfg)
-    z = plan.demodulate(np.asarray(trace, dtype=float))
-    t = plan.cols * plan.dt_s
-    return z.real, z.imag, t
-
-
 # ---------------------------------------------------------------------------
 # herald-aligned ensembles
 # ---------------------------------------------------------------------------
@@ -392,13 +366,15 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     """Simulate an ensemble of herald-aligned traces.
 
     Work is split into fixed chunks, each with its own counter-based random
-    stream and run on a pool of max(1, threads) workers, so results are
-    bit-identical for a given (cfg, seed) regardless of the thread count.
+    stream and run on a pool of `threads` workers (one if None), so results
+    are bit-identical for a given (cfg, seed) regardless of the thread count.
     """
     if herald_kind not in _HERALD_KINDS:
         raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}")
     n_traces = cfg.n_traces if n_traces is None else n_traces
     require_integer("n_traces", n_traces, 1)
+    threads = 1 if threads is None else threads
+    require_integer("threads", threads, 1)
 
     # the propagator is exact at any step, so step at the sample rate
     model = FieldModel(cfg, dt=1.0 / cfg.sample_rate)
@@ -419,7 +395,7 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
         z[lo:hi] = zc
         weights[lo:hi] = wc
 
-    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, range(n_chunks)))
 
     taus = (plan.cols - plan.center) * plan.dt_s
@@ -432,7 +408,7 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
         "eta_total": cfg.params.eta_total,
         "nbar_th": cfg.params.nbar_th,
         "sigma_inf_expected": plan.sigma_inf,
-        "predicted_ratio": plan.predicted_ratio(order) if order else 1.0,
+        "predicted_ratio": plan.predicted_ratio(order),
         "mech_linewidth": cfg.mech_linewidth,
         "adiabatic": cfg.adiabatic,
         "slow_rate": model.rate,
@@ -448,12 +424,8 @@ def _simulate_chunk(cfg, model, plan, n, order, rng):
     a_center = a[:, plan.center].copy()
     v = plan.voltage_from_field(a, rng)
     del a
-    zc = plan.demodulate(v)
-    if order:
-        wc = np.abs(a_center) ** (2 * order)
-    else:
-        wc = np.ones(n)
-    return zc, wc
+    # |a|^0 is exactly 1, so an unheralded ensemble carries uniform weights
+    return plan.demodulate(v), np.abs(a_center) ** (2 * order)
 
 
 def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
@@ -554,20 +526,21 @@ def _apply_dead_time(times, dead_time):
     return keep
 
 
-def _draw_events(lam, row_starts, dt, gate_starts, spad: SpadConfig, t_end, rng):
+def _draw_events(lam, starts, dt, spad: SpadConfig, t_end, rng):
     """Raw (times, detector, is_dark) of both detectors for one block, unsorted.
 
-    lam[i, j] is the registered intensity in the step of width dt from
-    row_starts[i] + j*dt.  Each detector draws, in this order: thinning per
-    step, jitter within it, dark counts per gate, dark offsets within it.
+    Row i of lam is the gate opening at starts[i]; lam[i, j] is the
+    registered intensity in its step of width dt from starts[i] + j*dt.  Each
+    detector draws, in this order: thinning per step, jitter within it, dark
+    counts per gate, dark offsets within it.
     """
     p_hit = np.clip(lam * dt, 0.0, 1.0)
     times, det, dark = [], [], []
     for d in range(2):
         rows, steps = np.nonzero(rng.random(p_hit.shape) < p_hit)
-        t_hit = row_starts[rows] + (steps + rng.random(rows.size)) * dt
-        counts = rng.poisson(spad.dark_rate * spad.gate_len, size=gate_starts.size)
-        t_dark = np.repeat(gate_starts, counts) \
+        t_hit = starts[rows] + (steps + rng.random(rows.size)) * dt
+        counts = rng.poisson(spad.dark_rate * spad.gate_len, size=starts.size)
+        t_dark = np.repeat(starts, counts) \
             + rng.random(counts.sum()) * spad.gate_len
         t_dark = t_dark[t_dark < t_end]          # a last gate may overrun t_end
         times += [t_hit, t_dark]
@@ -586,39 +559,6 @@ def _register_events(times, det, dark, dead_time):
     kept = np.concatenate(kept)
     kept = kept[np.argsort(times[kept], kind="stable")]
     return times[kept], det[kept], dark[kept]
-
-
-def spad_clicks(a_traj, dt, spad: SpadConfig, seed, mean_registered_rate,
-                mean_intensity) -> ClickStream:
-    """Thin a field trajectory into gated detector events.
-
-    a_traj has one row per detector-time series is shared: shape (n_steps,).
-    The per-detector registered intensity is
-    mean_registered_rate * |a(t)|^2 / mean_intensity inside gates, plus dark
-    events at the intrinsic dark rate; events within the dead time of an
-    accepted one vanish.  The trajectory and the first gate start at t = 0.
-    """
-    a_traj = np.asarray(a_traj)
-    n_steps = a_traj.size
-    duration = n_steps * dt
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    intensity = mean_registered_rate * np.abs(a_traj) ** 2 / mean_intensity
-    n_det_per_gate = mean_registered_rate * spad.gate_len
-    if n_det_per_gate > 0.1:
-        import warnings
-        warnings.warn("mean counts per gate %.3g > 0.1; single-photon "
-                      "approximation is strained" % n_det_per_gate)
-
-    gate_period = 1.0 / spad.gate_rate
-    t = np.arange(n_steps) * dt
-    # one row per step, so each hit is jittered within its own step
-    lam = np.where(np.mod(t, gate_period) < spad.gate_len, intensity, 0.0)[:, None]
-    n_gates = int(math.floor(duration / gate_period)) + 1
-    gate_starts = np.arange(n_gates) * gate_period
-    events = _draw_events(lam, t, dt, gate_starts, spad, duration, rng)
-    times, det, dark = _register_events(*events, spad.dead_time)
-    return ClickStream(times, det, dark, duration, spad.gate_rate, spad.gate_len)
 
 
 def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
@@ -663,8 +603,7 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
         lam = r_registered * intens / model.var_a if model.var_a > 0 \
             else np.zeros_like(intens)
         gate_starts = (lo + np.arange(nb)) / spad.gate_rate
-        blocks.append(_draw_events(lam, gate_starts, dt, gate_starts, spad,
-                                   duration, rng))
+        blocks.append(_draw_events(lam, gate_starts, dt, spad, duration, rng))
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
                                         spad.dead_time)
@@ -726,6 +665,9 @@ def load_ensemble(path_base) -> TraceEnsemble:
     if sidecar.get("schema") != ENSEMBLE_SCHEMA:
         raise ConfigError("unrecognized ensemble schema "
                           f"{sidecar.get('schema')!r}")
+    if sidecar.get("herald_kind") not in _HERALD_KINDS:
+        raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}, "
+                          f"got {sidecar.get('herald_kind')!r}")
     with np.load(str(path_base) + ".npz") as data:
         z_real, z_imag, taus, weights = (data[k] for k in
                                          ("z_real", "z_imag", "taus", "weights"))
@@ -738,12 +680,15 @@ def load_ensemble(path_base) -> TraceEnsemble:
     if weights.shape != z_real.shape[:1] or taus.shape != z_real.shape[1:]:
         raise ConfigError(f"weights {weights.shape} and taus {taus.shape} "
                           f"do not match z {z_real.shape}")
+    for name in ("herald_col", "margin_cols"):
+        require_integer(name, sidecar.get(name), 0)
+        if sidecar[name] >= taus.size:
+            raise ConfigError(f"{name} {sidecar[name]} lies outside the "
+                              f"{taus.size} columns")
     z = z_real + 1j * z_imag
-    return TraceEnsemble(z=z, taus=taus,
-                         herald_col=int(sidecar["herald_col"]),
-                         weights=weights,
-                         herald_kind=sidecar["herald_kind"],
-                         margin_cols=int(sidecar["margin_cols"]),
+    return TraceEnsemble(z=z, taus=taus, herald_col=sidecar["herald_col"],
+                         weights=weights, herald_kind=sidecar["herald_kind"],
+                         margin_cols=sidecar["margin_cols"],
                          units=sidecar["units"], meta=sidecar["meta"])
 
 

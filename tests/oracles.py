@@ -1,0 +1,124 @@
+"""References the tests check the package against, each by a route the
+package does not take: ladder operators, sampling, direct summation,
+beamsplitter quadrature."""
+
+import math
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from phonon_forge import dynamics as dyn
+from phonon_forge import phase_space as ps
+from phonon_forge import phonon_stats as stats
+from phonon_forge import simulator as sim
+from phonon_forge.errors import ConfigError, NumericsError, TruncationError
+
+
+def fock_oracle(spec, n, kind=stats.SUBTRACT, m_max=None):
+    """Apply the ladder operators n times to the truncated thermal diagonal.
+
+    The thermal tail beyond m_max must already be below 1e-12.
+    """
+    x = spec.x
+    if m_max is None:
+        m_max = stats.default_m_max(spec.nbar, n)
+        if x > 0.0:
+            # the oracle precondition is a thermal tail below 1e-12
+            m_max = max(m_max, int(math.ceil(27.7 / math.log(1.0 / x))) + n)
+    thermal_tail = x ** (m_max + 1) if x > 0 else 0.0
+    if thermal_tail >= 1e-12:
+        raise TruncationError(
+            f"thermal tail {thermal_tail:.3e} >= 1e-12 at m_max={m_max}")
+    diag = stats.thermal_pmf(spec, m_max).probs.copy()
+    m = np.arange(m_max + 1, dtype=float)
+    for _ in range(n):
+        if kind == stats.SUBTRACT:
+            # (b rho b^dag)_mm = (m+1) rho_{m+1,m+1}
+            diag[:-1] = (m[:-1] + 1.0) * diag[1:]
+            diag[-1] = 0.0
+        else:
+            # (b^dag rho b)_mm = m rho_{m-1,m-1}
+            diag[1:] = m[1:] * diag[:-1]
+            diag[0] = 0.0
+    return stats.NumberPmf(diag / diag.sum(), m_max, 0.0)
+
+
+def wick_oracle(params, n, tau, n_samples, seed):
+    """(ratio, standard error) of the |a0|^(2n)-weighted to the plain second
+    moment of a_tau, over 32 batches of correlated complex Gaussian pairs."""
+    v = dyn.correlation_amplitude(params, params.pump_enhanced_coupling())
+    b = float(dyn.correlation_bracket(params.kappa2, params.gamma, tau))
+    if abs(b) > 1.0:
+        raise NumericsError("correlation matrix is not positive semidefinite")
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    # Cholesky factor of [[v, v b], [v b, v]]
+    l11 = math.sqrt(v)
+    l21 = b * l11
+    l22 = math.sqrt(max(v * (1.0 - b * b), 0.0))
+
+    n_batches = 32
+    ratios = np.empty(n_batches)
+    per = n_samples // n_batches
+    for i in range(n_batches):
+        z1 = (rng.standard_normal(per) + 1j * rng.standard_normal(per)) / math.sqrt(2)
+        z2 = (rng.standard_normal(per) + 1j * rng.standard_normal(per)) / math.sqrt(2)
+        a0 = l11 * z1
+        at = l21 * z1 + l22 * z2
+        w = np.abs(a0) ** (2 * n)
+        q = np.abs(at) ** 2          # pooled X and P second moments
+        ratios[i] = np.average(q, weights=w) / q.mean()
+    return float(ratios.mean()), float(ratios.std(ddof=1)) / math.sqrt(n_batches)
+
+
+def simulate_fields(cfg, n_steps, n_traces, seed):
+    """Stationary scattered-field trajectories at cfg.dt, shape (n_traces, n_steps)."""
+    model = sim.FieldModel(cfg)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return model.evolve_block(*model.stationary_sample(n_traces, rng), n_steps, rng)[1]
+
+
+def direct_wigner_s(spec, grid):
+    """wigner_s values on a zero_point grid at s(eta), by direct summation
+    over a kernel window of five kernel widths on the grid's own nodes."""
+    axis = grid.axis
+    d = axis[1] - axis[0]
+    pad = int(math.ceil(5.0 * ps.kernel_sigma(grid.s_param) / d))
+    axis_pad = -(grid.half_width + pad * d) + d * np.arange(grid.npts + 2 * pad)
+    density = ps.p_function(ps.StateSpec(nbar=spec.nbar, n=spec.n))
+    pvals = density(*np.meshgrid(axis_pad, axis_pad, indexing="ij"))
+    k_axis = d * np.arange(-pad, pad + 1)
+    kvals = ps.gaussian_kernel(grid.s_param)(*np.meshgrid(k_axis, k_axis,
+                                                          indexing="ij"))
+    windows = sliding_window_view(pvals, kvals.shape)
+    return np.maximum(np.einsum("ijkl,kl->ij", windows, kvals) * d * d, 0.0)
+
+
+def grid_to_heterodyne(grid, eta):
+    """Rescale a zero-point grid to heterodyne coordinates (X -> sqrt(eta) X)."""
+    return ps.PhaseSpaceGrid(grid.half_width * math.sqrt(eta), grid.npts,
+                             grid.values / eta, grid.s_param, ps.UNITS_HETERODYNE)
+
+
+def marginal_to_heterodyne(marg, eta):
+    """Convert a zero-point marginal to heterodyne coordinates."""
+    root = math.sqrt(eta)
+    return ps.Marginal(xs=marg.xs * root, density=marg.density / root)
+
+
+def lossy_marginal_convolution(marg, eta):
+    """Quadrature of pr(X; eta) = (pi (1-eta))^(-1/2) Int dX' pr(X')
+    exp(-eta/(1-eta) (X' - X/sqrt(eta))^2) on max(len(xs), 801) points."""
+    if not 0.0 < eta <= 1.0:
+        raise ConfigError("eta must lie in (0, 1]")
+    if eta == 1.0:
+        return ps.Marginal(marg.xs.copy(), marg.density.copy())
+    sig_vac = math.sqrt((1.0 - eta) / 2.0)
+    l_out = math.sqrt(eta) * float(marg.xs[-1]) + 5.0 * sig_vac
+    xs_out = np.linspace(-l_out, l_out, max(marg.xs.size, 801))
+
+    a = eta / (1.0 - eta)
+    diff = marg.xs[None, :] - xs_out[:, None] / math.sqrt(eta)
+    kernel = np.exp(-a * diff**2) / math.sqrt(math.pi * (1.0 - eta))
+    density = np.trapezoid(kernel * marg.density[None, :], marg.xs, axis=1)
+    return ps.Marginal(xs=xs_out, density=density)

@@ -25,6 +25,7 @@ from phonon_forge import simulator as sim
 from phonon_forge.params import TWO_PI, default_params, default_spad
 
 from conftest import exact_smoothed_ring_radius
+from oracles import fock_oracle, marginal_to_heterodyne, wick_oracle
 
 THREADS = 2
 
@@ -44,8 +45,8 @@ def test_criterion_02_occupation_transforms():
     spec = stats.ThermalSpec(453.0)
     exact = (stats.mean_occupation(spec, 1) == 906.0
              and stats.mean_occupation(spec, 2) == 1359.0)
-    m1 = stats.fock_oracle(spec, 1).mean()
-    m2 = stats.fock_oracle(spec, 2).mean()
+    m1 = fock_oracle(spec, 1).mean()
+    m2 = fock_oracle(spec, 2).mean()
     oracle_ok = (abs(m1 - 906.0) / 906.0 < 1e-6
                  and abs(m2 - 1359.0) / 1359.0 < 1e-6)
     assert _report(2, exact and oracle_ok,
@@ -102,8 +103,7 @@ def test_criterion_05_convolution_vs_closed_form():
             for n in (1, 2):
                 spec = ps.StateSpec(nbar=eta_nbar / eta, n=n, eta=eta)
                 grid = ps.wigner_s(spec, ps.GridConfig(npts=513))
-                marg = ps.marginal_to_heterodyne(
-                    ps.marginal_from_grid(grid), eta)
+                marg = marginal_to_heterodyne(ps.marginal_from_grid(grid), eta)
                 closed = ps.measured_marginal(spec)(marg.xs)
                 l1 = float(np.trapezoid(np.abs(marg.density - closed),
                                         marg.xs))
@@ -158,8 +158,8 @@ def test_criterion_07_wick_oracle():
     ok = True
     for n in (1, 2):
         for tau in (0.0, 1.0 / params.kappa2, 1.0 / params.gamma):
-            ratio, se = dyn.wick_oracle(params, n, tau,
-                                        n_samples=1_000_000, seed=77 + n)
+            ratio, se = wick_oracle(params, n, tau,
+                                    n_samples=1_000_000, seed=77 + n)
             b = dyn.correlation_bracket(params.kappa2, params.gamma, tau)
             dev = abs(ratio - (1 + n * b * b))
             ok &= dev < 3 * se + 1e-9
@@ -170,7 +170,7 @@ def test_criterion_07_wick_oracle():
 
 def test_criterion_08_characterization_chain():
     params = default_params()
-    n_cav_power = dyn.intracavity_photons(params)
+    n_cav_power = params.intracavity_photons()
     chain = dyn.characterize(params, n_cav=1.2e9)
     g_mhz = chain.coupling / TWO_PI / 1e6
     ok = (abs(n_cav_power - 1.2e9) / 1.2e9 < 0.15

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,14 @@ class TestReport:
         doc = json.loads(path.read_text())
         assert doc["f_cav"] == rep.f_cav
         assert "dark_fraction" in doc
+
+    def test_multi_photon_risk_flagged(self, params, spad):
+        # a lossless arm chain puts about 0.17 counts in each gate
+        lossless = replace(spad, arm_efficiencies=(1.0, 1.0, 1.0, 1.0))
+        rep = bud.build_report(params, lossless)
+        assert rep.n_det > 0.1
+        assert rep.multi_photon_risk
+        assert "multi-photon risk (N_det > 0.1)  True" in bud.format_table(rep)
 
     def test_table_rendering(self, params, spad):
         text = bud.format_table(bud.build_report(params, spad))

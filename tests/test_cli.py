@@ -2,15 +2,35 @@ import argparse
 import dataclasses
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phonon_forge import cli
+from phonon_forge.params import SpadConfig, SystemParams
+from phonon_forge.phase_space import GridConfig
+from phonon_forge.simulator import SimConfig
 
 
 def run(args):
     return cli.main(args)
+
+
+def run_with(doc, tmp_dir, outdir, *command):
+    """Run the CLI on a config file holding doc."""
+    cfg = Path(tmp_dir) / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return run(["--config", str(cfg), "--out", str(outdir), *command])
+
+
+def _no_non_finite_files(outdir):
+    for path in (outdir.rglob("*") if outdir.exists() else ()):
+        if path.is_file():
+            text = path.read_text().lower()
+            assert "nan" not in text and "inf" not in text, path
 
 
 @pytest.fixture()
@@ -35,25 +55,18 @@ class TestParser:
 
 class TestConfig:
     def test_unknown_top_key_exit_2(self, tmp_path, outdir):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"systemx": {}}))
-        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 2
+        assert run_with({"systemx": {}}, tmp_path, outdir, "budget") == 2
 
     def test_unknown_nested_key_exit_2(self, tmp_path, outdir):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"system": {"kappa9": 1.0}}))
-        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 2
+        assert run_with({"system": {"kappa9": 1.0}}, tmp_path, outdir, "budget") == 2
 
     def test_physical_invariants_enforced(self, tmp_path, outdir):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"system": {"eta_total": 2.0}}))
-        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 2
+        assert run_with({"system": {"eta_total": 2.0}}, tmp_path, outdir,
+                        "budget") == 2
 
     def test_config_overrides_apply(self, tmp_path, outdir):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"system": {"nbar_th": 100.0},
-                                   "seed": 7}))
-        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 0
+        assert run_with({"system": {"nbar_th": 100.0}, "seed": 7}, tmp_path,
+                        outdir, "budget") == 0
         doc = json.loads((outdir / "budget.json").read_text())
         # flux scales linearly with the bath occupation
         assert doc["f_cav"] == pytest.approx(3.986e8 * 100.0 / 766.0, rel=0.05)
@@ -125,10 +138,8 @@ class TestCommands:
         assert (outdir / "heralds_single.csv").exists()
 
     def test_simulate_rejects_bad_settings(self, tmp_path, outdir):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sim": {"sample_rate": 0.5e9}}))
-        assert run(["--config", str(cfg), "--out", str(outdir), "simulate",
-                    "--n-traces", "10"]) == 2
+        assert run_with({"sim": {"sample_rate": 0.5e9}}, tmp_path, outdir,
+                        "simulate", "--n-traces", "10") == 2
 
 
 class TestDeterminism:
@@ -149,12 +160,10 @@ class TestDeterminism:
         assert (outdir / "variance_n2.csv").read_bytes() == first
 
     def test_threads_env_fallback(self, outdir, monkeypatch):
-        monkeypatch.setenv("PHONON_FORGE_THREADS", "1")
-        assert run(["--out", str(outdir), "simulate", "--herald", "none",
-                    "--n-traces", "20", "--trace-len", "1024"]) == 0
-        monkeypatch.setenv("PHONON_FORGE_THREADS", "zebra")
-        assert run(["--out", str(outdir), "simulate", "--herald", "none",
-                    "--n-traces", "20", "--trace-len", "1024"]) == 2
+        for env, code in (("1", 0), ("zebra", 2), ("-4", 2)):
+            monkeypatch.setenv("PHONON_FORGE_THREADS", env)
+            assert run(["--out", str(outdir), "simulate", "--herald", "none",
+                        "--n-traces", "20", "--trace-len", "1024"]) == code
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -187,6 +196,8 @@ _BAD_CONFIGS = [
           "--click-seconds", "inf"]),
     ({}, ["simulate", "--trace-len", "1024", "--n-traces", "10",
           "--click-seconds", "-1"]),
+    ({}, ["--threads", "-1", *_SIMULATE, "--herald", "none", "--n-traces", "10"]),
+    ({}, ["--threads", "0", *_SIMULATE, "--herald", "none", "--n-traces", "10"]),
 ]
 
 
@@ -194,13 +205,8 @@ class TestConfigValues:
     @pytest.mark.parametrize("doc,command", _BAD_CONFIGS)
     def test_bad_value_exits_2_without_non_finite_output(self, tmp_path, outdir,
                                                          doc, command):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert run(["--config", str(cfg), "--out", str(outdir), *command]) == 2
-        for path in (outdir.rglob("*") if outdir.exists() else ()):
-            if path.is_file():
-                text = path.read_text().lower()
-                assert "nan" not in text and "inf" not in text, path
+        assert run_with(doc, tmp_path, outdir, *command) == 2
+        _no_non_finite_files(outdir)
 
     def test_every_dataclass_field_is_a_config_key(self, tmp_path, outdir):
         defaults = cli.RunConfig()
@@ -220,16 +226,13 @@ class TestConfigValues:
         assert loaded.sim_config() == sim_defaults
         assert loaded.grid_config() == defaults.grid_config()
 
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sim": {"chunk_traces": 128, "adiabatic": False},
-                                   "spad": {"arm_efficiencies": [0.67, 0.25, 0.15, 0.5]}}))
-        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 0
+        assert run_with({"sim": {"chunk_traces": 128, "adiabatic": False},
+                         "spad": {"arm_efficiencies": [0.67, 0.25, 0.15, 0.5]}},
+                        tmp_path, outdir, "budget") == 0
 
     @pytest.mark.parametrize("sim_doc", [{"seed": 1}, {"params": {}}])
     def test_sim_section_takes_no_seed_or_params(self, tmp_path, outdir, sim_doc):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sim": sim_doc}))
-        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 2
+        assert run_with({"sim": sim_doc}, tmp_path, outdir, "budget") == 2
 
 
 _COMMANDS = [["budget"], ["characterize"], ["variance", "--n", "1"],
@@ -251,13 +254,8 @@ _BAD_SECTIONS = [
 class TestConfigSections:
     @pytest.mark.parametrize("doc,command", _BAD_SECTIONS)
     def test_bad_section_exits_2_on_load(self, tmp_path, outdir, doc, command):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert run(["--config", str(cfg), "--out", str(outdir), *command]) == 2
-        for path in (outdir.rglob("*") if outdir.exists() else ()):
-            if path.is_file():
-                text = path.read_text().lower()
-                assert "nan" not in text and "inf" not in text, path
+        assert run_with(doc, tmp_path, outdir, *command) == 2
+        _no_non_finite_files(outdir)
 
 
 class TestThreadCount:
@@ -270,3 +268,31 @@ class TestThreadCount:
         assert cli._thread_count(args) == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         assert cli._thread_count(args) == 64
+
+
+def test_overflowing_budget_exits_3_and_writes_nothing(tmp_path, outdir):
+    # every number is finite on input, but the flux overflows to infinity
+    assert run_with({"system": {"nbar_th": 1e308}}, tmp_path, outdir, "budget") == 3
+    assert not (outdir / "budget.json").exists()
+
+
+_VALUES = st.one_of(
+    st.floats(), st.sampled_from([_NAN, _INF, -_INF, 1e308, -1e308, 5e-324]),
+    st.integers(), st.booleans(), st.text(max_size=6),
+    st.lists(st.one_of(st.floats(), st.integers()), max_size=4), st.none())
+_DOCS = st.fixed_dictionaries({}, optional={
+    **{name: st.dictionaries(st.sampled_from(sorted(
+        f.name for f in dataclasses.fields(cls))), _VALUES, max_size=4)
+       for name, cls in (("system", SystemParams), ("spad", SpadConfig),
+                         ("sim", SimConfig), ("grid", GridConfig))},
+    "seed": _VALUES, "output_dir": _VALUES})
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_DOCS, command=st.sampled_from(
+    [["budget"], ["variance", "--n", "1", "--npts", "11"]]))
+def test_any_config_document_keeps_the_exit_code_contract(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp) / "out"
+        assert run_with(doc, tmp, outdir, *command) in (0, 2, 3)
+        _no_non_finite_files(outdir)

@@ -1,4 +1,4 @@
-"""Every CSV writer round-trips its arrays bit for bit."""
+"""Every CSV writer round-trips its arrays bit for bit; none writes NaN or inf."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ import pytest
 from phonon_forge import dynamics as dyn
 from phonon_forge import phase_space as ps
 from phonon_forge import simulator as sim
+from phonon_forge._formats import write_csv, write_json
+from phonon_forge.errors import NumericsError
 
 
 def _read_columns(path, parsers):
@@ -81,3 +83,19 @@ def test_heralds_round_trip(tmp_path, clicks):
         header, (t,) = _read_columns(tmp_path / "h.csv", [float])
         assert header == "herald_time"
         _same_bits(t, heralds)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_refuses_non_finite_floats(tmp_path, bad):
+    path = tmp_path / "x.csv"
+    with pytest.raises(NumericsError):
+        write_csv(path, "n,x", [np.arange(3), np.array([0.5, bad, 1.0])])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_json_refuses_non_finite_floats(tmp_path, bad):
+    path = tmp_path / "x.json"
+    with pytest.raises(NumericsError):
+        write_json(path, {"ok": 1.0, "nested": {"value": float(bad)}})
+    assert not path.exists()

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from phonon_forge import phonon_stats as ps
 from phonon_forge.errors import ConfigError, TruncationError
 
+from oracles import fock_oracle
+
 
 def spec(nbar):
     return ps.ThermalSpec(nbar)
@@ -45,7 +47,7 @@ class TestSubtractedPmf:
     def test_matches_fock_oracle(self):
         s = spec(2.0)
         closed = ps.subtracted_pmf(s, 1)
-        oracle = ps.fock_oracle(s, 1)
+        oracle = fock_oracle(s, 1)
         assert np.max(np.abs(closed.probs - oracle.probs)) < 1e-10
 
     def test_ground_state_subtraction_undefined(self):
@@ -140,19 +142,19 @@ class TestSimilarityThreshold:
 class TestFockOracle:
     def test_identity_at_zero_order(self):
         s = spec(4.0)
-        orc = ps.fock_oracle(s, 0)
+        orc = fock_oracle(s, 0)
         th = ps.thermal_pmf(s, orc.m_max)
         np.testing.assert_allclose(orc.probs, th.probs, rtol=0, atol=1e-12)
 
     def test_added_state(self):
         s = spec(2.0)
-        orc = ps.fock_oracle(s, 2, kind="add")
+        orc = fock_oracle(s, 2, kind="add")
         closed = ps.added_pmf(s, 2, m_max=orc.m_max)
         assert np.max(np.abs(orc.probs - closed.probs)) < 1e-10
 
     def test_insufficient_truncation(self):
         with pytest.raises(TruncationError):
-            ps.fock_oracle(spec(100.0), 1, m_max=100)
+            fock_oracle(spec(100.0), 1, m_max=100)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,7 @@ def test_variance_equality_property(nbar, n):
        kind=st.sampled_from(["subtract", "add"]))
 def test_fock_oracle_matches_closed_forms(nbar, n, kind):
     s = spec(nbar)
-    orc = ps.fock_oracle(s, n, kind=kind)
+    orc = fock_oracle(s, n, kind=kind)
     if kind == "subtract":
         closed = ps.subtracted_pmf(s, n, m_max=orc.m_max)
     else:

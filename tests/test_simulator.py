@@ -15,6 +15,7 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
+from oracles import simulate_fields
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestFieldModel:
     def test_mean_occupation_matches_closed_form(self, cfg):
         model = sim.FieldModel(cfg)
         n_steps, n_traces = 200_000, 8
-        a = sim.simulate_fields(cfg, n_steps, n_traces=n_traces, seed=3)
+        a = simulate_fields(cfg, n_steps, n_traces=n_traces, seed=3)
         emp = float(np.mean(np.abs(a) ** 2))
         expected = cfg.params.nbar_th * model.coupling ** 2 / (
             cfg.params.kappa2 * (cfg.params.kappa2 + cfg.params.gamma))
@@ -67,7 +68,7 @@ class TestFieldModel:
 
     def test_two_time_correlation(self, cfg):
         model = sim.FieldModel(cfg)
-        a = sim.simulate_fields(cfg, 400_000, n_traces=8, seed=4)
+        a = simulate_fields(cfg, 400_000, n_traces=8, seed=4)
         for lag_s in (0.0, 5e-9, 30e-9):
             lag = int(round(lag_s / cfg.dt))
             emp = np.mean(np.conj(a[:, :a.shape[1] - lag]) * a[:, lag:]).real
@@ -90,7 +91,7 @@ class TestFieldModel:
 
     def test_zero_coupling_gives_vacuum(self, cfg):
         c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
-        a = sim.simulate_fields(c, 2000, n_traces=3, seed=8)
+        a = simulate_fields(c, 2000, n_traces=3, seed=8)
         assert np.all(a == 0.0)
 
     def test_effective_linewidth_decay(self, cfg):
@@ -98,7 +99,7 @@ class TestFieldModel:
         model = sim.FieldModel(c)
         chain = dyn.characterize(c.params)
         assert model.rate == pytest.approx(chain.gamma_eff)
-        a = sim.simulate_fields(c, 400_000, n_traces=12, seed=6)
+        a = simulate_fields(c, 400_000, n_traces=12, seed=6)
         lags = np.arange(0, int(2.0 / chain.gamma_eff / c.dt), 40)
         corr = np.array([
             np.mean(np.conj(a[:, :a.shape[1] - k]) * a[:, k:]).real
@@ -109,7 +110,7 @@ class TestFieldModel:
     def test_adiabatic_fast_path_statistics(self, cfg):
         c = cfg.with_updates(adiabatic=True)
         model = sim.FieldModel(c)
-        a = sim.simulate_fields(c, 200_000, n_traces=4, seed=7)
+        a = simulate_fields(c, 200_000, n_traces=4, seed=7)
         emp = float(np.mean(np.abs(a) ** 2))
         assert emp == pytest.approx(model.var_a, rel=0.05)
         # adiabatic amplitude sits within O(gamma/kappa) of the full model
@@ -122,9 +123,11 @@ class TestHeterodyneAndDemod:
     def test_vacuum_anchor(self, cfg):
         c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
         a = np.zeros((300, c.trace_len), dtype=complex)
-        v = sim.heterodyne_trace(a, c, seed=11)
-        x, p, _ = sim.demodulate(v, c)
-        m = sim.DemodPlan(c).margin_cols
+        plan = sim.DemodPlan(c)
+        v = plan.voltage_from_field(a, np.random.Generator(np.random.Philox(11)))
+        z = plan.demodulate(v)
+        x, p = z.real, z.imag
+        m = plan.margin_cols
         assert np.var(x[:, m:-m]) == pytest.approx(1.0, rel=0.02)
         assert np.var(p[:, m:-m]) == pytest.approx(1.0, rel=0.02)
         corr = np.corrcoef(x[:, m:-m].ravel(), p[:, m:-m].ravel())[0, 1]
@@ -160,8 +163,10 @@ class TestHeterodyneAndDemod:
         amp = 3.0 + 1.5j
         v = math.sqrt(2.0) * (amp.real * np.cos(cfg.params.omega_het * t)
                               + amp.imag * np.sin(cfg.params.omega_het * t))
-        x, p, _ = sim.demodulate(v, cfg)
-        m = sim.DemodPlan(cfg).margin_cols
+        plan = sim.DemodPlan(cfg)
+        z = plan.demodulate(v)
+        x, p = z.real, z.imag
+        m = plan.margin_cols
         # constancy is limited by the filter's rejection of the 2*w_het image
         np.testing.assert_allclose(x[m:-m], amp.real, rtol=1e-4)
         np.testing.assert_allclose(p[m:-m], amp.imag, rtol=1e-4)
@@ -362,21 +367,20 @@ class TestClicks:
         assert np.array_equal(a.is_dark, b.is_dark)
 
     def test_trajectory_thinning_rate(self, cfg):
+        # one constant-intensity row per gate, as gated_click_stream lays out
         rate = 2.0e5
-        n_steps = 400_000
-        a_traj = np.ones(n_steps, dtype=complex)
-        clicks = sim.spad_clicks(a_traj, cfg.dt, cfg.spad, seed=2,
-                                 mean_registered_rate=rate, mean_intensity=1.0)
-        duty = cfg.spad.duty_cycle
-        expected = rate * duty * clicks.duration
-        counted = int((~clicks.is_dark & (clicks.detector == 0)).sum())
+        spad = cfg.spad
+        n_gates = 200_000
+        m_steps = math.ceil(spad.gate_len / cfg.dt)
+        lam = np.full((n_gates, m_steps), rate)
+        starts = np.arange(n_gates) / spad.gate_rate
+        duration = n_gates / spad.gate_rate
+        _, det, dark = sim._draw_events(lam, starts, spad.gate_len / m_steps,
+                                        spad, duration,
+                                        np.random.Generator(np.random.Philox(2)))
+        expected = rate * spad.duty_cycle * duration
+        counted = int((~dark & (det == 0)).sum())
         assert abs(counted - expected) < 3 * math.sqrt(expected) + 3
-
-    def test_multi_photon_warning(self, cfg):
-        a_traj = np.ones(2000, dtype=complex)
-        with pytest.warns(UserWarning):
-            sim.spad_clicks(a_traj, cfg.dt, cfg.spad, seed=2,
-                            mean_registered_rate=8e7, mean_intensity=1.0)
 
 
 class TestHeraldSelect:
@@ -421,14 +425,8 @@ class TestPersistence:
         assert loaded.herald_col == ens.herald_col
 
     def test_schema_checked(self, cfg, tmp_path):
-        ens = sim.run_ensemble(cfg, herald_kind="none", n_traces=10)
-        base = tmp_path / "ens"
-        sim.save_ensemble(ens, base)
-        doc = json.loads((tmp_path / "ens.json").read_text())
-        doc["schema"] = "other"
-        (tmp_path / "ens.json").write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
-            sim.load_ensemble(base)
+        _reject_sidecar(_saved(cfg, tmp_path, "none"),
+                        lambda doc: doc.update(schema="other"))
 
     # each case drops the last trace (row) or the last column of some arrays
     @pytest.mark.parametrize("rows,cols", [
@@ -439,9 +437,7 @@ class TestPersistence:
         ((), ("taus",)),
     ])
     def test_mismatched_parts_rejected(self, cfg, tmp_path, rows, cols):
-        ens = sim.run_ensemble(cfg, herald_kind="single", n_traces=10)
-        base = tmp_path / "ens"
-        sim.save_ensemble(ens, base)
+        base = _saved(cfg, tmp_path)
         with np.load(tmp_path / "ens.npz") as data:
             arrays = dict(data)
         for name in rows:
@@ -453,11 +449,28 @@ class TestPersistence:
             sim.load_ensemble(base)
 
     def test_sidecar_trace_count_checked(self, cfg, tmp_path):
-        ens = sim.run_ensemble(cfg, herald_kind="single", n_traces=10)
-        base = tmp_path / "ens"
-        sim.save_ensemble(ens, base)
-        doc = json.loads((tmp_path / "ens.json").read_text())
-        doc["n_traces"] += 1
-        (tmp_path / "ens.json").write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
-            sim.load_ensemble(base)
+        _reject_sidecar(_saved(cfg, tmp_path),
+                        lambda doc: doc.update(n_traces=doc["n_traces"] + 1))
+
+    @pytest.mark.parametrize("key,value", [
+        ("herald_kind", "triple"), ("herald_col", 1_000_000), ("herald_col", -1),
+        ("herald_col", 2.5), ("margin_cols", 1_000_000), ("margin_cols", -3)])
+    def test_sidecar_columns_and_kind_checked(self, cfg, tmp_path, key, value):
+        _reject_sidecar(_saved(cfg, tmp_path), lambda doc: doc.update({key: value}))
+
+
+def _saved(cfg, tmp_path, kind="single"):
+    """Save a 10-trace ensemble under tmp_path and return its path base."""
+    base = tmp_path / "ens"
+    sim.save_ensemble(sim.run_ensemble(cfg, herald_kind=kind, n_traces=10), base)
+    return base
+
+
+def _reject_sidecar(base, edit):
+    """load_ensemble refuses the saved ensemble once edit has changed its sidecar."""
+    path = base.with_name(base.name + ".json")
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        sim.load_ensemble(base)
