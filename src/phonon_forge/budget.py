@@ -11,6 +11,7 @@ measured count rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 from ._formats import write_json
@@ -62,7 +63,12 @@ def counts_per_gate(r_det, spad: SpadConfig):
     """Mean registered counts per gate, quantum_eff * r_det * gate_len."""
     if r_det < 0:
         raise ConfigError("r_det must be >= 0")
-    return spad.quantum_eff * r_det * spad.gate_len
+    n_det = spad.quantum_eff * r_det * spad.gate_len
+    # the coincidence rate squares it; an infinite flux is a numerics error
+    if math.isfinite(r_det) and not math.isfinite(n_det * n_det):
+        raise ConfigError(f"gate_len={spad.gate_len!r} gives {n_det:.3g} counts per "
+                          "gate, whose square leaves the double range")
+    return n_det
 
 
 def herald_fidelity(real_rate, dark_rate):

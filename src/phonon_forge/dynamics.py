@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ._formats import write_csv
 from .errors import ConfigError, NumericsError
@@ -122,6 +121,7 @@ def anti_stokes_spectrum(params: SystemParams, coupling):
 
 def fit_linewidth(omegas, psd_values):
     """Fit a Lorentzian peak; returns the half width at half maximum."""
+    from scipy.optimize import curve_fit
     omegas = np.asarray(omegas, dtype=float)
     vals = np.asarray(psd_values, dtype=float)
 

@@ -81,6 +81,10 @@ class SystemParams:
             raise ConfigError("kappa2_ext must not exceed kappa2")
         if not 0.0 < self.eta_total <= 1.0:
             raise ConfigError("eta_total must lie in (0, 1]")
+        # intracavity_photons divides by the pump photon energy times kappa1
+        if not 0.0 < self.kappa1 * HBAR * self.omega_pump < math.inf:
+            raise ConfigError(f"wavelength={self.wavelength!r} and kappa1={self.kappa1!r}"
+                              " put the pump photon energy outside the double range")
         g = self.pump_enhanced_coupling()
         if 2.0 * g >= self.kappa2 + self.gamma:
             raise ConfigError(

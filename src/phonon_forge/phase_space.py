@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
 from ._formats import write_csv, write_json
@@ -283,7 +282,12 @@ def wigner_s(spec: StateSpec, cfg: GridConfig | None = None,
     kx, kp = np.meshgrid(k_axis, k_axis, indexing="ij")
     kvals = gaussian_kernel(s_build)(kx, kp)
 
-    values = fftconvolve(pvals, kvals, mode="valid") * d * d
+    # the linear convolution as one real FFT product, kept to its valid part
+    from scipy.fft import irfftn, next_fast_len, rfftn
+    p, k = pvals.shape[0], kvals.shape[0]
+    shape = [next_fast_len(p + k - 1, True)] * 2
+    full = irfftn(rfftn(pvals, shape) * rfftn(kvals, shape), shape)
+    values = full[k - 1:p, k - 1:p] * d * d
     if values.shape != (cfg.npts, cfg.npts):
         raise NumericsError("unexpected convolution output shape")
     values = np.maximum(values, 0.0)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import nbinom
 
 from .errors import ConfigError, NumericsError, TruncationError
 
@@ -96,6 +95,12 @@ def _subtracted_logpmf(x, n, m):
             + gammaln(m + n + 1) - gammaln(m + 1) - gammaln(n + 1))
 
 
+def _subtracted_tail(spec, n, m_max):
+    """Exact mass above m_max: the negative-binomial survival, n+1 failures."""
+    from scipy.stats import nbinom
+    return float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
+
+
 def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
     """Distribution after a heralded n-fold subtraction; mean (n+1)*nbar."""
     n = _check_order(n)
@@ -108,9 +113,7 @@ def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
     m = np.arange(m_max + 1)
     probs = np.exp(_subtracted_logpmf(spec.x, n, m))
-    # exact tail: survival function of the negative binomial with n+1 failures
-    tail = float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
-    return NumberPmf(probs, m_max, tail)
+    return NumberPmf(probs, m_max, _subtracted_tail(spec, n, m_max))
 
 
 def added_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
@@ -151,7 +154,7 @@ def add_sub_fidelity(spec: ThermalSpec, n, m_max=None):
     if spec.nbar == 0.0:
         raise ConfigError("fidelity undefined for nbar = 0 (no heralds)")
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
-    tail = float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
+    tail = _subtracted_tail(spec, n, m_max)
     if tail >= 1e-9:
         raise TruncationError(f"tail mass {tail:.3e} >= 1.0e-09; increase m_max")
     j = np.arange(m_max + 1 - n)

@@ -37,8 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import butter, sosfiltfilt
 
 from . import budget as budget_mod
 from ._formats import write_csv, write_json
@@ -47,7 +45,7 @@ from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket,
 from .errors import ConfigError, NumericsError
 from .params import SpadConfig, SystemParams, TWO_PI, default_params, \
     default_spad, require_integer, require_positive
-from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, s_from_eta
+from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, _VALID_UNITS, s_from_eta
 
 HERALD_NONE = "none"
 HERALD_SINGLE = "single"
@@ -55,6 +53,9 @@ HERALD_COINCIDENCE = "coincidence"
 _HERALD_KINDS = (HERALD_NONE, HERALD_SINGLE, HERALD_COINCIDENCE)
 
 _HERALD_ORDER = {HERALD_NONE: 0, HERALD_SINGLE: 1, HERALD_COINCIDENCE: 2}
+# the meta entries that variance_ratio_report and herald_histogram read; every
+# ensemble run_ensemble makes has each of them as a positive number
+_META_READ = ("eta_total", "predicted_ratio", "sigma_inf_expected", "slow_rate")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,11 @@ class SimConfig:
         if self.dt is None:
             k = max(1, math.ceil(1.0 / (self.sample_rate * dt_max)))
             object.__setattr__(self, "dt", 1.0 / (k * self.sample_rate))
-        ratio = 1.0 / (self.dt * self.sample_rate)
+        steps = self.dt * self.sample_rate
+        ratio = 1.0 / steps if steps > 0.0 else math.inf
+        if ratio == math.inf:
+            raise ConfigError(f"dt={self.dt!r} puts 1/(dt*sample_rate) outside "
+                              "the double range")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("1/dt must be an integer multiple of sample_rate")
         if self.dt > dt_max * (1 + 1e-12):
@@ -249,6 +254,7 @@ class DemodPlan:
         self.herald_col = int(np.nonzero(self.cols == self.center)[0][0])
 
         if cfg.demod_filter == "butter4":
+            from scipy.signal import butter
             self.sos = butter(4, cfg.demod_bandwidth, fs=fs, output="sos")
             self.box_len = None
         else:
@@ -288,8 +294,11 @@ class DemodPlan:
         self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
 
     def _filter(self, arr):
+        # first called by __init__, so the import never starts in a worker
         if self.sos is not None:
+            from scipy.signal import sosfiltfilt
             return sosfiltfilt(self.sos, arr, axis=-1)
+        from scipy.ndimage import uniform_filter1d
         return uniform_filter1d(arr, size=self.box_len, axis=-1, mode="constant")
 
     def predicted_ratio(self, order):
@@ -685,11 +694,19 @@ def load_ensemble(path_base) -> TraceEnsemble:
         if sidecar[name] >= taus.size:
             raise ConfigError(f"{name} {sidecar[name]} lies outside the "
                               f"{taus.size} columns")
+    if sidecar.get("units") not in _VALID_UNITS:
+        raise ConfigError(f"units must be one of {_VALID_UNITS}, "
+                          f"got {sidecar.get('units')!r}")
+    meta = sidecar.get("meta")
+    if not isinstance(meta, dict):
+        raise ConfigError(f"meta must be a JSON object, got {meta!r}")
+    for name in _META_READ:
+        require_positive(f"meta.{name}", meta.get(name))
     z = z_real + 1j * z_imag
     return TraceEnsemble(z=z, taus=taus, herald_col=sidecar["herald_col"],
                          weights=weights, herald_kind=sidecar["herald_kind"],
                          margin_cols=sidecar["margin_cols"],
-                         units=sidecar["units"], meta=sidecar["meta"])
+                         units=sidecar["units"], meta=meta)
 
 
 def _jsonable(obj):

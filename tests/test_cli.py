@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -198,6 +200,11 @@ _BAD_CONFIGS = [
           "--click-seconds", "-1"]),
     ({}, ["--threads", "-1", *_SIMULATE, "--herald", "none", "--n-traces", "10"]),
     ({}, ["--threads", "0", *_SIMULATE, "--herald", "none", "--n-traces", "10"]),
+    # finite inputs whose derived quantities leave the double range: the
+    # photon energy, 1/(dt*sample_rate) and the counts per gate
+    ({"system": {"wavelength": 1e308}}, ["budget"]),
+    ({"sim": {"dt": 5e-324}}, ["budget"]),
+    ({"spad": {"gate_rate": 2.2e-308, "gate_len": 8.5e151}}, ["budget"]),
 ]
 
 
@@ -268,6 +275,37 @@ class TestThreadCount:
         assert cli._thread_count(args) == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         assert cli._thread_count(args) == 64
+
+
+_HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.optimize")
+_IMPORT_PROBE = """
+import json, sys
+import phonon_forge
+code = 0
+if sys.argv[1:]:
+    from phonon_forge import cli
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))
+""".format(heavy=_HEAVY_SCIPY)
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ([], []),
+    (["budget"], []),
+    (["characterize", "--fit"], ["scipy.optimize"]),
+    (["variance", "--n", "2"], []),
+    (["marginal", "--n", "2"], []),
+    (["wigner", "--n", "1"], []),
+], ids=["import", "budget", "characterize", "variance", "marginal", "wigner"])
+def test_command_imports_only_the_scipy_it_runs(tmp_path, command, loaded):
+    # a fresh interpreter, so nothing imported by other tests counts
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["--out", str(tmp_path), *command] if command else []
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, loaded]
 
 
 def test_overflowing_budget_exits_3_and_writes_nothing(tmp_path, outdir):

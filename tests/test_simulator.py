@@ -413,6 +413,14 @@ class TestHeraldSelect:
         assert sim.herald_select(clicks, "coincidence").size == 0
 
 
+class _Missing:
+    def __repr__(self):
+        return "missing"
+
+
+_MISSING = _Missing()
+
+
 class TestPersistence:
     def test_roundtrip(self, cfg, tmp_path):
         ens = sim.run_ensemble(cfg, herald_kind="single", n_traces=50)
@@ -457,6 +465,31 @@ class TestPersistence:
         ("herald_col", 2.5), ("margin_cols", 1_000_000), ("margin_cols", -3)])
     def test_sidecar_columns_and_kind_checked(self, cfg, tmp_path, key, value):
         _reject_sidecar(_saved(cfg, tmp_path), lambda doc: doc.update({key: value}))
+
+    @pytest.mark.parametrize("key,value", [
+        ("units", _MISSING), ("units", "volts"), ("units", None),
+        ("meta", _MISSING), ("meta", {}), ("meta", [])], ids=str)
+    def test_sidecar_units_and_meta_checked(self, cfg, tmp_path, key, value):
+        _reject_sidecar(_saved(cfg, tmp_path), lambda doc: _set(doc, key, value))
+
+    @pytest.mark.parametrize("value", [_MISSING, "x", True, None, float("nan"),
+                                       float("inf"), -1.0], ids=str)
+    @pytest.mark.parametrize("name", ["eta_total", "predicted_ratio",
+                                      "sigma_inf_expected", "slow_rate"])
+    def test_sidecar_meta_entries_checked(self, cfg, tmp_path, name, value):
+        _reject_sidecar(_saved(cfg, tmp_path), lambda doc: _set(doc["meta"], name, value))
+
+    def test_unheralded_sidecar_loads(self, cfg, tmp_path):
+        ens = sim.load_ensemble(_saved(cfg, tmp_path, "none"))
+        assert ens.units == ps.UNITS_HETERODYNE and ens.meta["predicted_ratio"] == 1.0
+
+
+def _set(doc, key, value):
+    """doc[key] = value, or drop the key when value is _MISSING."""
+    if value is _MISSING:
+        doc.pop(key)
+    else:
+        doc[key] = value
 
 
 def _saved(cfg, tmp_path, kind="single"):
