@@ -6,11 +6,14 @@ Neither writes a NaN or an infinity: both refuse before opening the file.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
 from .errors import NumericsError
+
+_BATCH_ROWS = 4096
 
 
 def write_csv(path, header, columns):
@@ -21,10 +24,12 @@ def write_csv(path, header, columns):
             raise NumericsError(f"column {name!r} of {path} is not finite")
     row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g"
                    for col in columns) + "\n"
+    flat = list(itertools.chain.from_iterable(zip(*(col.tolist() for col in columns))))
+    step = _BATCH_ROWS * len(columns)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(row % values
-                      for values in zip(*(col.tolist() for col in columns)))
+        for part in (tuple(flat[lo:lo + step]) for lo in range(0, len(flat), step)):
+            fh.write(row * (len(part) // len(columns)) % part)   # a batch of rows
 
 
 def write_json(path, doc):

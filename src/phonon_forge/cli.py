@@ -177,8 +177,11 @@ def cmd_variance(cfg: RunConfig, args):
 def cmd_simulate(cfg: RunConfig, args):
     require_positive("click_seconds", args.click_seconds, zero_ok=True)
     threads = _thread_count(args)
-    out = _outdir(cfg, args)
     sim = cfg.sim_config(trace_len=args.trace_len, n_traces=args.n_traces)
+    if args.herald != simulator.HERALD_NONE:     # refuse before any work
+        plan = simulator.DemodPlan(sim)
+        simulator.steady_wings(plan.taus, plan.margin_cols, plan.model.rate, ConfigError)
+    out = _outdir(cfg, args)
     ens = simulator.run_ensemble(sim, herald_kind=args.herald,
                                  threads=threads)
     base = out / f"ensemble_{args.herald}"

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._formats import write_csv, write_json
 from .errors import ConfigError, GridError, NumericsError
@@ -185,7 +184,7 @@ def _p_function_raw(occupation, n):
         raise ConfigError("occupation must be >= 0")
     if occupation == 0.0:
         raise ConfigError("occupation 0 has a singular diagonal representation")
-    log_norm = (math.log(2.0 * math.pi) + gammaln(n + 1)
+    log_norm = (math.log(2.0 * math.pi) + math.lgamma(n + 1)
                 + (n + 1) * math.log(occupation))
 
     def density(x, p):
@@ -283,10 +282,10 @@ def wigner_s(spec: StateSpec, cfg: GridConfig | None = None,
     kvals = gaussian_kernel(s_build)(kx, kp)
 
     # the linear convolution as one real FFT product, kept to its valid part
-    from scipy.fft import irfftn, next_fast_len, rfftn
     p, k = pvals.shape[0], kvals.shape[0]
-    shape = [next_fast_len(p + k - 1, True)] * 2
-    full = irfftn(rfftn(pvals, shape) * rfftn(kvals, shape), shape)
+    shape, axes = [fast_len(p + k - 1)] * 2, (0, 1)
+    full = np.fft.irfftn(np.fft.rfftn(pvals, shape, axes)
+                         * np.fft.rfftn(kvals, shape, axes), shape, axes)
     values = full[k - 1:p, k - 1:p] * d * d
     if values.shape != (cfg.npts, cfg.npts):
         raise NumericsError("unexpected convolution output shape")
@@ -295,6 +294,12 @@ def wigner_s(spec: StateSpec, cfg: GridConfig | None = None,
     grid = PhaseSpaceGrid(half_width, cfg.npts, values, s_tag, cfg.units)
     _validate_grid(grid)
     return grid
+
+
+def fast_len(n):
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms quickly."""
+    odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
 
 
 def _validate_grid(grid):
@@ -313,12 +318,12 @@ def _validate_grid(grid):
 # ---------------------------------------------------------------------------
 
 def _log_binom(a, b):
-    return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
 def _log_gamma_half(q):
     """log Gamma(q + 1/2) through the exact half-integer identity."""
-    return gammaln(2 * q + 1) - q * math.log(4.0) - gammaln(q + 1) + LOG_SQRT_PI
+    return math.lgamma(2 * q + 1) - q * math.log(4.0) - math.lgamma(q + 1) + LOG_SQRT_PI
 
 
 def quadrature_marginal(nbar, n):
@@ -335,7 +340,7 @@ def quadrature_marginal(nbar, n):
     if nbar < 0:
         raise ConfigError("nbar must be >= 0")
     w = 1.0 + 2.0 * nbar
-    log_pref = -(gammaln(n + 1) + 1.5 * math.log(math.pi) + 0.5 * math.log(w))
+    log_pref = -(math.lgamma(n + 1) + 1.5 * math.log(math.pi) + 0.5 * math.log(w))
 
     powers = np.zeros(n + 1)
     for k in range(n + 1):

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, NumericsError, TruncationError
 
@@ -91,8 +90,9 @@ def thermal_pmf(spec: ThermalSpec, m_max=None) -> NumberPmf:
 
 
 def _subtracted_logpmf(x, n, m):
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
     return ((n + 1) * np.log1p(-x) + m * np.log(x)
-            + gammaln(m + n + 1) - gammaln(m + 1) - gammaln(n + 1))
+            + lgamma(m + n + 1) - lgamma(m + 1) - math.lgamma(n + 1))
 
 
 def _subtracted_tail(spec, n, m_max):

@@ -45,7 +45,8 @@ from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket,
 from .errors import ConfigError, NumericsError
 from .params import SpadConfig, SystemParams, TWO_PI, default_params, \
     default_spad, require_integer, require_positive
-from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, _VALID_UNITS, s_from_eta
+from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, _VALID_UNITS, \
+    fast_len, s_from_eta
 
 HERALD_NONE = "none"
 HERALD_SINGLE = "single"
@@ -215,8 +216,10 @@ class FieldModel:
 
 def _ar1(pole, drive):
     """x[t] = pole * x[t-1] + drive[t] along the last axis, x[-1] = 0."""
-    from scipy.signal import lfilter
-    return lfilter([1.0], [1.0, -pole], drive, axis=-1)
+    x = drive.T.copy()          # time-major, so each step is one contiguous row
+    for t in range(1, x.shape[0]):
+        x[t] += pole * x[t - 1]
+    return x.T
 
 
 def _chol_psd(mat):
@@ -239,37 +242,25 @@ def _circular_normal(shape, rng):
 # ---------------------------------------------------------------------------
 
 class DemodPlan:
-    """Filter design plus the vacuum and signal calibration constants."""
+    """Filter response plus the vacuum and signal calibration constants."""
 
     def __init__(self, cfg: SimConfig, model: FieldModel | None = None):
         self.cfg = cfg
-        model = model or FieldModel(cfg)
-        self.model = model
-        fs = cfg.sample_rate
-        self.dt_s = 1.0 / fs
+        self.model = model = model or FieldModel(cfg)
+        self.dt_s = 1.0 / cfg.sample_rate
         self.n_samp = cfg.trace_len
         self.center = cfg.trace_len // 2
         self.offset = self.center % cfg.decimate
         self.cols = np.arange(self.offset, cfg.trace_len, cfg.decimate)
         self.herald_col = int(np.nonzero(self.cols == self.center)[0][0])
-
-        if cfg.demod_filter == "butter4":
-            from scipy.signal import butter
-            self.sos = butter(4, cfg.demod_bandwidth, fs=fs, output="sos")
-            self.box_len = None
-        else:
-            self.sos = None
-            self.box_len = max(1, int(round(fs / (2.0 * cfg.demod_bandwidth))))
+        self.taus = (self.cols - self.center) * self.dt_s
 
         # effective zero-phase impulse response, used for all calibrations
         n_imp = 8192
-        imp = np.zeros(n_imp)
-        imp[n_imp // 2] = 1.0
-        h = self._filter(imp)
+        h = np.fft.fftshift(np.fft.ifft(self.response(n_imp)).real)
         support = np.nonzero(np.abs(h) > 1e-10 * np.abs(h).max())[0]
-        lo, hi = support[0], support[-1] + 1
-        self.h = h[lo:hi]
-        self.h_center = n_imp // 2 - lo
+        self.h = h[support[0]:support[-1] + 1]
+        self.h_center = n_imp // 2 - support[0]
         self.noise_gain = float(np.sum(self.h ** 2))
         self.sigma_vac = 1.0 / math.sqrt(self.noise_gain)
         # edge transients only matter where the response carries real weight
@@ -293,13 +284,32 @@ class DemodPlan:
         margin_time = (3 * self._core_half_width + 16) * self.dt_s
         self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
 
-    def _filter(self, arr):
-        # first called by __init__, so the import never starts in a worker
-        if self.sos is not None:
-            from scipy.signal import sosfiltfilt
-            return sosfiltfilt(self.sos, arr, axis=-1)
-        from scipy.ndimage import uniform_filter1d
-        return uniform_filter1d(arr, size=self.box_len, axis=-1, mode="constant")
+        # the record zero-padded past the filter support, in whole bands of
+        # n_fft/decimate; the response also moves column `offset` to 0
+        d = cfg.decimate
+        self.n_fft = d * fast_len(-(-(cfg.trace_len + self.h.size) // d))
+        self._band_response = self.response(self.n_fft) * (math.sqrt(2.0) / d) \
+            * np.exp(2j * math.pi * self.offset * np.fft.fftfreq(self.n_fft))
+
+    def response(self, n):
+        """The filter's zero-phase frequency response on the n-point DFT grid."""
+        cfg = self.cfg
+        if cfg.demod_filter == "boxcar":
+            # the DFT of uniform_filter1d(size=width, mode="constant")'s kernel,
+            # cut to the grid; the cap keeps a near-zero bandwidth's width finite
+            width = max(1, round(min(cfg.sample_rate / (2.0 * cfg.demod_bandwidth),
+                                     2.0 ** 53)))
+            kernel = np.zeros(n)
+            kernel[np.arange(max(width // 2 + 1 - width, -(n // 2)),
+                             min(width // 2, n - 1 - n // 2) + 1) % n] = 1.0 / width
+            return np.fft.fft(kernel)
+        # |H|^2 of butter(4, bandwidth, fs), which a forward-backward pass
+        # applies: 1 / (1 + (t / t_c)^8), with the smaller of t, t_c on top
+        t = np.abs(np.tan(np.pi * np.fft.fftfreq(n)))
+        t_c = math.tan(math.pi * cfg.demod_bandwidth / cfg.sample_rate)
+        lo, hi = np.minimum(t, t_c), np.maximum(t, t_c)
+        q8 = np.divide(lo, hi, out=np.zeros(n), where=hi > 0) ** 8
+        return np.where(t <= t_c, 1.0, q8) / (1.0 + q8)
 
     def predicted_ratio(self, order):
         """Conditional variance enhancement after demodulation filtering.
@@ -328,12 +338,16 @@ class DemodPlan:
         return v
 
     def demodulate(self, v):
-        """Complex quadrature record z = X + iP, decimated."""
+        """Quadratures z = X + iP at self.cols for any leading shape of v:
+        mix, filter by FFT, decimate by folding the bands, inverse FFT."""
         cos_t, sin_t = self.mix_phases()
-        mixed = v * (cos_t + 1j * sin_t)
-        zf = math.sqrt(2.0) * (self._filter(mixed.real)
-                               + 1j * self._filter(mixed.imag))
-        return zf[..., self.cols]
+        d, lead = self.cfg.decimate, v.shape[:-1]
+        buf = np.zeros(lead + (self.n_fft,), dtype=complex)
+        np.multiply(v, cos_t + 1j * sin_t, out=buf[..., :self.n_samp])
+        np.fft.fft(buf, axis=-1, out=buf)
+        buf *= self._band_response
+        bands = buf.reshape(lead + (d, self.n_fft // d)).sum(axis=-2)
+        return np.fft.ifft(bands, axis=-1)[..., :self.cols.size]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +421,6 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, range(n_chunks)))
 
-    taus = (plan.cols - plan.center) * plan.dt_s
     meta = {
         "schema": ENSEMBLE_SCHEMA,
         "seed": cfg.seed,
@@ -422,7 +435,7 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
         "adiabatic": cfg.adiabatic,
         "slow_rate": model.rate,
     }
-    return TraceEnsemble(z=z, taus=taus, herald_col=plan.herald_col,
+    return TraceEnsemble(z=z, taus=plan.taus, herald_col=plan.herald_col,
                          weights=weights, herald_kind=herald_kind,
                          margin_cols=plan.margin_cols, meta=meta)
 
@@ -453,25 +466,24 @@ def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     return VarianceCurve(ens.taus.copy(), var, order=ens.order)
 
 
-def variance_ratio_report(ens: TraceEnsemble) -> dict:
-    """Herald-time enhancement relative to the ensemble's own wings.
-
-    Wings are the usable columns beyond 0.6 of the usable half-span from the
-    herald and beyond three relaxation times of it, so the denominator is
-    genuinely the steady state; shorter traces are refused.
-    """
-    curve = ensemble_variance(ens)
-    m = ens.margin_cols
-    usable = np.zeros(curve.taus.size, dtype=bool)
-    usable[m:curve.taus.size - m] = True
-    usable_max = np.abs(curve.taus[usable]).max() if usable.any() else 0.0
-    slow_rate = ens.meta.get("slow_rate")
-    tau_wing = 0.6 * usable_max
-    if slow_rate:
-        tau_wing = max(tau_wing, 3.0 / slow_rate)
-    wings = usable & (np.abs(curve.taus) >= tau_wing)
+def steady_wings(taus, margin_cols, slow_rate, error=NumericsError):
+    """The usable columns beyond 0.6 of the usable half-span from the herald
+    and beyond three relaxation times of it; error if fewer than four."""
+    usable = np.zeros(taus.size, dtype=bool)
+    usable[margin_cols:taus.size - margin_cols] = True
+    tau_wing = 0.6 * np.abs(taus[usable]).max() if usable.any() else 0.0
+    tau_wing = max(tau_wing, 3.0 / slow_rate) if slow_rate else tau_wing
+    wings = usable & (np.abs(taus) >= tau_wing)
     if wings.sum() < 4:
-        raise NumericsError("trace too short to estimate the steady-state wings")
+        raise error("trace too short to estimate the steady-state wings")
+    return wings
+
+
+def variance_ratio_report(ens: TraceEnsemble) -> dict:
+    """Herald-time enhancement relative to the ensemble's own steady_wings,
+    so the denominator is genuinely the steady state."""
+    curve = ensemble_variance(ens)
+    wings = steady_wings(curve.taus, ens.margin_cols, ens.meta.get("slow_rate"))
     sigma_inf = float(curve.values[wings].mean())
     sigma_peak = float(curve.values[ens.herald_col])
     report = {

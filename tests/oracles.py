@@ -122,3 +122,38 @@ def lossy_marginal_convolution(marg, eta):
     kernel = np.exp(-a * diff**2) / math.sqrt(math.pi * (1.0 - eta))
     density = np.trapezoid(kernel * marg.density[None, :], marg.xs, axis=1)
     return ps.Marginal(xs=xs_out, density=density)
+
+
+def ar1_lfilter(pole, drive):
+    """x[t] = pole * x[t-1] + drive[t] along the last axis by scipy's lfilter."""
+    from scipy.signal import lfilter
+    return lfilter([1.0], [1.0, -pole], drive, axis=-1)
+
+
+def _time_domain_filter(cfg, arr):
+    """The demodulation filter in the time domain: butter + sosfiltfilt, or
+    uniform_filter1d with constant edges, along the last axis."""
+    if cfg.demod_filter == "butter4":
+        from scipy.signal import butter, sosfiltfilt
+        sos = butter(4, cfg.demod_bandwidth, fs=cfg.sample_rate, output="sos")
+        return sosfiltfilt(sos, arr, axis=-1)
+    from scipy.ndimage import uniform_filter1d
+    width = max(1, int(round(cfg.sample_rate / (2.0 * cfg.demod_bandwidth))))
+    return uniform_filter1d(arr, size=width, axis=-1, mode="constant")
+
+
+def time_domain_impulse_response(cfg, n_imp=8192):
+    """The time-domain filter's response to a unit impulse at n_imp // 2."""
+    imp = np.zeros(n_imp)
+    imp[n_imp // 2] = 1.0
+    return _time_domain_filter(cfg, imp)
+
+
+def time_domain_demodulate(plan, v):
+    """Mix, filter the real and imaginary parts in the time domain, then keep
+    every decimate-th sample at plan.cols."""
+    cos_t, sin_t = plan.mix_phases()
+    mixed = v * (cos_t + 1j * sin_t)
+    zf = math.sqrt(2.0) * (_time_domain_filter(plan.cfg, mixed.real)
+                           + 1j * _time_domain_filter(plan.cfg, mixed.imag))
+    return zf[..., plan.cols]

@@ -200,6 +200,9 @@ _BAD_CONFIGS = [
           "--click-seconds", "-1"]),
     ({}, ["--threads", "-1", *_SIMULATE, "--herald", "none", "--n-traces", "10"]),
     ({}, ["--threads", "0", *_SIMULATE, "--herald", "none", "--n-traces", "10"]),
+    # a heralded trace too short for steady-state wings is refused up front
+    ({}, ["simulate", "--n-traces", "20", "--trace-len", "1024",
+          "--click-seconds", "0"]),
     # finite inputs whose derived quantities leave the double range: the
     # photon energy, 1/(dt*sample_rate) and the counts per gate
     ({"system": {"wavelength": 1e308}}, ["budget"]),
@@ -214,6 +217,7 @@ class TestConfigValues:
                                                          doc, command):
         assert run_with(doc, tmp_path, outdir, *command) == 2
         _no_non_finite_files(outdir)
+        assert not list(outdir.glob("ensemble_*"))
 
     def test_every_dataclass_field_is_a_config_key(self, tmp_path, outdir):
         defaults = cli.RunConfig()
@@ -285,8 +289,21 @@ code = 0
 if sys.argv[1:]:
     from phonon_forge import cli
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))
-""".format(heavy=_HEAVY_SCIPY)
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def _scipy_loaded_by(tmp_path, command):
+    """(exit code, the scipy modules loaded) of command in a fresh interpreter,
+    so nothing imported by other tests counts."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["--out", str(tmp_path), *command] if command else []
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 @pytest.mark.parametrize("command,loaded", [
@@ -298,14 +315,20 @@ print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))
     (["wigner", "--n", "1"], []),
 ], ids=["import", "budget", "characterize", "variance", "marginal", "wigner"])
 def test_command_imports_only_the_scipy_it_runs(tmp_path, command, loaded):
-    # a fresh interpreter, so nothing imported by other tests counts
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    argv = ["--out", str(tmp_path), *command] if command else []
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert json.loads(out.splitlines()[-1]) == [0, loaded]
+    code, modules = _scipy_loaded_by(tmp_path, command)
+    assert [code, [m for m in _HEAVY_SCIPY if m in modules]] == [0, loaded]
+
+
+@pytest.mark.parametrize("command", [
+    [],
+    ["budget"],
+    ["variance", "--n", "2"],
+    ["marginal", "--n", "2"],
+    ["wigner", "--n", "1"],
+    ["simulate", "--n-traces", "8", "--trace-len", "2048", "--click-seconds", "0.01"],
+], ids=["import", "budget", "variance", "marginal", "wigner", "simulate"])
+def test_command_runs_without_scipy(tmp_path, command):
+    assert _scipy_loaded_by(tmp_path, command) == [0, []]
 
 
 def test_overflowing_budget_exits_3_and_writes_nothing(tmp_path, outdir):

@@ -6,6 +6,7 @@ import pytest
 from phonon_forge import dynamics as dyn
 from phonon_forge import phase_space as ps
 from phonon_forge import simulator as sim
+from phonon_forge import _formats
 from phonon_forge._formats import write_csv, write_json
 from phonon_forge.errors import NumericsError
 
@@ -99,3 +100,15 @@ def test_json_refuses_non_finite_floats(tmp_path, bad):
     with pytest.raises(NumericsError):
         write_json(path, {"ok": 1.0, "nested": {"value": float(bad)}})
     assert not path.exists()
+
+
+def test_csv_bytes_match_row_by_row_formatting(tmp_path):
+    # the batched writer against one % per row, across a partial last batch
+    n = 2 * _formats._BATCH_ROWS + 37
+    rng = np.random.default_rng(4)
+    columns = [np.arange(n) - 5000, rng.random(n) < 0.5,
+               rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)]
+    write_csv(tmp_path / "x.csv", "i,b,x", columns)
+    expected = "i,b,x\n" + "".join(
+        "%d,%d,%.17g\n" % row for row in zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "x.csv").read_bytes() == expected.encode()

@@ -15,7 +15,8 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import simulate_fields
+from oracles import ar1_lfilter, simulate_fields, time_domain_demodulate, \
+    time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,69 @@ class TestHeterodyneAndDemod:
         # constancy is limited by the filter's rejection of the 2*w_het image
         np.testing.assert_allclose(x[m:-m], amp.real, rtol=1e-4)
         np.testing.assert_allclose(p[m:-m], amp.imag, rtol=1e-4)
+
+
+class TestFrequencyDomainFilter:
+    """The NumPy kernels against the time-domain SciPy routes they replace."""
+
+    @pytest.mark.parametrize("adiabatic", [True, False])
+    def test_ar1_equals_lfilter_bit_for_bit(self, cfg, adiabatic):
+        # the poles the propagator uses: a float (adiabatic) and complex
+        # entries of the step matrix
+        model = sim.FieldModel(cfg.with_updates(adiabatic=adiabatic))
+        poles = [model.e_b] if adiabatic else [model.E[0, 0], model.E[1, 1]]
+        rng = np.random.Generator(np.random.Philox(21))
+        drive = sim._circular_normal((64, 3125), rng)
+        for pole in poles:
+            assert np.array_equal(sim._ar1(pole, drive), ar1_lfilter(pole, drive))
+
+    @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
+    @pytest.mark.parametrize("trace_len", [3125, 12500])
+    def test_demodulate_matches_time_domain(self, demod_filter, trace_len):
+        c = sim.SimConfig(trace_len=trace_len, demod_filter=demod_filter)
+        model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
+        plan = sim.DemodPlan(c, model)
+        rng = np.random.Generator(np.random.Philox(22))
+        _, a = model.evolve_block(*model.stationary_sample(16, rng), trace_len, rng)
+        v = plan.voltage_from_field(a, rng)
+        z, ref = plan.demodulate(v), time_domain_demodulate(plan, v)
+        assert z.shape == ref.shape == (16, plan.cols.size)
+        m = plan.margin_cols
+        rms = math.sqrt(np.mean(np.abs(z) ** 2))
+        assert np.abs(z - ref)[:, m:plan.cols.size - m].max() < 1e-9 * rms
+        # every column, the edges too, is the zero-padded linear filter by h
+        cos_t, sin_t = plan.mix_phases()
+        linear = [np.convolve(row * (cos_t + 1j * sin_t), plan.h)
+                  [plan.h_center:plan.h_center + trace_len] for row in v]
+        assert np.abs(z - math.sqrt(2.0) * np.array(linear)[:, plan.cols]).max() \
+            < 1e-9 * rms
+        # a single record is one row of the batch
+        one = plan.demodulate(v[3])
+        assert one.shape == (plan.cols.size,)
+        assert np.abs(one - ref[3])[m:plan.cols.size - m].max() < 1e-9 * rms
+
+    @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
+    def test_impulse_response_matches_time_domain(self, cfg, demod_filter):
+        plan = sim.DemodPlan(cfg.with_updates(demod_filter=demod_filter))
+        h = time_domain_impulse_response(plan.cfg)
+        support = np.nonzero(np.abs(h) > 1e-10 * np.abs(h).max())[0]
+        h = h[support[0]:support[-1] + 1]
+        assert plan.h.shape == h.shape
+        assert plan.h_center == 8192 // 2 - support[0]
+        assert np.abs(plan.h - h).max() < 1e-12 * np.abs(h).max()
+
+    @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
+    def test_response_is_finite_at_extreme_bandwidths(self, cfg, demod_filter):
+        f_het = cfg.params.omega_het / (2 * math.pi)
+        for bandwidth in (1.0, math.nextafter(f_het, 0.0)):
+            c = cfg.with_updates(demod_filter=demod_filter,
+                                 demod_bandwidth=bandwidth)
+            with np.errstate(over="raise", invalid="raise"):
+                plan = sim.DemodPlan(c)
+                z = plan.demodulate(np.ones((2, c.trace_len)))
+            assert np.isfinite(plan.h).all() and np.isfinite(z).all()
+            assert np.isfinite([plan.gain, plan.sigma_vac,
+                                plan.predicted_ratio(1)]).all()
 
 
 class TestHeraldedEnsembles:
