@@ -6,14 +6,25 @@ Neither writes a NaN or an infinity: both refuse before opening the file.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
 
 from .errors import NumericsError
 
-_BATCH_ROWS = 4096
+
+def _column_text(col):
+    """The text of each entry of col; when at most half of the entries are
+    distinct, each distinct value (by bit pattern) is formatted once."""
+    integral = col.dtype.kind in "biu"
+    fmt = "%d" if integral else "%.17g"
+    key = col if integral else col.view(f"i{col.itemsize}")   # keeps -0.0 apart
+    distinct, first, inverse = np.unique(key, return_index=True,
+                                         return_inverse=True)
+    if 2 * distinct.size > col.size:
+        return [fmt % v for v in col.tolist()]
+    text = np.array([fmt % v for v in col[first].tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def write_csv(path, header, columns):
@@ -22,14 +33,10 @@ def write_csv(path, header, columns):
     for name, col in zip(header.split(","), columns):
         if col.dtype.kind not in "biu" and not np.isfinite(col).all():
             raise NumericsError(f"column {name!r} of {path} is not finite")
-    row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g"
-                   for col in columns) + "\n"
-    flat = list(itertools.chain.from_iterable(zip(*(col.tolist() for col in columns))))
-    step = _BATCH_ROWS * len(columns)
+    rows = map(",".join, zip(*map(_column_text, columns)))
+    text = "\n".join([header, *rows]) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for part in (tuple(flat[lo:lo + step]) for lo in range(0, len(flat), step)):
-            fh.write(row * (len(part) // len(columns)) % part)   # a batch of rows
+        fh.write(text)
 
 
 def write_json(path, doc):

@@ -178,9 +178,13 @@ def cmd_simulate(cfg: RunConfig, args):
     require_positive("click_seconds", args.click_seconds, zero_ok=True)
     threads = _thread_count(args)
     sim = cfg.sim_config(trace_len=args.trace_len, n_traces=args.n_traces)
-    if args.herald != simulator.HERALD_NONE:     # refuse before any work
-        plan = simulator.DemodPlan(sim)
+    plan = simulator.DemodPlan(sim)              # refuse before any work
+    usable = slice(plan.margin_cols, plan.cols.size - plan.margin_cols)
+    if args.herald != simulator.HERALD_NONE:
         simulator.steady_wings(plan.taus, plan.margin_cols, plan.model.rate, ConfigError)
+    elif usable.start >= usable.stop:
+        raise ConfigError("trace too short: no column is clear of the filter's "
+                          "edge transients")
     out = _outdir(cfg, args)
     ens = simulator.run_ensemble(sim, herald_kind=args.herald,
                                  threads=threads)
@@ -197,7 +201,7 @@ def cmd_simulate(cfg: RunConfig, args):
                               "sigma_sq_inf_analytic":
                                   dynamics.steady_state_variance(cfg.params)}}
     report.update(simulator.variance_ratio_report(ens) if ens.order
-                  else {"sigma_sq_inf": float(np.mean(curve.values))})
+                  else {"sigma_sq_inf": float(np.mean(curve.values[usable]))})
 
     if args.click_seconds > 0:
         clicks = simulator.gated_click_stream(sim, args.click_seconds)

@@ -120,19 +120,45 @@ def anti_stokes_spectrum(params: SystemParams, coupling):
 
 
 def fit_linewidth(omegas, psd_values):
-    """Fit a Lorentzian peak; returns the half width at half maximum."""
-    from scipy.optimize import curve_fit
+    """Fit a Lorentzian peak; returns the half width at half maximum.
+
+    Levenberg-Marquardt on the least-squares objective of
+    amp / (1 + ((x - center) / width)^2), in the scaled coordinate
+    x = (omega - w0) / guess_width so that every parameter is of order one.
+    """
     omegas = np.asarray(omegas, dtype=float)
     vals = np.asarray(psd_values, dtype=float)
-
-    def model(w, amp, center, width):
-        return amp / (1.0 + ((w - center) / width) ** 2)
-
     w0 = float(omegas[np.argmax(vals)])
     half = omegas[vals > 0.5 * vals.max()]
     guess_width = max(0.5 * (half.max() - half.min()), omegas[1] - omegas[0])
-    popt, _ = curve_fit(model, omegas, vals, p0=(vals.max(), w0, guess_width))
-    return abs(popt[2])
+    x = (omegas - w0) / guess_width
+
+    def residual_and_jacobian(p):
+        amp, center, width = p
+        u = (x - center) / width
+        d = 1.0 / (1.0 + u * u)
+        du = 2.0 * amp * d * d * u / width        # d(model)/d(center)
+        return vals - amp * d, np.stack([d, du, du * u], axis=1)
+
+    p = np.array([vals.max(), 0.0, 1.0])
+    r, jac = residual_and_jacobian(p)
+    cost, damping = r @ r, 1e-3
+    for _ in range(200):
+        jtj = jac.T @ jac
+        step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), jac.T @ r)
+        r_new, jac_new = residual_and_jacobian(p + step)
+        cost_new = r_new @ r_new
+        if cost_new < cost:
+            p, r, jac, cost = p + step, r_new, jac_new, cost_new
+            damping *= 0.1
+            # the centre sits near 0 in scaled units: measure it against 1
+            if np.all(np.abs(step) <= 1e-10 * (np.abs(p) + (0.0, 1.0, 0.0))):
+                return abs(p[2]) * guess_width
+        else:
+            damping *= 10.0
+            if damping > 1e16:          # no step lowers the cost: a minimum
+                return abs(p[2]) * guess_width
+    raise NumericsError("Lorentzian linewidth fit did not converge")
 
 
 def fit_g0_from_spectra(params: SystemParams, n_cavs):

@@ -96,9 +96,20 @@ def _subtracted_logpmf(x, n, m):
 
 
 def _subtracted_tail(spec, n, m_max):
-    """Exact mass above m_max: the negative-binomial survival, n+1 failures."""
-    from scipy.stats import nbinom
-    return float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
+    """Exact mass above m_max: at most n failures (probability 1 - x each) in
+    N = m_max + n + 1 trials, sum_k binom(N, k) (1-x)^k x^(N-k) for k <= n.
+
+    Each term is summed from logs; binom(N, k) is built as a product of k
+    ratios so that no large log-gamma difference loses digits.
+    """
+    x, trials = spec.x, m_max + n + 1
+    log_x, log_q = math.log(x), math.log1p(-x)
+    log_term = trials * log_x                    # k = 0
+    total = math.exp(log_term)
+    for k in range(1, n + 1):
+        log_term += math.log((trials - k + 1) / k) + log_q - log_x
+        total += math.exp(log_term)
+    return total
 
 
 def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:

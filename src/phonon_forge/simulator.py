@@ -161,17 +161,38 @@ class FieldModel:
             self.L_s = _chol_psd(self.Sigma)
             self.var_a = sig_aa
 
-    def step_states(self, b, a, rng):
-        """Advance bare state vectors by one exact step of self.dt."""
-        z = _circular_normal((2, b.size), rng)
+    @staticmethod
+    def step_scratch(n):
+        """The scratch step_states needs for state vectors of n elements."""
+        return np.empty((2, 2, n)), np.empty((4, n), dtype=complex)
+
+    def step_states(self, b, a, rng, work):
+        """Advance the state vectors b and a in place by one exact step of
+        self.dt, using work from step_scratch(b.size) as scratch."""
+        normals, buf = work
+        z, tmp = buf[:2], buf[2:]
+        rng.standard_normal(out=normals)        # real parts, then imaginary
+        z.real, z.imag = normals
+        z /= math.sqrt(2.0)                     # as _circular_normal((2, n))
         if self.adiabatic:
-            b_new = self.e_b * b + math.sqrt(self.q_b) * z[0]
-            return b_new, self.a_of_b * b_new
-        wb = self.L_q[0, 0] * z[0] + self.L_q[0, 1] * z[1]
-        wa = self.L_q[1, 0] * z[0] + self.L_q[1, 1] * z[1]
-        a_new = self.E[1, 1] * a + self.E[1, 0] * b + wa
-        b_new = self.E[0, 0] * b + wb
-        return b_new, a_new
+            b *= self.e_b
+            z[0] *= math.sqrt(self.q_b)
+            b += z[0]
+            np.multiply(b, self.a_of_b, out=a)
+            return
+        l_q, e = self.L_q, self.E
+        np.multiply(z[0], l_q[1, 0], out=tmp[0])
+        np.multiply(z[1], l_q[1, 1], out=tmp[1])
+        tmp[0] += tmp[1]                        # the drive of a
+        z[0] *= l_q[0, 0]
+        z[1] *= l_q[0, 1]
+        z[0] += z[1]                            # the drive of b
+        a *= e[1, 1]
+        np.multiply(b, e[1, 0], out=tmp[1])
+        a += tmp[1]
+        a += tmp[0]
+        b *= e[0, 0]
+        b += z[0]
 
     def correlation_a(self, tau):
         """Analytic <a*(0) a(tau)> of this model (real valued)."""
@@ -259,6 +280,10 @@ class DemodPlan:
         n_imp = 8192
         h = np.fft.fftshift(np.fft.ifft(self.response(n_imp)).real)
         support = np.nonzero(np.abs(h) > 1e-10 * np.abs(h).max())[0]
+        if support[0] == 0 or support[-1] == n_imp - 1:
+            raise ConfigError(
+                f"demod_bandwidth {cfg.demod_bandwidth!r} Hz is too narrow: the "
+                f"filter's impulse response does not fit in {n_imp} samples")
         self.h = h[support[0]:support[-1] + 1]
         self.h_center = n_imp // 2 - support[0]
         self.noise_gain = float(np.sum(self.h ** 2))
@@ -582,6 +607,20 @@ def _register_events(times, det, dark, dead_time):
     return times[kept], det[kept], dark[kept]
 
 
+def _gate_intensities(model, n_gates, m_steps, rng):
+    """|a|^2 of n_gates independent stationary snippets at m_steps successive
+    steps of model.dt, time-major: row j is step j of every gate."""
+    b, a = model.stationary_sample(n_gates, rng)
+    work = model.step_scratch(n_gates)
+    intens = np.empty((m_steps, n_gates))
+    for j, row in enumerate(intens):
+        np.abs(a, out=row)
+        np.square(row, out=row)
+        if j + 1 < m_steps:
+            model.step_states(b, a, rng, work)
+    return intens
+
+
 def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
     """Click stream over a long duration via per-gate field snapshots.
 
@@ -615,16 +654,14 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
         hi = min(lo + per_block, n_gates)
         rng = np.random.Generator(np.random.Philox(seeds[bi]))
         nb = hi - lo
-        b, a = model.stationary_sample(nb, rng)
-        intens = np.empty((nb, m_steps))
-        for j in range(m_steps):
-            intens[:, j] = np.abs(a) ** 2
-            if j + 1 < m_steps:
-                b, a = model.step_states(b, a, rng)
-        lam = r_registered * intens / model.var_a if model.var_a > 0 \
-            else np.zeros_like(intens)
+        lam = _gate_intensities(model, nb, m_steps, rng)
+        if model.var_a > 0:                 # the registered rate, in place
+            lam *= r_registered
+            lam /= model.var_a
+        else:
+            lam[...] = 0.0
         gate_starts = (lo + np.arange(nb)) / spad.gate_rate
-        blocks.append(_draw_events(lam, gate_starts, dt, spad, duration, rng))
+        blocks.append(_draw_events(lam.T, gate_starts, dt, spad, duration, rng))
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
                                         spad.dead_time)

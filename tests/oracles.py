@@ -1,6 +1,6 @@
 """References the tests check the package against, each by a route the
 package does not take: ladder operators, sampling, direct summation,
-beamsplitter quadrature."""
+beamsplitter quadrature, and the SciPy routines the package replaced."""
 
 import math
 
@@ -157,3 +157,49 @@ def time_domain_demodulate(plan, v):
     zf = math.sqrt(2.0) * (_time_domain_filter(plan.cfg, mixed.real)
                            + 1j * _time_domain_filter(plan.cfg, mixed.imag))
     return zf[..., plan.cols]
+
+
+def curve_fit_linewidth(omegas, psd_values):
+    """fit_linewidth's Lorentzian fit by scipy's curve_fit, from the same
+    starting point."""
+    from scipy.optimize import curve_fit
+
+    def model(w, amp, center, width):
+        return amp / (1.0 + ((w - center) / width) ** 2)
+
+    w0 = float(omegas[np.argmax(psd_values)])
+    half = omegas[psd_values > 0.5 * psd_values.max()]
+    guess_width = max(0.5 * (half.max() - half.min()), omegas[1] - omegas[0])
+    popt, _ = curve_fit(model, omegas, psd_values,
+                        p0=(psd_values.max(), w0, guess_width))
+    return abs(popt[2])
+
+
+def nbinom_tail(spec, n, m_max):
+    """The subtracted state's mass above m_max as scipy's negative-binomial
+    survival function, n+1 failures."""
+    from scipy.stats import nbinom
+    return float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
+
+
+def _step_states_allocating(model, b, a, rng):
+    """One exact step of model.dt into new arrays."""
+    z = sim._circular_normal((2, b.size), rng)
+    if model.adiabatic:
+        b_new = model.e_b * b + math.sqrt(model.q_b) * z[0]
+        return b_new, model.a_of_b * b_new
+    wb = model.L_q[0, 0] * z[0] + model.L_q[0, 1] * z[1]
+    wa = model.L_q[1, 0] * z[0] + model.L_q[1, 1] * z[1]
+    return model.E[0, 0] * b + wb, model.E[1, 1] * a + model.E[1, 0] * b + wa
+
+
+def gate_intensities_stepwise(model, n_gates, m_steps, rng):
+    """simulator._gate_intensities by a gate-major loop that allocates every
+    step, returned transposed to the same (m_steps, n_gates) layout."""
+    b, a = model.stationary_sample(n_gates, rng)
+    intens = np.empty((n_gates, m_steps))
+    for j in range(m_steps):
+        intens[:, j] = np.abs(a) ** 2
+        if j + 1 < m_steps:
+            b, a = _step_states_allocating(model, b, a, rng)
+    return intens.T

@@ -7,7 +7,7 @@ from phonon_forge import dynamics as dyn
 from phonon_forge.errors import ConfigError
 from phonon_forge.params import TWO_PI
 
-from oracles import wick_oracle
+from oracles import curve_fit_linewidth, wick_oracle
 
 
 class TestCharacterizationChain:
@@ -87,6 +87,26 @@ class TestSpectrum:
         g0_fit, gamma_fit = dyn.fit_g0_from_spectra(params, n_cavs)
         assert abs(g0_fit - params.g0) / params.g0 < 0.05
         assert abs(gamma_fit - params.gamma) / params.gamma < 0.05
+
+    def test_linewidth_fit_matches_curve_fit(self, params):
+        # the sweep fit_g0_from_spectra makes at the default power; both fits
+        # stop on their own tolerances, curve_fit's being 1.5e-8 in the step
+        n_cav = dyn.characterize(params).n_cav
+        for n in n_cav * np.linspace(0.2, 1.0, 5):
+            chain = dyn.characterize(params, n)
+            half = 10.0 * chain.gamma_eff
+            omegas = np.linspace(-half, half, 4001)
+            psd = dyn.anti_stokes_spectrum(params, chain.coupling)(
+                params.omega_het + omegas)
+            assert dyn.fit_linewidth(omegas, psd) == pytest.approx(
+                curve_fit_linewidth(omegas, psd), rel=1e-9)
+
+    @pytest.mark.parametrize("center,width", [(0.0, 1.0), (3e7, 2e7), (-0.4, 0.05)])
+    def test_linewidth_fit_is_exact_on_a_lorentzian(self, center, width):
+        # a grid not centred on the peak, whose width the guess overestimates
+        omegas = center + width * np.linspace(-7.0, 9.0, 301)
+        psd = 2.5 / (1.0 + ((omegas - center) / width) ** 2)
+        assert dyn.fit_linewidth(omegas, psd) == pytest.approx(width, rel=1e-12)
 
 
 class TestCorrelation:

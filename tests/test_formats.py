@@ -6,7 +6,6 @@ import pytest
 from phonon_forge import dynamics as dyn
 from phonon_forge import phase_space as ps
 from phonon_forge import simulator as sim
-from phonon_forge import _formats
 from phonon_forge._formats import write_csv, write_json
 from phonon_forge.errors import NumericsError
 
@@ -103,12 +102,21 @@ def test_json_refuses_non_finite_floats(tmp_path, bad):
 
 
 def test_csv_bytes_match_row_by_row_formatting(tmp_path):
-    # the batched writer against one % per row, across a partial last batch
-    n = 2 * _formats._BATCH_ROWS + 37
+    # the writer formats a repeated value once; the bytes must be those of
+    # one % per row, for columns with few and with many distinct values
+    side = 67
+    n = side * side
     rng = np.random.default_rng(4)
-    columns = [np.arange(n) - 5000, rng.random(n) < 0.5,
+    axis = np.linspace(-3.0, 3.0, side)
+    columns = [np.arange(n) - 5000,                                # int64
+               rng.random(n) < 0.5,                                # bool
+               rng.integers(-128, 128, n).astype(np.int8),         # int8
+               rng.choice([-0.0, 0.0, 2.5], n),                    # signed zeros
+               np.repeat(axis, side), np.tile(axis, side),
                rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)]
-    write_csv(tmp_path / "x.csv", "i,b,x", columns)
-    expected = "i,b,x\n" + "".join(
-        "%d,%d,%.17g\n" % row for row in zip(*(c.tolist() for c in columns)))
+    write_csv(tmp_path / "x.csv", "i,b,c,z,X,P,x", columns)
+    expected = "i,b,c,z,X,P,x\n" + "".join(
+        "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row
+        for row in zip(*(c.tolist() for c in columns)))
     assert (tmp_path / "x.csv").read_bytes() == expected.encode()
+    assert {"-0", "0"} <= {line.split(",")[3] for line in expected.splitlines()}

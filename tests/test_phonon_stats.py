@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from phonon_forge import phonon_stats as ps
 from phonon_forge.errors import ConfigError, TruncationError
 
-from oracles import fock_oracle
+from oracles import fock_oracle, nbinom_tail
 
 
 def spec(nbar):
@@ -57,6 +60,37 @@ class TestSubtractedPmf:
     def test_negative_order_rejected(self):
         with pytest.raises(ConfigError):
             ps.subtracted_pmf(spec(1.0), -1)
+
+
+class TestSubtractedTail:
+    @pytest.mark.parametrize("nbar", [1e-3, 0.5, 7.0, 453.0])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_exact_rational_sum(self, nbar, n):
+        # the same finite sum in exact rational arithmetic of the float x
+        s = spec(nbar)
+        x = Fraction(s.x)
+        for m_max in (0, 1, 7, 60, 200):
+            trials = m_max + n + 1
+            exact = float(sum(math.comb(trials, k) * (1 - x) ** k * x ** (trials - k)
+                              for k in range(n + 1)))
+            assert ps._subtracted_tail(s, n, m_max) == pytest.approx(exact, rel=1e-12)
+
+    def test_matches_nbinom_survival(self):
+        # scipy's nbinom.sf is itself off by up to 3.2e-10 relative here (at
+        # x = 1e-6, n = 6, m_max = 10, against a 40-digit sum), which sets
+        # the tolerance; tails that underflow to subnormals are compared
+        # absolutely
+        for x in np.geomspace(1e-6, 0.9999, 13):
+            s = spec(x / (1.0 - x))
+            for n in range(1, 9):
+                for m_max in (0, 1, 10, 1000, 10**5, 2 * 10**5):
+                    assert ps._subtracted_tail(s, n, m_max) == pytest.approx(
+                        nbinom_tail(s, n, m_max), rel=1e-9, abs=1e-300)
+
+    def test_tail_completes_the_pmf(self):
+        pmf = ps.subtracted_pmf(spec(3.0), 2, m_max=40)
+        assert pmf.tail_mass > 1e-6
+        assert pmf.total_mass() == pytest.approx(1.0, rel=1e-14)
 
 
 class TestAddedPmf:

@@ -15,8 +15,8 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import ar1_lfilter, simulate_fields, time_domain_demodulate, \
-    time_domain_impulse_response
+from oracles import ar1_lfilter, gate_intensities_stepwise, simulate_fields, \
+    time_domain_demodulate, time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -222,10 +222,14 @@ class TestFrequencyDomainFilter:
         assert plan.h_center == 8192 // 2 - support[0]
         assert np.abs(plan.h - h).max() < 1e-12 * np.abs(h).max()
 
+    # the narrowest round bandwidths whose impulse response fits the 8192-point
+    # grid: a boxcar of 8181 samples, and a butter4 above the 6.56-7.29 MHz
+    # band where acceptance flickers as the response's 1e-10 tail meets the edge
     @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
     def test_response_is_finite_at_extreme_bandwidths(self, cfg, demod_filter):
+        narrowest = {"butter4": 7.3e6, "boxcar": 1.91e5}[demod_filter]
         f_het = cfg.params.omega_het / (2 * math.pi)
-        for bandwidth in (1.0, math.nextafter(f_het, 0.0)):
+        for bandwidth in (narrowest, math.nextafter(f_het, 0.0)):
             c = cfg.with_updates(demod_filter=demod_filter,
                                  demod_bandwidth=bandwidth)
             with np.errstate(over="raise", invalid="raise"):
@@ -234,6 +238,11 @@ class TestFrequencyDomainFilter:
             assert np.isfinite(plan.h).all() and np.isfinite(z).all()
             assert np.isfinite([plan.gain, plan.sigma_vac,
                                 plan.predicted_ratio(1)]).all()
+        # a response wrapped around the grid would give a wrong noise gain
+        for bandwidth in (1.0, 0.98 * narrowest):
+            with pytest.raises(ConfigError, match="too narrow"):
+                sim.DemodPlan(cfg.with_updates(demod_filter=demod_filter,
+                                               demod_bandwidth=bandwidth))
 
 
 class TestHeraldedEnsembles:
@@ -429,6 +438,19 @@ class TestClicks:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.detector, b.detector)
         assert np.array_equal(a.is_dark, b.is_dark)
+
+    @pytest.mark.parametrize("adiabatic", [False, True])
+    def test_click_stream_equals_the_stepwise_oracle(self, cfg, monkeypatch,
+                                                     adiabatic):
+        # 205 000 gates: a full block of 200 000 and a partial one
+        c = cfg.with_updates(adiabatic=adiabatic)
+        fast = sim.gated_click_stream(c, 4.1, seed=8)
+        monkeypatch.setattr(sim, "_gate_intensities", gate_intensities_stepwise)
+        slow = sim.gated_click_stream(c, 4.1, seed=8)
+        assert fast.n_events > 100
+        assert np.array_equal(fast.times, slow.times)
+        assert np.array_equal(fast.detector, slow.detector)
+        assert np.array_equal(fast.is_dark, slow.is_dark)
 
     def test_trajectory_thinning_rate(self, cfg):
         # one constant-intensity row per gate, as gated_click_stream lays out
