@@ -11,8 +11,8 @@ from .phonon_stats import NumberPmf, ThermalSpec, added_pmf, add_sub_fidelity, \
     mean_occupation, similarity_threshold, subtracted_pmf, thermal_pmf
 from .phase_space import GridConfig, Marginal, PhaseSpaceGrid, RingGeometry, \
     StateSpec, added_noise_quanta, gaussian_kernel, marginal_from_grid, \
-    measured_marginal, measured_marginal_general, p_function, \
-    quadrature_marginal, ring_radius, s_from_eta, wigner_s
+    measured_marginal, p_function, quadrature_marginal, ring_radius, \
+    s_from_eta, wigner_s
 from .dynamics import Characterization, VarianceCurve, anti_stokes_spectrum, \
     characterize, cooled_occupation, cooperativity, effective_linewidth, \
     heralded_variance, steady_state_variance, variance_curve

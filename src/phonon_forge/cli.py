@@ -146,11 +146,13 @@ def cmd_wigner(cfg: RunConfig, args):
 def cmd_marginal(cfg: RunConfig, args):
     out = _outdir(cfg, args)
     spec = _state_spec(cfg, args)
-    xmax = 5.0 * math.sqrt(1.0 + spec.eta_nbar) if args.xmax is None else args.xmax
+    # five standard deviations of the order-n marginal, variance 1 + (n+1) eta nbar
+    xmax = 5.0 * math.sqrt(1.0 + (spec.n + 1) * spec.eta_nbar) if args.xmax is None \
+        else args.xmax
     require_positive("xmax", xmax)
     require_integer("npts", args.npts, 2)
     xs = np.linspace(-xmax, xmax, args.npts)
-    marg = phase_space.marginal_on_grid(phase_space.measured_marginal_general(spec), xs)
+    marg = phase_space.marginal_on_grid(phase_space.measured_marginal(spec), xs)
     path = out / f"marginal_n{args.n}.csv"
     phase_space.write_marginal(marg, path)
     print(f"wrote {path} (integral={marg.integral():.6f})")

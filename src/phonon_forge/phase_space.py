@@ -35,14 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._formats import write_csv, write_json
-from .errors import ConfigError, GridError, NumericsError
+from .errors import ConfigError, GridError
 from .params import require_integer, require_positive
 
 UNITS_HETERODYNE = "heterodyne_vacuum"
 UNITS_ZERO_POINT = "zero_point"
 _VALID_UNITS = (UNITS_HETERODYNE, UNITS_ZERO_POINT)
-
-LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +160,54 @@ def added_noise_quanta(s):
 
 
 # ---------------------------------------------------------------------------
-# pointwise phase-space functions
+# the smoothed P-family
 # ---------------------------------------------------------------------------
+
+def _smoothed_p(occupation, n, var_k, marginal=False):
+    """The n-subtracted thermal P-function at `occupation`, convolved with an
+    isotropic Gaussian of per-quadrature variance var_k (Cahill & Glauber,
+    Phys. Rev. 177, 1857 (1969)).  With V = occupation + var_k the
+    convolution is finite:
+
+        W(X, P) = e^(-w) / (2 pi V) sum_k c_k w^k,   w = (X^2 + P^2) / (2V),
+        c_k = binom(n, k) / k! (var_k/V)^(n-k) (occupation/V)^k.
+
+    var_k = 0 is the P-function itself and occupation = 0 the bare kernel.
+    With marginal=True the callable is the exact projection onto X,
+    e^(-y) / sqrt(2 pi V) sum_e d_e y^e with y = X^2/(2V) and
+    d_e = sum_{k>=e} c_k binom(k, e) Gamma(k-e+1/2) / Gamma(1/2).  Every
+    sum runs over logarithms, so no order overflows.
+    """
+    v = occupation + var_k
+    lg = math.lgamma
+    with np.errstate(divide="ignore"):
+        log_u, log_t = np.log(var_k / v), np.log(occupation / v)
+    log_c = [lg(n + 1) - 2.0 * lg(k + 1) - lg(n - k + 1)
+             + (log_u * (n - k) if k < n else 0.0) + (log_t * k if k else 0.0)
+             for k in range(n + 1)]
+    if marginal:
+        log_c = [np.logaddexp.reduce([
+            log_c[k] + lg(k + 1) - lg(e + 1) - lg(k - e + 1) + lg(k - e + 0.5) - lg(0.5)
+            for k in range(e, n + 1)]) for e in range(n + 1)]
+    terms = [(e, c) for e, c in enumerate(log_c) if c > -math.inf]
+    log_norm = (1 if marginal else 2) * 0.5 * math.log(2.0 * math.pi * v)
+
+    def density(*coords):
+        y = sum(np.square(np.asarray(c, dtype=float)) for c in coords) / (2.0 * v)
+
+        def log_terms():         # c_e + e log y, with no log y in the e = 0 term
+            return (c + e * log_y if e else c for e, c in terms)
+
+        with np.errstate(divide="ignore"):
+            log_y = np.log(y)
+            top = np.full(y.shape, np.finfo(float).min)
+            for term in log_terms():
+                np.maximum(top, term, out=top)
+            total = sum(np.exp(term - top) for term in log_terms())
+            return np.exp(top + np.log(total) - y - log_norm)
+
+    return density
+
 
 def p_function(spec: StateSpec):
     """Diagonal coherent-state density of the detected state, over dX dP.
@@ -176,44 +220,16 @@ def p_function(spec: StateSpec):
     n_eff = spec.eta_nbar
     if spec.n >= 1 and n_eff <= 0.0:
         raise ConfigError("n >= 1 requires a strictly positive occupation")
-    return _p_function_raw(n_eff, spec.n)
-
-
-def _p_function_raw(occupation, n):
-    if occupation < 0:
-        raise ConfigError("occupation must be >= 0")
-    if occupation == 0.0:
+    if n_eff == 0.0:
         raise ConfigError("occupation 0 has a singular diagonal representation")
-    log_norm = (math.log(2.0 * math.pi) + math.lgamma(n + 1)
-                + (n + 1) * math.log(occupation))
-
-    def density(x, p):
-        r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(p, dtype=float) ** 2
-        if n == 0:
-            return np.exp(-r2 / (2.0 * occupation) - log_norm)
-        with np.errstate(divide="ignore"):
-            log_ring = n * np.log(r2 / 2.0)
-        return np.exp(log_ring - r2 / (2.0 * occupation) - log_norm)
-
-    return density
+    return _smoothed_p(n_eff, spec.n, 0.0)
 
 
 def gaussian_kernel(s):
     """Isotropic smoothing kernel exp(-(X^2+P^2)/(1-s)) / (pi (1-s))."""
     if s >= 1.0:
         raise ConfigError("kernel requires s < 1")
-    width = 1.0 - s
-
-    def density(x, p):
-        r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(p, dtype=float) ** 2
-        return np.exp(-r2 / width) / (math.pi * width)
-
-    return density
-
-
-def kernel_sigma(s):
-    """Per-quadrature standard deviation sqrt((1-s)/2) of the kernel."""
-    return math.sqrt((1.0 - s) / 2.0)
+    return _smoothed_p(0.0, 0, (1.0 - s) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +237,8 @@ def kernel_sigma(s):
 # ---------------------------------------------------------------------------
 
 def _grid_geometry(spec, cfg, s_override):
-    """Resolve (occupation, build s, tag s, half width) for both unit systems."""
+    """Resolve (occupation, kernel variance, tag s, half width) for both unit
+    systems."""
     if cfg.units == UNITS_ZERO_POINT:
         occupation = spec.nbar
         s_build = s_from_eta(spec.eta) if s_override is None else float(s_override)
@@ -234,72 +251,30 @@ def _grid_geometry(spec, cfg, s_override):
         occupation = spec.eta_nbar
         s_build = -1.0
         s_tag = s_from_eta(spec.eta)
-    var = occupation + (1.0 - s_build) / 2.0
-    half_width = cfg.half_width if cfg.half_width is not None else 5.0 * math.sqrt(var)
-    return occupation, s_build, s_tag, half_width
+    var_k = (1.0 - s_build) / 2.0
+    half_width = cfg.half_width if cfg.half_width is not None \
+        else 5.0 * math.sqrt(occupation + var_k)
+    return occupation, var_k, s_tag, half_width
 
 
 def wigner_s(spec: StateSpec, cfg: GridConfig | None = None,
              s_override=None) -> PhaseSpaceGrid:
-    """Convolve the state's diagonal density with the smoothing kernel.
+    """The state's diagonal density smoothed by the kernel, on a grid.
 
     Produces the distribution sampled by dual-quadrature detection: in
     heterodyne units the effective occupation eta*nbar smoothed by one vacuum
     unit, in zero-point units the bare nbar smoothed by the kernel at
-    s = (eta-2)/eta (or an explicit s_override).  FFT convolution on a
-    zero-padded grid; the padding always covers five kernel widths.
+    s = (eta-2)/eta (or an explicit s_override).
     """
     cfg = cfg or GridConfig()
-    occupation, s_build, s_tag, half_width = _grid_geometry(spec, cfg, s_override)
-
+    occupation, var_k, s_tag, half_width = _grid_geometry(spec, cfg, s_override)
+    if spec.n >= 1 and occupation == 0.0:
+        raise ConfigError("n >= 1 requires a strictly positive occupation")
     axis = np.linspace(-half_width, half_width, cfg.npts)
-    d = axis[1] - axis[0]
-    sig_k = kernel_sigma(s_build)
-
-    if occupation == 0.0:
-        if spec.n >= 1:
-            raise ConfigError("n >= 1 requires a strictly positive occupation")
-        x, p = np.meshgrid(axis, axis, indexing="ij")
-        values = gaussian_kernel(s_build)(x, p)
-        grid = PhaseSpaceGrid(half_width, cfg.npts, values, s_tag, cfg.units)
-        _validate_grid(grid)
-        return grid
-
-    sig_p = math.sqrt(occupation)
-    if sig_p < 3.0 * d:
-        raise NumericsError(
-            "grid too coarse for the pre-smoothing density "
-            f"(sigma={sig_p:.3g}, cell={d:.3g}); increase npts")
-
-    pad = int(math.ceil(5.0 * sig_k / d))
-    axis_pad = -(half_width + pad * d) + d * np.arange(cfg.npts + 2 * pad)
-
-    xp, pp = np.meshgrid(axis_pad, axis_pad, indexing="ij")
-    pvals = _p_function_raw(occupation, spec.n)(xp, pp)
-
-    k_axis = d * np.arange(-pad, pad + 1)
-    kx, kp = np.meshgrid(k_axis, k_axis, indexing="ij")
-    kvals = gaussian_kernel(s_build)(kx, kp)
-
-    # the linear convolution as one real FFT product, kept to its valid part
-    p, k = pvals.shape[0], kvals.shape[0]
-    shape, axes = [fast_len(p + k - 1)] * 2, (0, 1)
-    full = np.fft.irfftn(np.fft.rfftn(pvals, shape, axes)
-                         * np.fft.rfftn(kvals, shape, axes), shape, axes)
-    values = full[k - 1:p, k - 1:p] * d * d
-    if values.shape != (cfg.npts, cfg.npts):
-        raise NumericsError("unexpected convolution output shape")
-    values = np.maximum(values, 0.0)
-
+    values = _smoothed_p(occupation, spec.n, var_k)(axis[:, None], axis[None, :])
     grid = PhaseSpaceGrid(half_width, cfg.npts, values, s_tag, cfg.units)
     _validate_grid(grid)
     return grid
-
-
-def fast_len(n):
-    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms quickly."""
-    odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
-    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
 
 
 def _validate_grid(grid):
@@ -314,17 +289,8 @@ def _validate_grid(grid):
 
 
 # ---------------------------------------------------------------------------
-# closed-form marginals
+# marginals
 # ---------------------------------------------------------------------------
-
-def _log_binom(a, b):
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
-def _log_gamma_half(q):
-    """log Gamma(q + 1/2) through the exact half-integer identity."""
-    return math.lgamma(2 * q + 1) - q * math.log(4.0) - math.lgamma(q + 1) + LOG_SQRT_PI
-
 
 def quadrature_marginal(nbar, n):
     """Quadrature distribution of the n-subtracted state itself (no detection).
@@ -334,98 +300,22 @@ def quadrature_marginal(nbar, n):
     """
     if int(n) != n or n < 0:
         raise ConfigError("n must be a non-negative integer")
-    n = int(n)
     if n >= 1 and nbar <= 0:
         raise ConfigError("n >= 1 requires nbar > 0")
     if nbar < 0:
         raise ConfigError("nbar must be >= 0")
-    w = 1.0 + 2.0 * nbar
-    log_pref = -(math.lgamma(n + 1) + 1.5 * math.log(math.pi) + 0.5 * math.log(w))
-
-    powers = np.zeros(n + 1)
-    for k in range(n + 1):
-        for l in range(k + 1):
-            logc = (_log_binom(n, k) + _log_binom(2 * k, 2 * l)
-                    + _log_gamma_half(n - k) + _log_gamma_half(l))
-            e = k - l
-            if nbar > 0:
-                logc += e * math.log(2.0 * nbar) - (2 * k - l) * math.log(w)
-            elif e > 0:
-                continue
-            powers[e] += math.exp(logc)
-    return _poly_gaussian(powers, log_pref, 1.0 / w)
+    return _smoothed_p(nbar, int(n), 0.5, marginal=True)
 
 
 def measured_marginal(spec: StateSpec):
-    """Detected quadrature distribution for n in {0, 1, 2}, closed form.
-
-    With m = eta*nbar the thermal case is a Gaussian of variance 1 + m; the
-    one- and two-subtraction cases pick up polynomial factors that become
-    bimodal once m crosses the non-Gaussianity thresholds.
-    """
-    m = spec.eta_nbar
-    n = spec.n
-    if n not in (0, 1, 2):
-        raise ConfigError("closed forms cover n in {0, 1, 2}; "
-                          "use measured_marginal_general for higher orders")
-    v = 1.0 + m
-
-    if n == 0:
-        def density(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(-x**2 / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
-        return density
-
-    if n == 1:
-        c0 = (2.0 + m) / v
-        c2 = 4.0 * m / (2.0 * v) ** 2
-
-        def density(x):
-            x = np.asarray(x, dtype=float)
-            return (np.exp(-x**2 / (2.0 * v)) / math.sqrt(8.0 * math.pi * v)
-                    * (c0 + c2 * x**2))
-        return density
-
-    c0 = (8.0 + 8.0 * m + 3.0 * m**2) / (4.0 * v**2)
-    c2 = (4.0 * m + m**2) / (2.0 * v**3)
-    c4 = (2.0 * m) ** 2 / (2.0 * v) ** 4
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return (np.exp(-x**2 / (2.0 * v)) / math.sqrt(8.0 * math.pi * v)
-                * (c0 + c2 * x**2 + c4 * x**4))
-    return density
-
-
-def measured_marginal_general(spec: StateSpec):
     """Detected quadrature distribution for any subtraction order.
 
-    Heterodyne detection smooths the P-function by one vacuum unit, twice the
-    smoothing of the state's own marginal, and the n-subtracted P-family is
-    closed under that rescaling: at m = eta*nbar this is
-    quadrature_marginal(m/2, n) stretched by sqrt(2), and the vacuum N(0, 1)
-    at m = 0.  Reduces to the explicit n <= 2 forms.
+    Heterodyne detection smooths the P-function at m = eta*nbar by one vacuum
+    unit, so the thermal case is a Gaussian of variance 1 + m; subtraction
+    adds polynomial factors that become bimodal once m crosses the
+    non-Gaussianity thresholds.  At m = 0 every order detects the vacuum.
     """
-    m = spec.eta_nbar
-    inner = quadrature_marginal(m / 2.0, spec.n if m > 0.0 else 0)
-    root = math.sqrt(2.0)
-    return lambda x: inner(np.asarray(x, dtype=float) / root) / root
-
-
-def _poly_gaussian(powers, log_pref, inv_two_var):
-    """Density x -> exp(log_pref) * sum_e powers[e] x^(2e) * exp(-x^2*inv_two_var)."""
-    scale = math.log(max(powers.max(), np.finfo(float).tiny))
-    coeff = powers * math.exp(-scale)
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        x2 = x * x
-        poly = np.zeros_like(x2)
-        for c in coeff[::-1]:
-            poly = poly * x2 + c
-        return np.exp(log_pref + scale - x2 * inv_two_var) * poly
-
-    return density
+    return _smoothed_p(spec.eta_nbar, spec.n, 1.0, marginal=True)
 
 
 def ring_radius(n, eta_nbar) -> RingGeometry:

@@ -35,6 +35,9 @@ class ThermalSpec:
     def __post_init__(self):
         if not math.isfinite(self.nbar) or self.nbar < 0:
             raise ConfigError("nbar must be finite and >= 0")
+        if self.x == 1.0:
+            raise ConfigError(f"nbar={self.nbar!r} is too large: nbar/(1+nbar) "
+                              "rounds to 1")
 
     @property
     def x(self):

@@ -45,8 +45,7 @@ from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket,
 from .errors import ConfigError, NumericsError
 from .params import SpadConfig, SystemParams, TWO_PI, default_params, \
     default_spad, require_integer, require_positive
-from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, _VALID_UNITS, \
-    fast_len, s_from_eta
+from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, _VALID_UNITS, s_from_eta
 
 HERALD_NONE = "none"
 HERALD_SINGLE = "single"
@@ -243,6 +242,17 @@ def _ar1(pole, drive):
     return x.T
 
 
+def fast_len(n):
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms quickly."""
+    odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
+
+
+def _support(h):
+    """Indices where |h| exceeds 1e-10 of its peak."""
+    return np.nonzero(np.abs(h) > 1e-10 * np.abs(h).max())[0]
+
+
 def _chol_psd(mat):
     """Factor L with L L^dag = mat for Hermitian PSD mat, singular allowed."""
     try:
@@ -276,14 +286,18 @@ class DemodPlan:
         self.herald_col = int(np.nonzero(self.cols == self.center)[0][0])
         self.taus = (self.cols - self.center) * self.dt_s
 
-        # effective zero-phase impulse response, used for all calibrations
+        # effective zero-phase impulse response, used for all calibrations.
+        # Whether its 1e-10 support fits in n_imp samples is read on a grid
+        # twice as long, where the wrapped tails are far too small to cancel
+        # it, so the refusal switches at one bandwidth.
         n_imp = 8192
-        h = np.fft.fftshift(np.fft.ifft(self.response(n_imp)).real)
-        support = np.nonzero(np.abs(h) > 1e-10 * np.abs(h).max())[0]
-        if support[0] == 0 or support[-1] == n_imp - 1:
+        ends = _support(self._impulse(2 * n_imp))[[0, -1]] - n_imp
+        if ends[0] <= -(n_imp // 2) or ends[1] >= n_imp - 1 - n_imp // 2:
             raise ConfigError(
                 f"demod_bandwidth {cfg.demod_bandwidth!r} Hz is too narrow: the "
                 f"filter's impulse response does not fit in {n_imp} samples")
+        h = self._impulse(n_imp)
+        support = _support(h)
         self.h = h[support[0]:support[-1] + 1]
         self.h_center = n_imp // 2 - support[0]
         self.noise_gain = float(np.sum(self.h ** 2))
@@ -315,6 +329,10 @@ class DemodPlan:
         self.n_fft = d * fast_len(-(-(cfg.trace_len + self.h.size) // d))
         self._band_response = self.response(self.n_fft) * (math.sqrt(2.0) / d) \
             * np.exp(2j * math.pi * self.offset * np.fft.fftfreq(self.n_fft))
+
+    def _impulse(self, n):
+        """The response's n-point inverse DFT, centred on sample n // 2."""
+        return np.fft.fftshift(np.fft.ifft(self.response(n)).real)
 
     def response(self, n):
         """The filter's zero-phase frequency response on the n-point DFT grid."""
@@ -607,6 +625,9 @@ def _register_events(times, det, dark, dead_time):
     return times[kept], det[kept], dark[kept]
 
 
+_CLICK_BLOCK_BYTES = 64 << 20
+
+
 def _gate_intensities(model, n_gates, m_steps, rng):
     """|a|^2 of n_gates independent stationary snippets at m_steps successive
     steps of model.dt, time-major: row j is step j of every gate."""
@@ -627,7 +648,8 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
     Gates are free running at spad.gate_rate.  Successive gates are separated
     by far more than the field correlation time, so each gate gets an
     independent stationary field snippet evolved exactly across the gate.
-    Gates are processed in blocks of 200 000 with per-block random streams.
+    Gates are processed in blocks of up to 200 000, each within
+    _CLICK_BLOCK_BYTES of intensities, with per-block random streams.
     """
     require_positive("duration", duration)
     spad = cfg.spad
@@ -644,7 +666,11 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
         raise ConfigError("duration shorter than one gate period")
     r_registered = budget_mod.build_report(cfg.params, cfg.spad).singles_rate_ungated
 
-    per_block = 200_000
+    # the default 22 steps a gate keep 200 000-gate blocks, and so the streams
+    per_block = min(200_000, _CLICK_BLOCK_BYTES // (8 * m_steps))
+    if per_block < 1:
+        raise ConfigError(f"dt={cfg.dt:.3e} is too fine for the click stream: one "
+                          f"gate's {m_steps} steps pass {_CLICK_BLOCK_BYTES} bytes")
     n_blocks = (n_gates + per_block - 1) // per_block
     seeds = np.random.SeedSequence(cfg.seed if seed is None else seed).spawn(n_blocks)
 

@@ -1,11 +1,11 @@
 """References the tests check the package against, each by a route the
-package does not take: ladder operators, sampling, direct summation,
-beamsplitter quadrature, and the SciPy routines the package replaced."""
+package does not take: ladder operators, the number distribution, sampling,
+hand-written low-order forms, beamsplitter quadrature, and the SciPy
+routines the package replaced."""
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from phonon_forge import dynamics as dyn
 from phonon_forge import phase_space as ps
@@ -78,20 +78,39 @@ def simulate_fields(cfg, n_steps, n_traces, seed):
     return model.evolve_block(*model.stationary_sample(n_traces, rng), n_steps, rng)[1]
 
 
-def direct_wigner_s(spec, grid):
-    """wigner_s values on a zero_point grid at s(eta), by direct summation
-    over a kernel window of five kernel widths on the grid's own nodes."""
-    axis = grid.axis
-    d = axis[1] - axis[0]
-    pad = int(math.ceil(5.0 * ps.kernel_sigma(grid.s_param) / d))
-    axis_pad = -(grid.half_width + pad * d) + d * np.arange(grid.npts + 2 * pad)
-    density = ps.p_function(ps.StateSpec(nbar=spec.nbar, n=spec.n))
-    pvals = density(*np.meshgrid(axis_pad, axis_pad, indexing="ij"))
-    k_axis = d * np.arange(-pad, pad + 1)
-    kvals = ps.gaussian_kernel(grid.s_param)(*np.meshgrid(k_axis, k_axis,
-                                                          indexing="ij"))
-    windows = sliding_window_view(pvals, kvals.shape)
-    return np.maximum(np.einsum("ijkl,kl->ij", windows, kvals) * d * d, 0.0)
+def fock_q_function(nbar, n, x, p, m_max):
+    """Husimi Q of the n-subtracted thermal state over dX dP from its number
+    distribution: (1/2 pi) sum_k p_sub(k) e^(-w) w^k / k!, w = (X^2+P^2)/2."""
+    from scipy.stats import poisson
+    pmf = stats.subtracted_pmf(stats.ThermalSpec(nbar), n, m_max=m_max)
+    if pmf.tail_mass >= 1e-16:
+        raise TruncationError(f"tail mass {pmf.tail_mass:.3e} at m_max={m_max}")
+    w = (np.square(x) + np.square(p)) / 2.0
+    k = np.arange(m_max + 1).reshape((-1,) + (1,) * w.ndim)
+    return np.tensordot(pmf.probs, poisson.pmf(k, w), 1) / (2.0 * math.pi)
+
+
+def closed_form_marginal(spec):
+    """Detected quadrature distribution for n in {0, 1, 2}, written out by
+    hand.  With m = eta*nbar the thermal case is a Gaussian of variance
+    1 + m; one and two subtractions add polynomial factors."""
+    m = spec.eta_nbar
+    v = 1.0 + m
+    if spec.n == 0:
+        coeffs = (2.0,)
+    elif spec.n == 1:
+        coeffs = ((2.0 + m) / v, 0.0, 4.0 * m / (2.0 * v) ** 2)
+    elif spec.n == 2:
+        coeffs = ((8.0 + 8.0 * m + 3.0 * m**2) / (4.0 * v**2), 0.0,
+                  (4.0 * m + m**2) / (2.0 * v**3), 0.0, (2.0 * m) ** 2 / (2.0 * v) ** 4)
+    else:
+        raise ConfigError("the hand-written forms cover n in {0, 1, 2}")
+
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        return (np.exp(-x**2 / (2.0 * v)) / math.sqrt(8.0 * math.pi * v)
+                * np.polynomial.polynomial.polyval(x, coeffs))
+    return density
 
 
 def grid_to_heterodyne(grid, eta):

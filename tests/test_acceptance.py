@@ -7,9 +7,11 @@ eta*nbar = 4.1 the exact single-subtraction ridge sits ~21% outside it (the
 two-subtraction ridge happens to agree within a default grid cell).  The
 first clause of that criterion therefore fails for a faithful implementation.
 The exact ridge used for comparison is derived independently in conftest via
-a Fock-space expansion and reproduced by both the FFT and direct-summation
-convolutions, so the mismatch is a property of the stated target, not of the
-grids.
+a Fock-space expansion and reproduced by the closed-form grid, which matches
+the number-distribution Q-function oracle to 1e-12 of its peak, so the
+mismatch is a property of the stated target, not of the grids.  Criterion 5
+checks the grid's marginal against the hand-written n <= 2 forms in
+tests/oracles.py, not against the package's own series.
 """
 
 import math
@@ -25,7 +27,8 @@ from phonon_forge import simulator as sim
 from phonon_forge.params import TWO_PI, default_params, default_spad
 
 from conftest import exact_smoothed_ring_radius
-from oracles import fock_oracle, marginal_to_heterodyne, wick_oracle
+from oracles import closed_form_marginal, fock_oracle, marginal_to_heterodyne, \
+    wick_oracle
 
 THREADS = 2
 
@@ -104,7 +107,7 @@ def test_criterion_05_convolution_vs_closed_form():
                 spec = ps.StateSpec(nbar=eta_nbar / eta, n=n, eta=eta)
                 grid = ps.wigner_s(spec, ps.GridConfig(npts=513))
                 marg = marginal_to_heterodyne(ps.marginal_from_grid(grid), eta)
-                closed = ps.measured_marginal(spec)(marg.xs)
+                closed = closed_form_marginal(spec)(marg.xs)
                 l1 = float(np.trapezoid(np.abs(marg.density - closed),
                                         marg.xs))
                 worst = max(worst, l1)
@@ -244,7 +247,7 @@ def test_criterion_10_property_suite():
         eta_nbar = float(rng.uniform(0.01, 30.0))
         n = int(rng.integers(0, 6))
         spec = ps.StateSpec(nbar=eta_nbar, n=n, eta=1.0)
-        f = ps.measured_marginal_general(spec)
+        f = ps.measured_marginal(spec)
         sigma = math.sqrt(1.0 + (n + 1) * eta_nbar)
         xs = np.linspace(-8 * sigma, 8 * sigma, 4001)
         vals = f(xs)

@@ -100,6 +100,12 @@ class TestCommands:
         lines = (outdir / "marginal_n2.csv").read_text().splitlines()
         assert lines[0] == "X,density"
 
+    def test_marginal_default_window_holds_the_mass(self, outdir):
+        # the default window spans five widths of the order-n marginal
+        assert run(["--out", str(outdir), "marginal", "--n", "6"]) == 0
+        data = np.loadtxt(outdir / "marginal_n6.csv", delimiter=",", skiprows=1)
+        assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-5)
+
     def test_variance_cmd(self, outdir):
         assert run(["--out", str(outdir), "variance", "--n", "1"]) == 0
         lines = (outdir / "variance_n1.csv").read_text().splitlines()
@@ -371,7 +377,8 @@ _DOCS = st.fixed_dictionaries({}, optional={
 
 @settings(max_examples=40, deadline=None)
 @given(doc=_DOCS, command=st.sampled_from(
-    [["budget"], ["variance", "--n", "1", "--npts", "11"]]))
+    [["budget"], ["variance", "--n", "1", "--npts", "11"],
+     ["marginal", "--n", "3", "--npts", "11"]]))
 def test_any_config_document_keeps_the_exit_code_contract(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"

@@ -35,6 +35,15 @@ class TestThermalPmf:
         with pytest.raises(ConfigError):
             spec(-0.1)
 
+    def test_nbar_whose_ratio_rounds_to_one_rejected(self):
+        # above about 9e15, nbar/(1+nbar) is 1.0 in double precision
+        for nbar in (1e16, 1e17, 1e300):
+            with pytest.raises(ConfigError, match="too large"):
+                spec(nbar)
+        assert spec(1e15).x < 1.0
+        assert ps.subtracted_pmf(spec(1e15), 1, m_max=10).total_mass() \
+            == pytest.approx(1.0, abs=1e-12)
+
 
 class TestSubtractedPmf:
     def test_zero_order_is_thermal(self):

@@ -223,11 +223,10 @@ class TestFrequencyDomainFilter:
         assert np.abs(plan.h - h).max() < 1e-12 * np.abs(h).max()
 
     # the narrowest round bandwidths whose impulse response fits the 8192-point
-    # grid: a boxcar of 8181 samples, and a butter4 above the 6.56-7.29 MHz
-    # band where acceptance flickers as the response's 1e-10 tail meets the edge
+    # grid: a boxcar of 8181 samples, and a butter4 just above 7.2114 MHz
     @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
     def test_response_is_finite_at_extreme_bandwidths(self, cfg, demod_filter):
-        narrowest = {"butter4": 7.3e6, "boxcar": 1.91e5}[demod_filter]
+        narrowest = {"butter4": 7.22e6, "boxcar": 1.91e5}[demod_filter]
         f_het = cfg.params.omega_het / (2 * math.pi)
         for bandwidth in (narrowest, math.nextafter(f_het, 0.0)):
             c = cfg.with_updates(demod_filter=demod_filter,
@@ -243,6 +242,18 @@ class TestFrequencyDomainFilter:
             with pytest.raises(ConfigError, match="too narrow"):
                 sim.DemodPlan(cfg.with_updates(demod_filter=demod_filter,
                                                demod_bandwidth=bandwidth))
+
+    def test_too_narrow_refusal_switches_at_one_bandwidth(self, cfg):
+        # the wrapped tails of the 8192-point response used to cancel at the
+        # grid ends, so acceptance flickered between 6.56 and 7.29 MHz
+        accepted = []
+        for bandwidth in np.linspace(6.5e6, 10e6, 200):
+            try:
+                sim.DemodPlan(cfg.with_updates(demod_bandwidth=float(bandwidth)))
+                accepted.append(True)
+            except ConfigError:
+                accepted.append(False)
+        assert np.count_nonzero(np.diff(accepted)) == 1 and accepted[-1]
 
 
 class TestHeraldedEnsembles:
@@ -451,6 +462,47 @@ class TestClicks:
         assert np.array_equal(fast.times, slow.times)
         assert np.array_equal(fast.detector, slow.detector)
         assert np.array_equal(fast.is_dark, slow.is_dark)
+
+    def test_click_blocks_fit_the_byte_budget(self, cfg, monkeypatch):
+        # at dt = 1/(1000 sample_rate) a 200 000-gate block would be 17.5 GB;
+        # record the first block's shape and stop before it is allocated
+        class Stop(Exception):
+            pass
+
+        def first_block(c):
+            shapes = []
+
+            def record(model, n_gates, m_steps, rng):
+                shapes.append((m_steps, n_gates))
+                raise Stop
+
+            monkeypatch.setattr(sim, "_gate_intensities", record)
+            with pytest.raises(Stop):
+                sim.gated_click_stream(c, 4.1, seed=8)
+            return shapes[0]
+
+        assert first_block(cfg) == (22, 200_000)
+        m_steps, n_gates = first_block(cfg.with_updates(dt=1.0 / (1000 * cfg.sample_rate)))
+        assert m_steps == 10_938 and n_gates > 100
+        assert 8 * m_steps * n_gates <= sim._CLICK_BLOCK_BYTES
+
+    def test_fine_step_stream_runs_in_budgeted_blocks(self, cfg, monkeypatch):
+        shapes = []
+        intensities = sim._gate_intensities
+
+        def record(model, n_gates, m_steps, rng):
+            shapes.append((m_steps, n_gates))
+            return intensities(model, n_gates, m_steps, rng)
+
+        monkeypatch.setattr(sim, "_gate_intensities", record)
+        monkeypatch.setattr(sim, "_CLICK_BLOCK_BYTES", 1 << 20)
+        c = cfg.with_updates(dt=1.0 / (100 * cfg.sample_rate))
+        clicks = sim.gated_click_stream(c, 0.01, seed=8)
+        assert shapes == [(1094, 119)] * 4 + [(1094, 24)]
+        assert np.all(np.diff(clicks.times) >= 0) and clicks.times.max() < 0.01
+        with pytest.raises(ConfigError, match="too fine"):
+            sim.gated_click_stream(cfg.with_updates(dt=1.0 / (1e5 * cfg.sample_rate)),
+                                   0.01)
 
     def test_trajectory_thinning_rate(self, cfg):
         # one constant-intensity row per gate, as gated_click_stream lays out
