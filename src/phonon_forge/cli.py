@@ -317,7 +317,7 @@ def build_parser():
     p.set_defaults(func=cmd_marginal)
 
     p = sub.add_parser("variance", help="analytic heralded variance curve")
-    p.add_argument("--n", type=int, choices=(1, 2), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--npts", type=int, default=2001)
     p.set_defaults(func=cmd_variance)
 

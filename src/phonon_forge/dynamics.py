@@ -21,7 +21,7 @@ import numpy as np
 
 from ._formats import write_csv
 from .errors import ConfigError, NumericsError
-from .params import SystemParams
+from .params import SystemParams, require_integer
 
 
 @dataclass
@@ -216,12 +216,11 @@ def correlation_amplitude(params: SystemParams, coupling, rate=None):
 def heralded_variance(params: SystemParams, n):
     """Heterodyne variance about an n-photon herald, in optical vacuum units.
 
-    sigma_n(tau)^2 = 1 + eta nbar_th (1 + n bracket(tau)^2) for n in {1, 2}.
-    The mechanical contribution at tau = 0 is exactly (1 + n) times its
-    steady-state value and relaxes symmetrically in |tau|.
+    sigma_n(tau)^2 = 1 + eta nbar_th (1 + n bracket(tau)^2) for every order
+    n >= 0.  The mechanical contribution at tau = 0 is exactly (1 + n) times
+    its steady-state value and relaxes symmetrically in |tau|.
     """
-    if n not in (1, 2):
-        raise ConfigError("heralded variance is derived for n in {1, 2} only")
+    require_integer("n", n, 0)
     k, g = params.kappa2, params.gamma
     signal = params.eta_total * params.nbar_th
 

@@ -252,8 +252,9 @@ def _grid_geometry(spec, cfg, s_override):
         s_build = -1.0
         s_tag = s_from_eta(spec.eta)
     var_k = (1.0 - s_build) / 2.0
+    # five standard deviations of the order-n state, (n + 1) occupation + var_k
     half_width = cfg.half_width if cfg.half_width is not None \
-        else 5.0 * math.sqrt(occupation + var_k)
+        else 5.0 * math.sqrt((spec.n + 1) * occupation + var_k)
     return occupation, var_k, s_tag, half_width
 
 

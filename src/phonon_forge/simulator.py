@@ -9,8 +9,9 @@ whose stationary two-time correlation <a*(0) a(tau)> reproduces the closed
 forms in :mod:`phonon_forge.dynamics` exactly (r = gamma).  Integration uses
 the exact one-step discretization x[k+1] = E x[k] + w with E = expm(M dt) and
 noise covariance Q = Sigma - E Sigma E^dag, so there is no step-size bias at
-any dt; heralded ensembles therefore step at the sample rate.  The measured
-heterodyne voltage is
+any dt; heralded ensembles therefore step at the sample rate, and only the
+click stream steps finer, at the SimConfig.dt derived from kappa2.  The
+measured heterodyne voltage is
 
     v(t) = sqrt(2) g Re[a(t) e^(-i w_het t)] + vacuum noise,
 
@@ -67,43 +68,23 @@ class SimConfig:
     params: SystemParams = field(default_factory=default_params)
     spad: SpadConfig = field(default_factory=default_spad)
     sample_rate: float = 3.125e9
-    dt: float | None = None
     trace_len: int = 12500
     n_traces: int = 1000
     demod_bandwidth: float = 100e6
     demod_filter: str = "butter4"        # or "boxcar"
     decimate: int = 16
     mech_linewidth: str = "bare"         # or "effective"
-    adiabatic: bool = False
     seed: int = 202104
     chunk_traces: int = 256
 
     def __post_init__(self):
         require_positive("sample_rate", self.sample_rate)
         require_positive("demod_bandwidth", self.demod_bandwidth)
-        if self.dt is not None:
-            require_positive("dt", self.dt)
         for name, minimum in (("trace_len", 256), ("n_traces", 1),
                               ("decimate", 1), ("chunk_traces", 1), ("seed", 0)):
             require_integer(name, getattr(self, name), minimum)
-        if not isinstance(self.adiabatic, bool):
-            raise ConfigError(f"adiabatic must be true or false, got {self.adiabatic!r}")
         if self.sample_rate < 4.0 * self.params.omega_het / TWO_PI:
             raise ConfigError("sample_rate below 4x the heterodyne frequency")
-        dt_max = 1.0 / (20.0 * self.params.kappa2)
-        if self.dt is None:
-            k = max(1, math.ceil(1.0 / (self.sample_rate * dt_max)))
-            object.__setattr__(self, "dt", 1.0 / (k * self.sample_rate))
-        steps = self.dt * self.sample_rate
-        ratio = 1.0 / steps if steps > 0.0 else math.inf
-        if ratio == math.inf:
-            raise ConfigError(f"dt={self.dt!r} puts 1/(dt*sample_rate) outside "
-                              "the double range")
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError("1/dt must be an integer multiple of sample_rate")
-        if self.dt > dt_max * (1 + 1e-12):
-            raise ConfigError(
-                f"dt={self.dt:.3e} too coarse; need dt <= 1/(20 kappa2) = {dt_max:.3e}")
         if not 0 < self.demod_bandwidth < self.params.omega_het / TWO_PI:
             raise ConfigError("demod_bandwidth must be positive and below "
                               "the heterodyne frequency")
@@ -113,8 +94,12 @@ class SimConfig:
             raise ConfigError("mech_linewidth must be 'bare' or 'effective'")
 
     @property
-    def oversample(self):
-        return int(round(1.0 / (self.dt * self.sample_rate)))
+    def dt(self):
+        """The click stream's field step: the largest 1/(k sample_rate) within
+        1/(20 kappa2), fine enough for its Riemann thinning."""
+        dt_max = 1.0 / (20.0 * self.params.kappa2)
+        k = max(1, math.ceil(1.0 / (self.sample_rate * dt_max)))
+        return 1.0 / (k * self.sample_rate)
 
     def with_updates(self, **kwargs):
         return replace(self, **kwargs)
@@ -133,32 +118,25 @@ class FieldModel:
         self.coupling = p.pump_enhanced_coupling()
         self.nbar_th = p.nbar_th
         self.dt = cfg.dt if dt is None else float(dt)
-        self.adiabatic = cfg.adiabatic
         self.rate = p.gamma if cfg.mech_linewidth == "bare" \
             else effective_linewidth(p, cooperativity(p, self.coupling))
 
         r, k, g, dt = self.rate, self.kappa, self.coupling, self.dt
-        if self.adiabatic:
-            self.e_b = math.exp(-r * dt)
-            self.q_b = self.nbar_th * (1.0 - self.e_b ** 2)
-            self.a_of_b = -1j * g / k
-            self.var_a = abs(self.a_of_b) ** 2 * self.nbar_th
+        e_bb = math.exp(-r * dt)
+        e_aa = math.exp(-k * dt)
+        if abs(k - r) / max(k, r) < 1e-9:
+            e_ab = -1j * g * dt * e_aa
         else:
-            e_bb = math.exp(-r * dt)
-            e_aa = math.exp(-k * dt)
-            if abs(k - r) / max(k, r) < 1e-9:
-                e_ab = -1j * g * dt * e_aa
-            else:
-                e_ab = -1j * g * (e_bb - e_aa) / (k - r)
-            self.E = np.array([[e_bb, 0.0], [e_ab, e_aa]], dtype=complex)
-            sig_ba = 1j * g * self.nbar_th / (k + r)
-            sig_aa = correlation_amplitude(p, g, r)
-            self.Sigma = np.array([[self.nbar_th, sig_ba],
-                                   [np.conj(sig_ba), sig_aa]], dtype=complex)
-            q = self.Sigma - self.E @ self.Sigma @ self.E.conj().T
-            self.L_q = _chol_psd(q)
-            self.L_s = _chol_psd(self.Sigma)
-            self.var_a = sig_aa
+            e_ab = -1j * g * (e_bb - e_aa) / (k - r)
+        self.E = np.array([[e_bb, 0.0], [e_ab, e_aa]], dtype=complex)
+        sig_ba = 1j * g * self.nbar_th / (k + r)
+        sig_aa = correlation_amplitude(p, g, r)
+        self.Sigma = np.array([[self.nbar_th, sig_ba],
+                               [np.conj(sig_ba), sig_aa]], dtype=complex)
+        q = self.Sigma - self.E @ self.Sigma @ self.E.conj().T
+        self.L_q = _chol_psd(q)
+        self.L_s = _chol_psd(self.Sigma)
+        self.var_a = sig_aa
 
     @staticmethod
     def step_scratch(n):
@@ -173,12 +151,6 @@ class FieldModel:
         rng.standard_normal(out=normals)        # real parts, then imaginary
         z.real, z.imag = normals
         z /= math.sqrt(2.0)                     # as _circular_normal((2, n))
-        if self.adiabatic:
-            b *= self.e_b
-            z[0] *= math.sqrt(self.q_b)
-            b += z[0]
-            np.multiply(b, self.a_of_b, out=a)
-            return
         l_q, e = self.L_q, self.E
         np.multiply(z[0], l_q[1, 0], out=tmp[0])
         np.multiply(z[1], l_q[1, 1], out=tmp[1])
@@ -196,27 +168,16 @@ class FieldModel:
     def correlation_a(self, tau):
         """Analytic <a*(0) a(tau)> of this model (real valued)."""
         tau = np.asarray(tau, dtype=float)
-        if self.adiabatic:
-            return self.var_a * np.exp(-self.rate * np.abs(tau))
         return self.var_a * correlation_bracket(self.kappa, self.rate, tau)
 
     def stationary_sample(self, n, rng):
         """Draw n joint stationary (b, a) pairs."""
-        z = _circular_normal((2, n), rng)
-        if self.adiabatic:
-            b = math.sqrt(self.nbar_th) * z[0]
-            return b, self.a_of_b * b
-        x = self.L_s @ z
+        x = self.L_s @ _circular_normal((2, n), rng)
         return x[0], x[1]
 
     def evolve_block(self, b0, a0, n_steps, rng):
         """Exact trajectories of shape (n_traces, n_steps); index 0 holds t=0."""
         n = b0.size
-        if self.adiabatic:
-            w = math.sqrt(self.q_b) * _circular_normal((n, n_steps), rng)
-            w[:, 0] = b0
-            b = _ar1(self.e_b, w)
-            return b, self.a_of_b * b
         z1 = _circular_normal((n, n_steps), rng)
         z2 = _circular_normal((n, n_steps), rng)
         l_step = self.L_q
@@ -475,7 +436,6 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
         "sigma_inf_expected": plan.sigma_inf,
         "predicted_ratio": plan.predicted_ratio(order),
         "mech_linewidth": cfg.mech_linewidth,
-        "adiabatic": cfg.adiabatic,
         "slow_rate": model.rate,
     }
     return TraceEnsemble(z=z, taus=plan.taus, herald_col=plan.herald_col,
@@ -594,14 +554,21 @@ def _draw_events(lam, starts, dt, spad: SpadConfig, t_end, rng):
     """Raw (times, detector, is_dark) of both detectors for one block, unsorted.
 
     Row i of lam is the gate opening at starts[i]; lam[i, j] is the
-    registered intensity in its step of width dt from starts[i] + j*dt.  Each
-    detector draws, in this order: thinning per step, jitter within it, dark
-    counts per gate, dark offsets within it.
+    registered intensity in its step of width dt from starts[i] + j*dt; lam
+    is overwritten.  Each detector draws, in this order: thinning per step,
+    jitter within it, dark counts per gate, dark offsets within it.
     """
-    p_hit = np.clip(lam * dt, 0.0, 1.0)
+    # the hit probabilities take the intensities' place, and the thinning
+    # draws come a chunk of rows at a time: rng.random fills in C order, so
+    # the chunks draw what one block-sized call would, without its copies
+    p_hit = np.clip(np.multiply(lam, dt, out=lam), 0.0, 1.0, out=lam)
+    chunk = max(1, (_CLICK_BLOCK_BYTES // 16) // (8 * p_hit.shape[1]))
     times, det, dark = [], [], []
     for d in range(2):
-        rows, steps = np.nonzero(rng.random(p_hit.shape) < p_hit)
+        hits = [np.nonzero(rng.random(p.shape) < p)
+                for p in np.split(p_hit, range(chunk, len(p_hit), chunk))]
+        rows = np.concatenate([r + i * chunk for i, (r, _) in enumerate(hits)])
+        steps = np.concatenate([s for _, s in hits])
         t_hit = starts[rows] + (steps + rng.random(rows.size)) * dt
         counts = rng.poisson(spad.dark_rate * spad.gate_len, size=starts.size)
         t_dark = np.repeat(starts, counts) \
@@ -669,8 +636,9 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
     # the default 22 steps a gate keep 200 000-gate blocks, and so the streams
     per_block = min(200_000, _CLICK_BLOCK_BYTES // (8 * m_steps))
     if per_block < 1:
-        raise ConfigError(f"dt={cfg.dt:.3e} is too fine for the click stream: one "
-                          f"gate's {m_steps} steps pass {_CLICK_BLOCK_BYTES} bytes")
+        raise ConfigError(f"the click step {dt:.3e} s is too fine for a "
+                          f"{spad.gate_len:.3e} s gate: its {m_steps} steps pass "
+                          f"{_CLICK_BLOCK_BYTES} bytes")
     n_blocks = (n_gates + per_block - 1) // per_block
     seeds = np.random.SeedSequence(cfg.seed if seed is None else seed).spawn(n_blocks)
 
@@ -688,6 +656,7 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
             lam[...] = 0.0
         gate_starts = (lo + np.arange(nb)) / spad.gate_rate
         blocks.append(_draw_events(lam.T, gate_starts, dt, spad, duration, rng))
+        del lam                             # before the next block's field
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
                                         spad.dead_time)

@@ -204,9 +204,6 @@ def nbinom_tail(spec, n, m_max):
 def _step_states_allocating(model, b, a, rng):
     """One exact step of model.dt into new arrays."""
     z = sim._circular_normal((2, b.size), rng)
-    if model.adiabatic:
-        b_new = model.e_b * b + math.sqrt(model.q_b) * z[0]
-        return b_new, model.a_of_b * b_new
     wb = model.L_q[0, 0] * z[0] + model.L_q[0, 1] * z[1]
     wa = model.L_q[1, 0] * z[0] + model.L_q[1, 1] * z[1]
     return model.E[0, 0] * b + wb, model.E[1, 1] * a + model.E[1, 0] * b + wa

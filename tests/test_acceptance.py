@@ -121,7 +121,9 @@ def test_criterion_06_ring_geometry():
     ring_ok = True
     for n in (1, 2):
         spec = ps.StateSpec(nbar=4.1 / eta, n=n, eta=eta)
-        grid = ps.wigner_s(spec, ps.GridConfig(npts=513))
+        # the thermal window, whose cell sets this criterion's tolerance
+        half_width = 5.0 * math.sqrt(spec.nbar + (1.0 - ps.s_from_eta(eta)) / 2.0)
+        grid = ps.wigner_s(spec, ps.GridConfig(npts=513, half_width=half_width))
         stated = ps.ring_radius(n, 4.1).wigner_radius / math.sqrt(eta)
         measured = grid.argmax_radius()
         within = abs(measured - stated) <= grid.cell

@@ -101,20 +101,22 @@ class TestCommands:
         assert lines[0] == "X,density"
 
     def test_marginal_default_window_holds_the_mass(self, outdir):
-        # the default window spans five widths of the order-n marginal
+        # the default windows span five widths of the order-n state
         assert run(["--out", str(outdir), "marginal", "--n", "6"]) == 0
         data = np.loadtxt(outdir / "marginal_n6.csv", delimiter=",", skiprows=1)
         assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-5)
+        assert run(["--out", str(outdir), "wigner", "--n", "6"]) == 0
 
     def test_variance_cmd(self, outdir):
-        assert run(["--out", str(outdir), "variance", "--n", "1"]) == 0
-        lines = (outdir / "variance_n1.csv").read_text().splitlines()
-        taus = np.array([float(l.split(",")[0]) for l in lines[1:]])
-        vals = np.array([float(l.split(",")[1]) for l in lines[1:]])
-        assert taus[0] == pytest.approx(-taus[-1])
-        peak = vals.max()
-        sigma_inf = 7.9706      # analytic steady state at the defaults
-        assert (peak - 1) / (sigma_inf - 1) == pytest.approx(2.0, abs=1e-12)
+        for n in (1, 3):
+            assert run(["--out", str(outdir), "variance", "--n", str(n)]) == 0
+            lines = (outdir / f"variance_n{n}.csv").read_text().splitlines()
+            taus = np.array([float(l.split(",")[0]) for l in lines[1:]])
+            vals = np.array([float(l.split(",")[1]) for l in lines[1:]])
+            assert taus[0] == pytest.approx(-taus[-1])
+            peak = vals.max()
+            sigma_inf = 7.9706      # analytic steady state at the defaults
+            assert (peak - 1) / (sigma_inf - 1) == pytest.approx(1 + n, abs=1e-12)
 
     def test_characterize_cmd(self, outdir, capsys):
         assert run(["--out", str(outdir), "characterize"]) == 0
@@ -208,7 +210,6 @@ _BAD_CONFIGS = [
     ({"spad": {"arm_efficiencies": 0.5}}, ["budget"]),
     ({"seed": -1}, _SIMULATE + ["--n-traces", "10"]),
     ({"sim": {"n_traces": 1.5}}, _SIMULATE),
-    ({"sim": {"adiabatic": "yes"}}, _SIMULATE + ["--n-traces", "10"]),
     # command-line values get the same checks as config values
     ({}, ["marginal", "--n", "2", "--nbar", "nan"]),
     ({}, ["marginal", "--n", "1", "--xmax", "nan"]),
@@ -219,6 +220,7 @@ _BAD_CONFIGS = [
     ({}, ["wigner", "--n", "1", "--nbar", "inf"]),
     ({}, ["wigner", "--n", "1", "--s", "nan"]),
     ({}, ["variance", "--n", "1", "--npts", "-3"]),
+    ({}, ["variance", "--n", "-1"]),
     ({}, ["characterize", "--powers", "a,b"]),
     ({}, ["simulate", "--trace-len", "1024", "--n-traces", "10",
           "--click-seconds", "inf"]),
@@ -230,13 +232,15 @@ _BAD_CONFIGS = [
     ({}, ["simulate", "--n-traces", "20", "--trace-len", "1024",
           "--click-seconds", "0"]),
     # finite inputs whose derived quantities leave the double range: the
-    # photon energy, 1/(dt*sample_rate) and the counts per gate
+    # photon energy and the counts per gate
     ({"system": {"wavelength": 1e308}}, ["budget"]),
-    ({"sim": {"dt": 5e-324}}, ["budget"]),
     ({"spad": {"gate_rate": 2.2e-308, "gate_len": 8.5e151}}, ["budget"]),
     # an unheralded trace with no column clear of the filter's edge transients
     ({}, ["simulate", "--herald", "none", "--n-traces", "10", "--trace-len", "256",
           "--click-seconds", "0"]),
+    # keys that are gone: the adiabatic model, and the click step, now derived
+    ({"sim": {"adiabatic": False}}, _SIMULATE + ["--n-traces", "10"]),
+    ({"sim": {"dt": 1.6e-10}}, _SIMULATE + ["--n-traces", "10"]),
 ]
 
 
@@ -266,7 +270,7 @@ class TestConfigValues:
         assert loaded.sim_config() == sim_defaults
         assert loaded.grid_config() == defaults.grid_config()
 
-        assert run_with({"sim": {"chunk_traces": 128, "adiabatic": False},
+        assert run_with({"sim": {"chunk_traces": 128},
                          "spad": {"arm_efficiencies": [0.67, 0.25, 0.15, 0.5]}},
                         tmp_path, outdir, "budget") == 0
 

@@ -174,9 +174,16 @@ class TestHeraldedVariance:
         np.testing.assert_allclose(zp.values,
                                    curve.values / params.eta_total)
 
+    def test_every_order_peaks_at_one_plus_n(self, params):
+        inf = dyn.steady_state_variance(params)
+        for n in range(6):
+            peak = dyn.heralded_variance(params, n)(0.0)
+            assert (peak - 1.0) / (inf - 1.0) == pytest.approx(1 + n, rel=1e-12)
+
     def test_unsupported_order(self, params):
-        with pytest.raises(ConfigError):
-            dyn.heralded_variance(params, 3)
+        for n in (-1, 1.5, True):
+            with pytest.raises(ConfigError):
+                dyn.heralded_variance(params, n)
 
 
 class TestWickOracle:
