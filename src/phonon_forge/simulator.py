@@ -83,6 +83,9 @@ class SimConfig:
         for name, minimum in (("trace_len", 256), ("n_traces", 1),
                               ("decimate", 1), ("chunk_traces", 1), ("seed", 0)):
             require_integer(name, getattr(self, name), minimum)
+        if self.decimate > self.trace_len:
+            raise ConfigError(f"decimate {self.decimate} exceeds trace_len "
+                              f"{self.trace_len}: no column would be kept")
         if self.sample_rate < 4.0 * self.params.omega_het / TWO_PI:
             raise ConfigError("sample_rate below 4x the heterodyne frequency")
         if not 0 < self.demod_bandwidth < self.params.omega_het / TWO_PI:
@@ -98,7 +101,11 @@ class SimConfig:
         """The click stream's field step: the largest 1/(k sample_rate) within
         1/(20 kappa2), fine enough for its Riemann thinning."""
         dt_max = 1.0 / (20.0 * self.params.kappa2)
-        k = max(1, math.ceil(1.0 / (self.sample_rate * dt_max)))
+        per_sample = self.sample_rate * dt_max
+        if not per_sample > 0.0 or math.isinf(1.0 / per_sample):
+            raise ConfigError(f"kappa2 {self.params.kappa2!r} leaves no finite click "
+                              f"step 1/(20 kappa2) at sample_rate {self.sample_rate!r}")
+        k = max(1, math.ceil(1.0 / per_sample))
         return 1.0 / (k * self.sample_rate)
 
     def with_updates(self, **kwargs):
@@ -176,31 +183,60 @@ class FieldModel:
         return x[0], x[1]
 
     def evolve_block(self, b0, a0, n_steps, rng):
-        """Exact trajectories of shape (n_traces, n_steps); index 0 holds t=0."""
+        """Exact trajectories of shape (n_traces, n_steps); index 0 holds t=0.
+
+        Both are transposed views of time-major arrays, so each step of the
+        recursion is one contiguous row.  Besides them the block holds one
+        float and one complex scratch of its size, for the draws.
+        """
         n = b0.size
-        z1 = _circular_normal((n, n_steps), rng)
-        z2 = _circular_normal((n, n_steps), rng)
-        l_step = self.L_q
-        wb = l_step[0, 0] * z1 + l_step[0, 1] * z2
-        wa = l_step[1, 0] * z1 + l_step[1, 1] * z2
-        del z1, z2
-        wb[:, 0] = b0
-        wa[:, 0] = a0
-        b = _ar1(self.E[0, 0], wb)
-        del wb
+        normals = np.empty((n, n_steps))
+        z = np.empty((n_steps, n), dtype=complex)
+
+        def circular_normal():
+            # _circular_normal((n, n_steps), rng), written time-major
+            rng.standard_normal(out=normals)
+            z.real = normals.T
+            rng.standard_normal(out=normals)
+            z.imag = normals.T
+            return np.divide(z, math.sqrt(2.0), out=z)
+
+        l_q = self.L_q
+        b = np.multiply(l_q[0, 0], circular_normal())
+        a = np.multiply(l_q[1, 0], z)
+        circular_normal()
+        if l_q[0, 1] != 0:          # a Cholesky factor is lower-triangular
+            _add_scaled(b, l_q[0, 1], z)
+        _add_scaled(a, l_q[1, 1], z)
+        del normals, z
+        b[0] = b0
+        a[0] = a0
+        _ar1(self.E[0, 0], b)
         # drive for a: coupling acts on the previous b sample
-        wa[:, 1:] += self.E[1, 0] * b[:, :-1]
-        a = _ar1(self.E[1, 1], wa)
-        del wa
-        return b, a
+        _add_scaled(a[1:], self.E[1, 0], b[:-1])
+        _ar1(self.E[1, 1], a)
+        return b.T, a.T
 
 
-def _ar1(pole, drive):
-    """x[t] = pole * x[t-1] + drive[t] along the last axis, x[-1] = 0."""
-    x = drive.T.copy()          # time-major, so each step is one contiguous row
-    for t in range(1, x.shape[0]):
-        x[t] += pole * x[t - 1]
-    return x.T
+_SLAB_BYTES = 1 << 20
+
+
+def _add_scaled(out, coef, src):
+    """out += coef * src, a slab of rows at a time."""
+    rows = max(1, _SLAB_BYTES // src[0].nbytes)
+    tmp = np.empty_like(src[:rows])
+    for lo in range(0, len(src), rows):
+        part = src[lo:lo + rows]
+        out[lo:lo + rows] += np.multiply(coef, part, out=tmp[:len(part)])
+
+
+def _ar1(pole, x):
+    """x[t] = pole * x[t-1] + x[t] in place along the first axis, from t = 1:
+    the recursion driven by a time-major drive x, with x[-1] = 0."""
+    tmp = np.empty_like(x[0])
+    for t in range(1, len(x)):
+        np.multiply(pole, x[t - 1], out=tmp)
+        x[t] += tmp
 
 
 def fast_len(n):
@@ -334,11 +370,17 @@ class DemodPlan:
         return np.cos(theta), np.sin(theta)
 
     def voltage_from_field(self, a_sampled, rng):
-        """sqrt(2) g Re[a e^(-i w t)] plus calibrated vacuum noise."""
+        """sqrt(2) g Re[a e^(-i w t)] plus calibrated vacuum noise.
+
+        The signal follows the layout of a_sampled; the voltage is the noise
+        buffer, C-ordered as drawn, with the signal added a slab at a time.
+        """
         cos_t, sin_t = self.mix_phases()
-        v = math.sqrt(2.0) * self.gain * (a_sampled.real * cos_t
-                                          + a_sampled.imag * sin_t)
-        v += self.sigma_vac * rng.standard_normal(v.shape)
+        signal = np.multiply(a_sampled.real, cos_t)
+        signal += np.multiply(a_sampled.imag, sin_t)
+        v = rng.standard_normal(a_sampled.shape)
+        v *= self.sigma_vac
+        _add_scaled(v, math.sqrt(2.0) * self.gain, signal)
         return v
 
     def demodulate(self, v):
@@ -346,7 +388,8 @@ class DemodPlan:
         mix, filter by FFT, decimate by folding the bands, inverse FFT."""
         cos_t, sin_t = self.mix_phases()
         d, lead = self.cfg.decimate, v.shape[:-1]
-        buf = np.zeros(lead + (self.n_fft,), dtype=complex)
+        buf = np.empty(lead + (self.n_fft,), dtype=complex)
+        buf[..., self.n_samp:] = 0.0
         np.multiply(v, cos_t + 1j * sin_t, out=buf[..., :self.n_samp])
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= self._band_response
@@ -445,7 +488,8 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
 
 def _simulate_chunk(cfg, model, plan, n, order, rng):
     b0, a0 = model.stationary_sample(n, rng)
-    _, a = model.evolve_block(b0, a0, cfg.trace_len, rng)
+    # only a is kept, so b is freed before the voltage is built
+    a = model.evolve_block(b0, a0, cfg.trace_len, rng)[1]
     a_center = a[:, plan.center].copy()
     v = plan.voltage_from_field(a, rng)
     del a

@@ -219,3 +219,46 @@ def gate_intensities_stepwise(model, n_gates, m_steps, rng):
         if j + 1 < m_steps:
             b, a = _step_states_allocating(model, b, a, rng)
     return intens.T
+
+
+def _ar1_allocating(pole, drive):
+    """x[t] = pole * x[t-1] + drive[t] along the last axis, x[-1] = 0, into a
+    time-major copy returned transposed."""
+    x = drive.T.copy()
+    for t in range(1, x.shape[0]):
+        x[t] += pole * x[t - 1]
+    return x.T
+
+
+def evolve_block_allocating(model, b0, a0, n_steps, rng):
+    """FieldModel.evolve_block from trace-major arrays, a new one for each
+    draw, drive and recursion."""
+    n = b0.size
+    z1 = sim._circular_normal((n, n_steps), rng)
+    z2 = sim._circular_normal((n, n_steps), rng)
+    l_step = model.L_q
+    wb = l_step[0, 0] * z1 + l_step[0, 1] * z2
+    wa = l_step[1, 0] * z1 + l_step[1, 1] * z2
+    wb[:, 0] = b0
+    wa[:, 0] = a0
+    b = _ar1_allocating(model.E[0, 0], wb)
+    wa[:, 1:] += model.E[1, 0] * b[:, :-1]
+    return b, _ar1_allocating(model.E[1, 1], wa)
+
+
+def simulate_chunk_allocating(cfg, model, plan, n, order, rng):
+    """simulator._simulate_chunk by the allocating propagator, voltage and
+    zero-filled demodulation buffer, with the same draws in the same order."""
+    b0, a0 = model.stationary_sample(n, rng)
+    _, a = evolve_block_allocating(model, b0, a0, cfg.trace_len, rng)
+    cos_t, sin_t = plan.mix_phases()
+    v = math.sqrt(2.0) * plan.gain * (a.real * cos_t + a.imag * sin_t)
+    v += plan.sigma_vac * rng.standard_normal(v.shape)
+    d = cfg.decimate
+    buf = np.zeros((n, plan.n_fft), dtype=complex)
+    np.multiply(v, cos_t + 1j * sin_t, out=buf[:, :plan.n_samp])
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= plan._band_response
+    bands = buf.reshape((n, d, plan.n_fft // d)).sum(axis=-2)
+    z = np.fft.ifft(bands, axis=-1)[:, :plan.cols.size]
+    return z, np.abs(a[:, plan.center]) ** (2 * order)

@@ -71,6 +71,7 @@ def test_criterion_03_steady_state_variance():
                           f"Monte Carlo {mc:.4f} within +-0.15")
 
 
+@pytest.mark.slow
 def test_criterion_04_variance_doubling_tripling():
     params = default_params()
     sig_inf = dyn.steady_state_variance(params)

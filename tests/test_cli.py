@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,10 +30,15 @@ def run_with(doc, tmp_dir, outdir, *command):
 
 
 def _no_non_finite_files(outdir):
+    # in text, nan, inf and Infinity as whole words, so a key such as
+    # sigma_sq_inf in a successful run's report does not count
     for path in (outdir.rglob("*") if outdir.exists() else ()):
-        if path.is_file():
-            text = path.read_text().lower()
-            assert "nan" not in text and "inf" not in text, path
+        if path.suffix == ".npz":
+            with np.load(path) as data:
+                assert all(np.isfinite(data[k]).all() for k in data.files), path
+        elif path.is_file():
+            assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(),
+                                 re.IGNORECASE), path
 
 
 @pytest.fixture()
@@ -198,6 +204,8 @@ class TestDeterminism:
 
 _NAN, _INF = float("nan"), float("inf")
 _SIMULATE = ["simulate", "--trace-len", "1024", "--click-seconds", "0"]
+_SMALL_SIMULATE = ["simulate", "--n-traces", "4", "--trace-len", "3125",
+                   "--click-seconds", "0"]
 _BAD_CONFIGS = [
     ({"system": {"nbar_th": _NAN}}, ["budget"]),
     ({"system": {"nbar_th": _NAN}}, ["variance", "--n", "1"]),
@@ -241,6 +249,10 @@ _BAD_CONFIGS = [
     # keys that are gone: the adiabatic model, and the click step, now derived
     ({"sim": {"adiabatic": False}}, _SIMULATE + ["--n-traces", "10"]),
     ({"sim": {"dt": 1.6e-10}}, _SIMULATE + ["--n-traces", "10"]),
+    # a click step 1/(20 kappa2) that rounds to 0, and a decimation longer
+    # than the trace, whose demodulation buffer would not fit in memory
+    ({"system": {"kappa2": 1e308}}, _SMALL_SIMULATE),
+    ({"sim": {"decimate": 1000000000000}}, _SMALL_SIMULATE),
 ]
 
 
@@ -379,10 +391,11 @@ _DOCS = st.fixed_dictionaries({}, optional={
     "seed": _VALUES, "output_dir": _VALUES})
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=65, deadline=None)
 @given(doc=_DOCS, command=st.sampled_from(
     [["budget"], ["variance", "--n", "1", "--npts", "11"],
-     ["marginal", "--n", "3", "--npts", "11"]]))
+     ["marginal", "--n", "3", "--npts", "11"], ["wigner", "--n", "1", "--npts", "11"],
+     _SMALL_SIMULATE]))
 def test_any_config_document_keeps_the_exit_code_contract(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"

@@ -18,7 +18,7 @@ from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
 from oracles import ar1_lfilter, gate_intensities_stepwise, simulate_fields, \
-    time_domain_demodulate, time_domain_impulse_response
+    simulate_chunk_allocating, time_domain_demodulate, time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,16 @@ class TestConfigValidation:
     def test_bandwidth_guard(self):
         with pytest.raises(ConfigError):
             sim.SimConfig(demod_bandwidth=250e6)
+
+    def test_decimate_within_the_trace(self):
+        assert sim.SimConfig(trace_len=256, decimate=256).decimate == 256
+        with pytest.raises(ConfigError, match="decimate"):
+            sim.SimConfig(trace_len=256, decimate=257)
+
+    def test_click_step_overflow_names_kappa2(self, params):
+        c = sim.SimConfig(params=replace(params, kappa2=1e308))
+        with pytest.raises(ConfigError, match="kappa2"):
+            c.dt
 
 
 class TestFieldModel:
@@ -165,7 +175,9 @@ class TestFrequencyDomainFilter:
         rng = np.random.Generator(np.random.Philox(21))
         drive = sim._circular_normal((64, 3125), rng)
         for pole in (model.E[0, 0], model.E[1, 1]):
-            assert np.array_equal(sim._ar1(pole, drive), ar1_lfilter(pole, drive))
+            x = drive.T.copy()              # _ar1 runs in place, time-major
+            sim._ar1(pole, x)
+            assert np.array_equal(x.T, ar1_lfilter(pole, drive))
 
     @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
     @pytest.mark.parametrize("trace_len", [3125, 12500])
@@ -259,6 +271,38 @@ class TestHeraldedEnsembles:
         resid = (curve.values[sel] - analytic[sel]) / analytic[sel]
         assert np.max(np.abs(resid)) < 0.10
 
+    @pytest.mark.parametrize("demod_filter,mech_linewidth",
+                             [("butter4", "bare"), ("boxcar", "effective")])
+    def test_chunk_equals_the_allocating_oracle(self, cfg, monkeypatch,
+                                                demod_filter, mech_linewidth):
+        # 300 traces in chunks of 128 leave a short last chunk
+        c = cfg.with_updates(demod_filter=demod_filter, chunk_traces=128,
+                             mech_linewidth=mech_linewidth)
+        runs = {(kind, threads): sim.run_ensemble(c, kind, n_traces=300,
+                                                  threads=threads)
+                for kind in ("none", "single", "coincidence") for threads in (1, 2)}
+        monkeypatch.setattr(sim, "_simulate_chunk", simulate_chunk_allocating)
+        for (kind, _), ens in runs.items():
+            ref = sim.run_ensemble(c, kind, n_traces=300)
+            assert np.array_equal(ens.z, ref.z)
+            assert np.array_equal(ens.weights, ref.weights)
+
+    @pytest.mark.parametrize("n,trace_len", [(1024, 3125), (256, 12500)])
+    def test_chunk_holds_its_record_under_four_times(self, n, trace_len):
+        # the propagator holds the two trajectories and the draws' float and
+        # complex scratch, 3.5 records; the allocating oracle chunk holds 5
+        c = sim.SimConfig(trace_len=trace_len, chunk_traces=n)
+        model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
+        plan = sim.DemodPlan(c, model)
+        rng = np.random.Generator(np.random.Philox(23))
+        tracemalloc.start()
+        try:
+            sim._simulate_chunk(c, model, plan, n, 1, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * n * trace_len
+
     def test_deterministic_across_threads(self, cfg):
         a = sim.run_ensemble(cfg, herald_kind="single", n_traces=600, threads=1)
         b = sim.run_ensemble(cfg, herald_kind="single", n_traces=600, threads=2)
@@ -336,6 +380,7 @@ class TestHeraldHistogram:
         assert var_x == pytest.approx(expected, rel=0.08)
         assert grid.units == ps.UNITS_HETERODYNE
 
+    @pytest.mark.slow
     def test_single_phonon_histogram_converges(self, big_single_ensemble):
         ens = big_single_ensemble
         m_th = ens.meta["eta_total"] * ens.meta["nbar_th"]
@@ -353,6 +398,7 @@ class TestHeraldHistogram:
         l1 = np.abs(emp_masses - ana_masses).sum()
         assert l1 < 0.05
 
+    @pytest.mark.slow
     def test_single_phonon_ring_radius(self, big_single_ensemble):
         ens = big_single_ensemble
         m_th = ens.meta["eta_total"] * ens.meta["nbar_th"]
@@ -361,6 +407,7 @@ class TestHeraldHistogram:
         assert peak == pytest.approx(exact_smoothed_ring_radius(1, m_th),
                                      rel=0.05)
 
+    @pytest.mark.slow
     def test_two_phonon_ring_radius_larger(self):
         c = sim.SimConfig(trace_len=1024, seed=311, chunk_traces=1024)
         ens = sim.run_ensemble(c, herald_kind="coincidence", n_traces=60_000,
