@@ -145,32 +145,12 @@ class FieldModel:
         self.L_s = _chol_psd(self.Sigma)
         self.var_a = sig_aa
 
-    @staticmethod
-    def step_scratch(n):
-        """The scratch step_states needs for state vectors of n elements."""
-        return np.empty((2, 2, n)), np.empty((4, n), dtype=complex)
-
-    def step_states(self, b, a, rng, work):
-        """Advance the state vectors b and a in place by one exact step of
-        self.dt, using work from step_scratch(b.size) as scratch."""
-        normals, buf = work
-        z, tmp = buf[:2], buf[2:]
-        rng.standard_normal(out=normals)        # real parts, then imaginary
-        z.real, z.imag = normals
-        z /= math.sqrt(2.0)                     # as _circular_normal((2, n))
+    def step_states(self, b, a, rng):
+        """The state vectors (b, a) one exact step of self.dt later."""
+        z = _circular_normal((2, b.size), rng)
         l_q, e = self.L_q, self.E
-        np.multiply(z[0], l_q[1, 0], out=tmp[0])
-        np.multiply(z[1], l_q[1, 1], out=tmp[1])
-        tmp[0] += tmp[1]                        # the drive of a
-        z[0] *= l_q[0, 0]
-        z[1] *= l_q[0, 1]
-        z[0] += z[1]                            # the drive of b
-        a *= e[1, 1]
-        np.multiply(b, e[1, 0], out=tmp[1])
-        a += tmp[1]
-        a += tmp[0]
-        b *= e[0, 0]
-        b += z[0]
+        return (e[0, 0] * b + (l_q[0, 0] * z[0] + l_q[0, 1] * z[1]),
+                e[1, 1] * a + e[1, 0] * b + (l_q[1, 0] * z[0] + l_q[1, 1] * z[1]))
 
     def correlation_a(self, tau):
         """Analytic <a*(0) a(tau)> of this model (real valued)."""
@@ -260,9 +240,13 @@ def _chol_psd(mat):
 
 
 def _circular_normal(shape, rng):
-    """Complex normals with <z z*> = 1, <z z> = 0."""
-    return ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            / math.sqrt(2.0))
+    """Complex normals with <z z*> = 1, <z z> = 0: the real parts are drawn
+    first, then the imaginary parts, each filled in place."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z /= math.sqrt(2.0)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -594,36 +578,6 @@ def _apply_dead_time(times, dead_time):
     return keep
 
 
-def _draw_events(lam, starts, dt, spad: SpadConfig, t_end, rng):
-    """Raw (times, detector, is_dark) of both detectors for one block, unsorted.
-
-    Row i of lam is the gate opening at starts[i]; lam[i, j] is the
-    registered intensity in its step of width dt from starts[i] + j*dt; lam
-    is overwritten.  Each detector draws, in this order: thinning per step,
-    jitter within it, dark counts per gate, dark offsets within it.
-    """
-    # the hit probabilities take the intensities' place, and the thinning
-    # draws come a chunk of rows at a time: rng.random fills in C order, so
-    # the chunks draw what one block-sized call would, without its copies
-    p_hit = np.clip(np.multiply(lam, dt, out=lam), 0.0, 1.0, out=lam)
-    chunk = max(1, (_CLICK_BLOCK_BYTES // 16) // (8 * p_hit.shape[1]))
-    times, det, dark = [], [], []
-    for d in range(2):
-        hits = [np.nonzero(rng.random(p.shape) < p)
-                for p in np.split(p_hit, range(chunk, len(p_hit), chunk))]
-        rows = np.concatenate([r + i * chunk for i, (r, _) in enumerate(hits)])
-        steps = np.concatenate([s for _, s in hits])
-        t_hit = starts[rows] + (steps + rng.random(rows.size)) * dt
-        counts = rng.poisson(spad.dark_rate * spad.gate_len, size=starts.size)
-        t_dark = np.repeat(starts, counts) \
-            + rng.random(counts.sum()) * spad.gate_len
-        t_dark = t_dark[t_dark < t_end]          # a last gate may overrun t_end
-        times += [t_hit, t_dark]
-        dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]
-        det.append(np.full(t_hit.size + t_dark.size, d, dtype=np.int8))
-    return np.concatenate(times), np.concatenate(det), np.concatenate(dark)
-
-
 def _register_events(times, det, dark, dead_time):
     """Per detector: stable time sort and dead time; then a stable time merge."""
     kept = []
@@ -636,31 +590,54 @@ def _register_events(times, det, dark, dead_time):
     return times[kept], det[kept], dark[kept]
 
 
-_CLICK_BLOCK_BYTES = 64 << 20
+_CLICK_BLOCK_GATES = 1 << 16
+# a gate of more steps is refused before any work; each step is a pass of
+# NumPy calls, so an unbounded gate would mean a near-endless loop
+_CLICK_MAX_STEPS = 1 << 23
 
 
-def _gate_intensities(model, n_gates, m_steps, rng):
-    """|a|^2 of n_gates independent stationary snippets at m_steps successive
-    steps of model.dt, time-major: row j is step j of every gate."""
-    b, a = model.stationary_sample(n_gates, rng)
-    work = model.step_scratch(n_gates)
-    intens = np.empty((m_steps, n_gates))
-    for j, row in enumerate(intens):
-        np.abs(a, out=row)
-        np.square(row, out=row)
+def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng):
+    """Raw (times, detector, is_dark) of both detectors for the gates opening
+    at starts, unsorted.
+
+    Each gate gets a stationary snippet, stepped across the gate by model.dt.
+    At every step both detectors, 0 first, thin p = min(hit_scale |a|^2, 1).
+    Then each detector draws, in this order: its hits' jitter within their
+    steps, its dark counts per gate and their offsets within the gate.
+    """
+    n, dt = starts.size, model.dt
+    b, a = model.stationary_sample(n, rng)
+    p, u = np.empty(n), np.empty(n)
+    hits = ([], [])                     # step-major indices j * n + gate
+    for j in range(m_steps):
+        np.square(np.abs(a, out=p), out=p)
+        np.minimum(np.multiply(p, hit_scale, out=p), 1.0, out=p)
+        for d in range(2):
+            hits[d].append(np.flatnonzero(rng.random(out=u) < p) + j * n)
         if j + 1 < m_steps:
-            model.step_states(b, a, rng, work)
-    return intens
+            b, a = model.step_states(b, a, rng)
+    times, det, dark = [], [], []
+    for d in range(2):
+        steps, rows = np.divmod(np.concatenate(hits[d]), n)
+        t_hit = starts[rows] + (steps + rng.random(rows.size)) * dt
+        counts = rng.poisson(spad.dark_rate * spad.gate_len, size=n)
+        t_dark = np.repeat(starts, counts) \
+            + rng.random(counts.sum()) * spad.gate_len
+        t_dark = t_dark[t_dark < t_end]          # a last gate may overrun t_end
+        times += [t_hit, t_dark]
+        dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]
+        det.append(np.full(t_hit.size + t_dark.size, d, dtype=np.int8))
+    return np.concatenate(times), np.concatenate(det), np.concatenate(dark)
 
 
-def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
+def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
     """Click stream over a long duration via per-gate field snapshots.
 
     Gates are free running at spad.gate_rate.  Successive gates are separated
     by far more than the field correlation time, so each gate gets an
     independent stationary field snippet evolved exactly across the gate.
-    Gates are processed in blocks of up to 200 000, each within
-    _CLICK_BLOCK_BYTES of intensities, with per-block random streams.
+    Gates are processed in blocks of _CLICK_BLOCK_GATES, each with its own
+    random stream, so memory does not grow with the gate length.
     """
     require_positive("duration", duration)
     spad = cfg.spad
@@ -676,31 +653,21 @@ def gated_click_stream(cfg: SimConfig, duration, seed=None) -> ClickStream:
     if n_gates < 1:
         raise ConfigError("duration shorter than one gate period")
     r_registered = budget_mod.build_report(cfg.params, cfg.spad).singles_rate_ungated
-
-    # the default 22 steps a gate keep 200 000-gate blocks, and so the streams
-    per_block = min(200_000, _CLICK_BLOCK_BYTES // (8 * m_steps))
-    if per_block < 1:
+    if m_steps > _CLICK_MAX_STEPS:
         raise ConfigError(f"the click step {dt:.3e} s is too fine for a "
                           f"{spad.gate_len:.3e} s gate: its {m_steps} steps pass "
-                          f"{_CLICK_BLOCK_BYTES} bytes")
-    n_blocks = (n_gates + per_block - 1) // per_block
-    seeds = np.random.SeedSequence(cfg.seed if seed is None else seed).spawn(n_blocks)
+                          f"{_CLICK_MAX_STEPS}")
+    hit_scale = dt * r_registered / model.var_a if model.var_a > 0 else 0.0
+    n_blocks = (n_gates + _CLICK_BLOCK_GATES - 1) // _CLICK_BLOCK_GATES
+    seeds = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
 
     blocks = []
     for bi in range(n_blocks):
-        lo = bi * per_block
-        hi = min(lo + per_block, n_gates)
+        lo = bi * _CLICK_BLOCK_GATES
+        starts = np.arange(lo, min(lo + _CLICK_BLOCK_GATES, n_gates)) / spad.gate_rate
         rng = np.random.Generator(np.random.Philox(seeds[bi]))
-        nb = hi - lo
-        lam = _gate_intensities(model, nb, m_steps, rng)
-        if model.var_a > 0:                 # the registered rate, in place
-            lam *= r_registered
-            lam /= model.var_a
-        else:
-            lam[...] = 0.0
-        gate_starts = (lo + np.arange(nb)) / spad.gate_rate
-        blocks.append(_draw_events(lam.T, gate_starts, dt, spad, duration, rng))
-        del lam                             # before the next block's field
+        blocks.append(_draw_block(model, starts, m_steps, hit_scale, spad,
+                                  duration, rng))
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
                                         spad.dead_time)
@@ -735,14 +702,12 @@ def write_heralds_csv(times, path):
 # persistence
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_SCHEMA = "phonon-forge/ensemble-v1"
+ENSEMBLE_SCHEMA = "phonon-forge/ensemble-v2"
 
 
 def save_ensemble(ens: TraceEnsemble, path_base):
     """Binary columnar store (.npz) plus a JSON sidecar (.json)."""
-    np.savez(str(path_base) + ".npz",
-             z_real=ens.z.real, z_imag=ens.z.imag,
-             taus=ens.taus, weights=ens.weights)
+    np.savez(str(path_base) + ".npz", z=ens.z, taus=ens.taus, weights=ens.weights)
     sidecar = {
         "schema": ENSEMBLE_SCHEMA,
         "herald_kind": ens.herald_kind,
@@ -766,17 +731,13 @@ def load_ensemble(path_base) -> TraceEnsemble:
         raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}, "
                           f"got {sidecar.get('herald_kind')!r}")
     with np.load(str(path_base) + ".npz") as data:
-        z_real, z_imag, taus, weights = (data[k] for k in
-                                         ("z_real", "z_imag", "taus", "weights"))
-    if z_real.shape != z_imag.shape:
-        raise ConfigError(f"z_real {z_real.shape} and z_imag {z_imag.shape} "
-                          "differ in shape")
-    if z_real.ndim != 2 or z_real.shape[0] != sidecar["n_traces"]:
-        raise ConfigError(f"z has shape {z_real.shape}, the sidecar says "
-                          f"{sidecar['n_traces']!r} traces")
-    if weights.shape != z_real.shape[:1] or taus.shape != z_real.shape[1:]:
+        z, taus, weights = (data[k] for k in ("z", "taus", "weights"))
+    if z.dtype.kind != "c" or z.ndim != 2 or z.shape[0] != sidecar["n_traces"]:
+        raise ConfigError(f"z is {z.dtype} of shape {z.shape}, the sidecar says "
+                          f"{sidecar['n_traces']!r} traces of complex columns")
+    if weights.shape != z.shape[:1] or taus.shape != z.shape[1:]:
         raise ConfigError(f"weights {weights.shape} and taus {taus.shape} "
-                          f"do not match z {z_real.shape}")
+                          f"do not match z {z.shape}")
     for name in ("herald_col", "margin_cols"):
         require_integer(name, sidecar.get(name), 0)
         if sidecar[name] >= taus.size:
@@ -790,7 +751,6 @@ def load_ensemble(path_base) -> TraceEnsemble:
         raise ConfigError(f"meta must be a JSON object, got {meta!r}")
     for name in _META_READ:
         require_positive(f"meta.{name}", meta.get(name))
-    z = z_real + 1j * z_imag
     return TraceEnsemble(z=z, taus=taus, herald_col=sidecar["herald_col"],
                          weights=weights, herald_kind=sidecar["herald_kind"],
                          margin_cols=sidecar["margin_cols"],

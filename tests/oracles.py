@@ -209,16 +209,31 @@ def _step_states_allocating(model, b, a, rng):
     return model.E[0, 0] * b + wb, model.E[1, 1] * a + model.E[1, 0] * b + wa
 
 
-def gate_intensities_stepwise(model, n_gates, m_steps, rng):
-    """simulator._gate_intensities by a gate-major loop that allocates every
-    step, returned transposed to the same (m_steps, n_gates) layout."""
-    b, a = model.stationary_sample(n_gates, rng)
-    intens = np.empty((n_gates, m_steps))
+def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
+    """simulator._draw_block by a gate-major loop that allocates every step:
+    the hit probabilities and thinning draws are stored (gates, steps) and
+    read step-major at the end, in the order the kernel collects its hits."""
+    n, dt = starts.size, model.dt
+    b, a = model.stationary_sample(n, rng)
+    p = np.empty((n, m_steps))
+    u = np.empty((2, n, m_steps))
     for j in range(m_steps):
-        intens[:, j] = np.abs(a) ** 2
+        p[:, j] = np.minimum(hit_scale * np.abs(a) ** 2, 1.0)
+        u[0, :, j] = rng.random(n)
+        u[1, :, j] = rng.random(n)
         if j + 1 < m_steps:
             b, a = _step_states_allocating(model, b, a, rng)
-    return intens.T
+    times, det, dark = [], [], []
+    for d in range(2):
+        steps, rows = np.nonzero((u[d] < p).T)
+        t_hit = starts[rows] + (steps + rng.random(rows.size)) * dt
+        counts = rng.poisson(spad.dark_rate * spad.gate_len, size=n)
+        t_dark = np.repeat(starts, counts) + rng.random(counts.sum()) * spad.gate_len
+        t_dark = t_dark[t_dark < t_end]
+        times += [t_hit, t_dark]
+        det += [np.full(t_hit.size + t_dark.size, d, dtype=np.int8)]
+        dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]
+    return np.concatenate(times), np.concatenate(det), np.concatenate(dark)
 
 
 def _ar1_allocating(pole, drive):

@@ -17,7 +17,7 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import ar1_lfilter, gate_intensities_stepwise, simulate_fields, \
+from oracles import ar1_lfilter, draw_block_stepwise, simulate_fields, \
     simulate_chunk_allocating, time_domain_demodulate, time_domain_impulse_response
 
 
@@ -427,7 +427,7 @@ def _with_spad(cfg, **changes):
 class TestClicks:
     def test_rate_matches_budget(self, cfg):
         duration = 4.0
-        clicks = sim.gated_click_stream(cfg, duration, seed=77)
+        clicks = sim.gated_click_stream(cfg.with_updates(seed=77), duration)
         report = bud.build_report(cfg.params, cfg.spad)
         expected = report.singles_rate * duration
         per_det = [(clicks.detector == d).sum() for d in (0, 1)]
@@ -437,7 +437,7 @@ class TestClicks:
     def test_dark_only_when_uncoupled(self, cfg):
         c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
         duration = 20.0
-        clicks = sim.gated_click_stream(c, duration, seed=13)
+        clicks = sim.gated_click_stream(c.with_updates(seed=13), duration)
         assert np.all(clicks.is_dark)
         expected = c.spad.dark_rate * c.spad.duty_cycle * duration
         per_det = [(clicks.detector == d).sum() for d in (0, 1)]
@@ -446,7 +446,7 @@ class TestClicks:
 
     def test_coincidences_follow_product_law(self, cfg):
         duration = 40.0
-        clicks = sim.gated_click_stream(cfg, duration, seed=21)
+        clicks = sim.gated_click_stream(cfg.with_updates(seed=21), duration)
         coinc = sim.herald_select(clicks, "coincidence")
         report = bud.build_report(cfg.params, cfg.spad)
         expected = report.coincidence_rate * duration
@@ -455,7 +455,7 @@ class TestClicks:
         assert 0.1 < coinc.size / duration < 20.0
 
     def test_dead_time_invariant(self, cfg):
-        clicks = sim.gated_click_stream(cfg, 4.0, seed=55)
+        clicks = sim.gated_click_stream(cfg.with_updates(seed=55), 4.0)
         for d in (0, 1):
             t = clicks.times[clicks.detector == d]
             if t.size > 1:
@@ -467,92 +467,111 @@ class TestClicks:
             sim.gated_click_stream(cfg, duration)
 
     def test_click_stream_deterministic(self, cfg):
-        a = sim.gated_click_stream(cfg, 1.0, seed=3)
-        b = sim.gated_click_stream(cfg, 1.0, seed=3)
+        c = cfg.with_updates(seed=3)
+        a = sim.gated_click_stream(c, 1.0)
+        b = sim.gated_click_stream(c, 1.0)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.detector, b.detector)
         assert np.array_equal(a.is_dark, b.is_dark)
 
     def test_click_stream_equals_the_stepwise_oracle(self, cfg, monkeypatch):
-        # 205 000 gates: a full block of 200 000 and a partial one
-        fast = sim.gated_click_stream(cfg, 4.1, seed=8)
-        monkeypatch.setattr(sim, "_gate_intensities", gate_intensities_stepwise)
-        slow = sim.gated_click_stream(cfg, 4.1, seed=8)
+        # 205 000 gates: three full blocks of 65 536 and a partial one
+        c = cfg.with_updates(seed=8)
+        fast = sim.gated_click_stream(c, 4.1)
+        blocks = []
+
+        def oracle(model, starts, *args):
+            blocks.append(starts.size)
+            return draw_block_stepwise(model, starts, *args)
+
+        monkeypatch.setattr(sim, "_draw_block", oracle)
+        slow = sim.gated_click_stream(c, 4.1)
+        full = sim._CLICK_BLOCK_GATES
+        assert blocks == [full] * 3 + [slow.meta["n_gates"] - 3 * full]
         assert fast.n_events > 100
         assert np.array_equal(fast.times, slow.times)
         assert np.array_equal(fast.detector, slow.detector)
         assert np.array_equal(fast.is_dark, slow.is_dark)
 
-    def test_click_blocks_fit_the_byte_budget(self, cfg, monkeypatch):
-        # 500 times the default gate holds 10 938 steps, so a 200 000-gate
-        # block would be 17.5 GB; record the first block's shape and stop
-        # before it is allocated
-        class Stop(Exception):
-            pass
+    def test_click_field_follows_its_correlation(self, cfg):
+        # a gate's snippets, stepped by step_states from stationary_sample,
+        # carry the model's <a*(0) a(j dt)> at every step of the gate
+        n, m_steps = 200_000, math.ceil(cfg.spad.gate_len / cfg.dt)
+        assert m_steps == 22
+        model = sim.FieldModel(cfg, dt=cfg.spad.gate_len / m_steps)
+        rng = np.random.Generator(np.random.Philox(12))
+        b, a = model.stationary_sample(n, rng)
+        a0 = a.conj()
+        for j in range(1, m_steps):
+            b, a = model.step_states(b, a, rng)
+            prod = a0 * a
+            se = prod.real.std() / math.sqrt(n), prod.imag.std() / math.sqrt(n)
+            expected = float(model.correlation_a(j * model.dt))
+            assert abs(prod.real.mean() - expected) < 3 * se[0], j
+            assert abs(prod.imag.mean()) < 3 * se[1], j
 
-        def first_block(c):
-            shapes = []
-
-            def record(model, n_gates, m_steps, rng):
-                shapes.append((m_steps, n_gates))
-                raise Stop
-
-            monkeypatch.setattr(sim, "_gate_intensities", record)
-            with pytest.raises(Stop):
-                sim.gated_click_stream(c, 4.1, seed=8)
-            return shapes[0]
-
-        assert first_block(cfg) == (22, 200_000)
-        m_steps, n_gates = first_block(_with_spad(cfg, gate_len=500 * cfg.spad.gate_len))
-        assert m_steps == 10_938 and n_gates > 100
-        assert 8 * m_steps * n_gates <= sim._CLICK_BLOCK_BYTES
+    def test_click_stream_memory_is_bounded_whatever_the_gate(self):
+        # blocks hold a fixed number of gates and no per-step intensities, so
+        # a gate 500 times the default's (10 938 steps) needs no more memory
+        c = sim.SimConfig()
+        for cfg_, duration in ((c, 4.0),
+                               (_with_spad(c, gate_len=500 * c.spad.gate_len), 0.05)):
+            tracemalloc.start()
+            try:
+                sim.gated_click_stream(cfg_, duration)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6, (cfg_.spad.gate_len, peak)
 
     def test_fine_step_stream_runs_in_budgeted_blocks(self, cfg, monkeypatch):
         shapes = []
-        intensities = sim._gate_intensities
+        draw_block = sim._draw_block
 
-        def record(model, n_gates, m_steps, rng):
-            shapes.append((m_steps, n_gates))
-            return intensities(model, n_gates, m_steps, rng)
+        def record(model, starts, m_steps, *args):
+            shapes.append((m_steps, starts.size))
+            return draw_block(model, starts, m_steps, *args)
 
-        monkeypatch.setattr(sim, "_gate_intensities", record)
-        monkeypatch.setattr(sim, "_CLICK_BLOCK_BYTES", 1 << 20)
+        monkeypatch.setattr(sim, "_draw_block", record)
+        monkeypatch.setattr(sim, "_CLICK_BLOCK_GATES", 119)
         # a gate 50 times the default's holds 1094 steps of the click step
         c = _with_spad(cfg, gate_len=50 * cfg.spad.gate_len)
-        clicks = sim.gated_click_stream(c, 0.01, seed=8)
+        clicks = sim.gated_click_stream(c, 0.01)
         assert shapes == [(1094, 119)] * 4 + [(1094, 24)]
         assert np.all(np.diff(clicks.times) >= 0) and clicks.times.max() < 0.01
-        with pytest.raises(ConfigError, match="too fine"):
-            sim.gated_click_stream(_with_spad(cfg, gate_len=5e-5, gate_rate=1e4),
-                                   0.01)
 
-    def test_click_stream_holds_its_block_about_once(self):
-        # the field stage peaks near 1.75 blocks of intensities; drawing the
-        # clicks must not add a copy of the block on top of that
-        c = sim.SimConfig()
-        m_steps = math.ceil(c.spad.gate_len / c.dt)
-        block_bytes = 8 * m_steps * 200_000
-        tracemalloc.start()
-        try:
-            sim.gated_click_stream(c, 4.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m_steps == 22
-        assert peak < 2 * block_bytes
+    def test_too_fine_a_gate_is_refused_before_any_work(self, cfg, monkeypatch):
+        def never(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(sim, "_draw_block", never)
+        # 2e-3 s of 0.16 ns steps: 12.5 million, beyond 2^23
+        with pytest.raises(ConfigError, match="too fine"):
+            sim.gated_click_stream(_with_spad(cfg, gate_len=2e-3, gate_rate=100.0),
+                                   0.05)
 
     def test_trajectory_thinning_rate(self, cfg):
-        # one constant-intensity row per gate, as gated_click_stream lays out
+        # a stand-in field of constant |a|^2 = 1, so every step of every gate
+        # thins at rate * dt
         rate = 2.0e5
         spad = cfg.spad
-        n_gates = 200_000
         m_steps = math.ceil(spad.gate_len / cfg.dt)
-        lam = np.full((n_gates, m_steps), rate)
+
+        class ConstantField:
+            dt = spad.gate_len / m_steps
+
+            def stationary_sample(self, n, rng):
+                return np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
+
+            def step_states(self, b, a, rng):
+                return b, a
+
+        n_gates = 200_000
         starts = np.arange(n_gates) / spad.gate_rate
         duration = n_gates / spad.gate_rate
-        _, det, dark = sim._draw_events(lam, starts, spad.gate_len / m_steps,
-                                        spad, duration,
-                                        np.random.Generator(np.random.Philox(2)))
+        _, det, dark = sim._draw_block(ConstantField(), starts, m_steps,
+                                       rate * ConstantField.dt, spad, duration,
+                                       np.random.Generator(np.random.Philox(2)))
         expected = rate * spad.duty_cycle * duration
         counted = int((~dark & (det == 0)).sum())
         assert abs(counted - expected) < 3 * math.sqrt(expected) + 3
@@ -613,9 +632,9 @@ class TestPersistence:
 
     # each case drops the last trace (row) or the last column of some arrays
     @pytest.mark.parametrize("rows,cols", [
-        (("z_real", "z_imag"), ()),          # fewer traces than the sidecar says
-        (("z_real",), ()),
-        ((), ("z_imag",)),
+        (("z",), ()),                        # fewer traces than the sidecar says
+        (("z", "weights"), ()),              # z and weights agree, the sidecar not
+        ((), ("z",)),
         (("weights",), ()),
         ((), ("taus",)),
     ])
@@ -630,6 +649,29 @@ class TestPersistence:
         np.savez(tmp_path / "ens.npz", **arrays)
         with pytest.raises(ConfigError):
             sim.load_ensemble(base)
+
+    @pytest.mark.parametrize("reshape", [
+        lambda z: z.real.copy(),             # the right shape, but real
+        lambda z: z.ravel(),
+        lambda z: z[..., None],
+    ], ids=["real", "1d", "3d"])
+    def test_z_must_be_a_complex_matrix(self, cfg, tmp_path, reshape):
+        base = _saved(cfg, tmp_path)
+        with np.load(tmp_path / "ens.npz") as data:
+            arrays = dict(data)
+        arrays["z"] = reshape(arrays["z"])
+        np.savez(tmp_path / "ens.npz", **arrays)
+        with pytest.raises(ConfigError, match="complex"):
+            sim.load_ensemble(base)
+
+    def test_v1_sidecar_refused(self, cfg, tmp_path):
+        # the split z_real/z_imag layout has no reader
+        base = _saved(cfg, tmp_path)
+        with np.load(tmp_path / "ens.npz") as data:
+            z, taus, weights = data["z"], data["taus"], data["weights"]
+        np.savez(tmp_path / "ens.npz", z_real=z.real, z_imag=z.imag, taus=taus,
+                 weights=weights)
+        _reject_sidecar(base, lambda doc: doc.update(schema="phonon-forge/ensemble-v1"))
 
     def test_sidecar_trace_count_checked(self, cfg, tmp_path):
         _reject_sidecar(_saved(cfg, tmp_path),
