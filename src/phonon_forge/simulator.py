@@ -166,57 +166,50 @@ class FieldModel:
         """Exact trajectories of shape (n_traces, n_steps); index 0 holds t=0.
 
         Both are transposed views of time-major arrays, so each step of the
-        recursion is one contiguous row.  Besides them the block holds one
-        float and one complex scratch of its size, for the draws.
+        recursion is one contiguous row.  Each complex drive is drawn into
+        its own trajectory and mixed there by L_q / sqrt(2), in place.
         """
         n = b0.size
-        normals = np.empty((n, n_steps))
-        z = np.empty((n_steps, n), dtype=complex)
-
-        def circular_normal():
-            # _circular_normal((n, n_steps), rng), written time-major
-            rng.standard_normal(out=normals)
-            z.real = normals.T
-            rng.standard_normal(out=normals)
-            z.imag = normals.T
-            return np.divide(z, math.sqrt(2.0), out=z)
-
-        l_q = self.L_q
-        b = np.multiply(l_q[0, 0], circular_normal())
-        a = np.multiply(l_q[1, 0], z)
-        circular_normal()
-        if l_q[0, 1] != 0:          # a Cholesky factor is lower-triangular
-            _add_scaled(b, l_q[0, 1], z)
-        _add_scaled(a, l_q[1, 1], z)
-        del normals, z
+        b = np.empty((n_steps, n), dtype=complex)
+        a = np.empty((n_steps, n), dtype=complex)
+        rng.standard_normal(out=b.view(float))
+        rng.standard_normal(out=a.view(float))
+        _mix_rows(self.L_q / math.sqrt(2.0), b, a)
         b[0] = b0
         a[0] = a0
         _ar1(self.E[0, 0], b)
         # drive for a: coupling acts on the previous b sample
-        _add_scaled(a[1:], self.E[1, 0], b[:-1])
-        _ar1(self.E[1, 1], a)
+        _ar1(self.E[1, 1], a, self.E[1, 0], b)
         return b.T, a.T
 
 
 _SLAB_BYTES = 1 << 20
 
 
-def _add_scaled(out, coef, src):
-    """out += coef * src, a slab of rows at a time."""
-    rows = max(1, _SLAB_BYTES // src[0].nbytes)
-    tmp = np.empty_like(src[:rows])
-    for lo in range(0, len(src), rows):
-        part = src[lo:lo + rows]
-        out[lo:lo + rows] += np.multiply(coef, part, out=tmp[:len(part)])
+def _mix_rows(l, b, a):
+    """(b, a) <- l @ (b, a) in place, a slab of rows at a time.  l[0, 1] is
+    0, and skipped, unless _chol_psd fell back to its eigenvalue factor."""
+    rows = max(1, _SLAB_BYTES // b[0].nbytes)
+    tmp, upper = np.empty_like(b[:rows]), np.empty_like(b[:rows])
+    for lo in range(0, len(b), rows):
+        sb, sa = b[lo:lo + rows], a[lo:lo + rows]
+        u = np.multiply(l[0, 1], sa, out=upper[:len(sa)]) if l[0, 1] != 0 else None
+        np.multiply(l[1, 1], sa, out=sa)
+        sa += np.multiply(l[1, 0], sb, out=tmp[:len(sb)])
+        np.multiply(l[0, 0], sb, out=sb)
+        if u is not None:
+            sb += u
 
 
-def _ar1(pole, x):
+def _ar1(pole, x, coef=0.0, y=None):
     """x[t] = pole * x[t-1] + x[t] in place along the first axis, from t = 1:
-    the recursion driven by a time-major drive x, with x[-1] = 0."""
+    the recursion driven by a time-major drive x, with x[-1] = 0.  Given y,
+    the drive x[t] first gains coef * y[t-1]."""
     tmp = np.empty_like(x[0])
     for t in range(1, len(x)):
-        np.multiply(pole, x[t - 1], out=tmp)
-        x[t] += tmp
+        if y is not None:
+            x[t] += np.multiply(coef, y[t - 1], out=tmp)
+        x[t] += np.multiply(pole, x[t - 1], out=tmp)
 
 
 def fast_len(n):
@@ -310,6 +303,9 @@ class DemodPlan:
         self.n_fft = d * fast_len(-(-(cfg.trace_len + self.h.size) // d))
         self._band_response = self.response(self.n_fft) * (math.sqrt(2.0) / d) \
             * np.exp(2j * math.pi * self.offset * np.fft.fftfreq(self.n_fft))
+        # e^(i w_het t) at the sample times, which mixes the record down
+        theta = cfg.params.omega_het * (np.arange(self.n_samp) * self.dt_s)
+        self.phasor = np.cos(theta) + 1j * np.sin(theta)
 
     def _impulse(self, n):
         """The response's n-point inverse DFT, centred on sample n // 2."""
@@ -348,33 +344,27 @@ class DemodPlan:
             return 1.0
         return 1.0 + order * self.cross_a_filtered ** 2 / denom
 
-    def mix_phases(self):
-        t = np.arange(self.n_samp) * self.dt_s
-        theta = self.cfg.params.omega_het * t
-        return np.cos(theta), np.sin(theta)
-
     def voltage_from_field(self, a_sampled, rng):
         """sqrt(2) g Re[a e^(-i w t)] plus calibrated vacuum noise.
 
-        The signal follows the layout of a_sampled; the voltage is the noise
-        buffer, C-ordered as drawn, with the signal added a slab at a time.
+        The voltage is the noise buffer, C-ordered as drawn; the signal's
+        quadratures are added to it in turn through one scratch of its shape.
         """
-        cos_t, sin_t = self.mix_phases()
-        signal = np.multiply(a_sampled.real, cos_t)
-        signal += np.multiply(a_sampled.imag, sin_t)
+        scale = math.sqrt(2.0) * self.gain
         v = rng.standard_normal(a_sampled.shape)
         v *= self.sigma_vac
-        _add_scaled(v, math.sqrt(2.0) * self.gain, signal)
+        tmp = np.multiply(a_sampled.real, scale * self.phasor.real)
+        v += tmp
+        v += np.multiply(a_sampled.imag, scale * self.phasor.imag, out=tmp)
         return v
 
     def demodulate(self, v):
         """Quadratures z = X + iP at self.cols for any leading shape of v:
         mix, filter by FFT, decimate by folding the bands, inverse FFT."""
-        cos_t, sin_t = self.mix_phases()
         d, lead = self.cfg.decimate, v.shape[:-1]
         buf = np.empty(lead + (self.n_fft,), dtype=complex)
         buf[..., self.n_samp:] = 0.0
-        np.multiply(v, cos_t + 1j * sin_t, out=buf[..., :self.n_samp])
+        np.multiply(v, self.phasor, out=buf[..., :self.n_samp])
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= self._band_response
         bands = buf.reshape(lead + (d, self.n_fft // d)).sum(axis=-2)
@@ -474,11 +464,14 @@ def _simulate_chunk(cfg, model, plan, n, order, rng):
     b0, a0 = model.stationary_sample(n, rng)
     # only a is kept, so b is freed before the voltage is built
     a = model.evolve_block(b0, a0, cfg.trace_len, rng)[1]
-    a_center = a[:, plan.center].copy()
-    v = plan.voltage_from_field(a, rng)
-    del a
+    # the voltage and its demodulation buffer exist a slab of traces at a
+    # time; the voltage noise is still drawn trace-major, slab after slab
+    rows = max(1, _SLAB_BYTES // (16 * plan.n_fft))
+    z = np.empty((n, plan.cols.size), dtype=complex)
+    for lo in range(0, n, rows):
+        z[lo:lo + rows] = plan.demodulate(plan.voltage_from_field(a[lo:lo + rows], rng))
     # |a|^0 is exactly 1, so an unheralded ensemble carries uniform weights
-    return plan.demodulate(v), np.abs(a_center) ** (2 * order)
+    return z, np.abs(a[:, plan.center]) ** (2 * order)
 
 
 def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
@@ -489,11 +482,14 @@ def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     wsum = w.sum()
     if wsum <= 0:
         raise ConfigError("ensemble weights sum to zero (no herald signal)")
-    # einsum without optimize never calls BLAS, whose reduction order
-    # depends on its thread count; these sums are the same on any host
-    mean = np.einsum("i,ij->j", w, ens.z) / wsum
-    dev = ens.z - mean
-    var = np.einsum("i,ij->j", w, dev.real ** 2 + dev.imag ** 2) / (2.0 * wsum)
+    rows = max(1, _SLAB_BYTES // ens.z[0].nbytes)
+    blocks = [slice(lo, lo + rows) for lo in range(0, ens.n_traces, rows)]
+    # the mean, then |z - mean|^2, summed over blocks of rows in a fixed
+    # order, so no scratch of z's size exists; einsum without optimize never
+    # calls BLAS, whose reduction order depends on its thread count
+    mean = sum(np.einsum("i,ij->j", w[s], ens.z[s]) for s in blocks) / wsum
+    var = sum(np.einsum("i,ij->j", w[s], np.abs(ens.z[s] - mean) ** 2)
+              for s in blocks) / (2.0 * wsum)
     return VarianceCurve(ens.taus.copy(), var, order=ens.order)
 
 

@@ -171,8 +171,7 @@ def time_domain_impulse_response(cfg, n_imp=8192):
 def time_domain_demodulate(plan, v):
     """Mix, filter the real and imaginary parts in the time domain, then keep
     every decimate-th sample at plan.cols."""
-    cos_t, sin_t = plan.mix_phases()
-    mixed = v * (cos_t + 1j * sin_t)
+    mixed = v * plan.phasor
     zf = math.sqrt(2.0) * (_time_domain_filter(plan.cfg, mixed.real)
                            + 1j * _time_domain_filter(plan.cfg, mixed.imag))
     return zf[..., plan.cols]
@@ -247,13 +246,17 @@ def _ar1_allocating(pole, drive):
 
 def evolve_block_allocating(model, b0, a0, n_steps, rng):
     """FieldModel.evolve_block from trace-major arrays, a new one for each
-    draw, drive and recursion."""
+    draw, drive and recursion.  Each drive's normals are drawn time-major
+    with real and imaginary parts interleaved, as the propagator places
+    them, and then viewed trace-major."""
     n = b0.size
-    z1 = sim._circular_normal((n, n_steps), rng)
-    z2 = sim._circular_normal((n, n_steps), rng)
-    l_step = model.L_q
-    wb = l_step[0, 0] * z1 + l_step[0, 1] * z2
-    wa = l_step[1, 0] * z1 + l_step[1, 1] * z2
+    x1, x2 = (rng.standard_normal((n_steps, n, 2)).view(complex)[..., 0].T
+              for _ in range(2))
+    l_step = model.L_q / math.sqrt(2.0)
+    wb = l_step[0, 0] * x1
+    if l_step[0, 1] != 0:
+        wb = wb + l_step[0, 1] * x2
+    wa = l_step[1, 1] * x2 + l_step[1, 0] * x1
     wb[:, 0] = b0
     wa[:, 0] = a0
     b = _ar1_allocating(model.E[0, 0], wb)
@@ -262,16 +265,17 @@ def evolve_block_allocating(model, b0, a0, n_steps, rng):
 
 
 def simulate_chunk_allocating(cfg, model, plan, n, order, rng):
-    """simulator._simulate_chunk by the allocating propagator, voltage and
-    zero-filled demodulation buffer, with the same draws in the same order."""
+    """simulator._simulate_chunk by the allocating propagator, one voltage
+    for the whole chunk and a zero-filled demodulation buffer, with the same
+    draws in the same order."""
     b0, a0 = model.stationary_sample(n, rng)
     _, a = evolve_block_allocating(model, b0, a0, cfg.trace_len, rng)
-    cos_t, sin_t = plan.mix_phases()
-    v = math.sqrt(2.0) * plan.gain * (a.real * cos_t + a.imag * sin_t)
-    v += plan.sigma_vac * rng.standard_normal(v.shape)
+    scale = math.sqrt(2.0) * plan.gain
+    v = plan.sigma_vac * rng.standard_normal(a.shape)
+    v = v + a.real * (scale * plan.phasor.real) + a.imag * (scale * plan.phasor.imag)
     d = cfg.decimate
     buf = np.zeros((n, plan.n_fft), dtype=complex)
-    np.multiply(v, cos_t + 1j * sin_t, out=buf[:, :plan.n_samp])
+    np.multiply(v, plan.phasor, out=buf[:, :plan.n_samp])
     np.fft.fft(buf, axis=-1, out=buf)
     buf *= plan._band_response
     bands = buf.reshape((n, d, plan.n_fft // d)).sum(axis=-2)
