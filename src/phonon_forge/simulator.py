@@ -131,10 +131,8 @@ class FieldModel:
         r, k, g, dt = self.rate, self.kappa, self.coupling, self.dt
         e_bb = math.exp(-r * dt)
         e_aa = math.exp(-k * dt)
-        if abs(k - r) / max(k, r) < 1e-9:
-            e_ab = -1j * g * dt * e_aa
-        else:
-            e_ab = -1j * g * (e_bb - e_aa) / (k - r)
+        # (e_bb - e_aa) / (k - r) without its cancellation near k = r
+        e_ab = -1j * g * e_aa * (math.expm1((k - r) * dt) / (k - r) if k != r else dt)
         self.E = np.array([[e_bb, 0.0], [e_ab, e_aa]], dtype=complex)
         sig_ba = 1j * g * self.nbar_th / (k + r)
         sig_aa = correlation_amplitude(p, g, r)
@@ -163,48 +161,64 @@ class FieldModel:
         return x[0], x[1]
 
     def evolve_block(self, b0, a0, n_steps, rng):
-        """Exact trajectories of shape (n_traces, n_steps); index 0 holds t=0.
+        """(b_last, a): the optical trajectory a, shape (n_traces, n_steps),
+        index 0 holding t=0, and b_last, the (n_traces,) mechanical state at
+        the last step.
 
-        Both are transposed views of time-major arrays, so each step of the
-        recursion is one contiguous row.  Each complex drive is drawn into
-        its own trajectory and mixed there by L_q / sqrt(2), in place.
+        a is the transposed view of a time-major array, one contiguous row
+        per step.  The steps run a slab at a time: the slab's b drive is
+        drawn into a scratch, then its a drive straight into a, and both are
+        mixed there by L_q / sqrt(2).  Each recursion continues from the row
+        before the slab, so b is carried from slab to slab, never stored.
         """
         n = b0.size
-        b = np.empty((n_steps, n), dtype=complex)
         a = np.empty((n_steps, n), dtype=complex)
-        rng.standard_normal(out=b.view(float))
-        rng.standard_normal(out=a.view(float))
-        _mix_rows(self.L_q / math.sqrt(2.0), b, a)
-        b[0] = b0
-        a[0] = a0
-        _ar1(self.E[0, 0], b)
-        # drive for a: coupling acts on the previous b sample
-        _ar1(self.E[1, 1], a, self.E[1, 0], b)
-        return b.T, a.T
+        rows = _slab_rows(a[0].nbytes)
+        # b's slab after one row that carries the state before it
+        b = np.empty((min(rows, n_steps) + 1, n), dtype=complex)
+        tmp = np.empty_like(b[1:])
+        l_step = self.L_q / math.sqrt(2.0)
+        for lo in range(0, n_steps, rows):
+            m = min(rows, n_steps - lo)
+            rng.standard_normal(out=b[1:m + 1].view(float))
+            rng.standard_normal(out=a[lo:lo + m].view(float))
+            _mix_rows(l_step, b[1:m + 1], a[lo:lo + m], tmp[:m])
+            if lo == 0:
+                b[1], a[0] = b0, a0
+            start = max(lo - 1, 0)          # the carried row, or t=0 itself
+            b_run = b[start - lo + 1:m + 1]
+            _ar1(self.E[0, 0], b_run)
+            # drive for a: coupling acts on the previous b sample
+            _ar1(self.E[1, 1], a[start:lo + m], self.E[1, 0], b_run)
+            b[0] = b[m]
+        return b[0].copy(), a.T
 
 
 _SLAB_BYTES = 1 << 20
 
 
-def _mix_rows(l, b, a):
-    """(b, a) <- l @ (b, a) in place, a slab of rows at a time.  l[0, 1] is
-    0, and skipped, unless _chol_psd fell back to its eigenvalue factor."""
-    rows = max(1, _SLAB_BYTES // b[0].nbytes)
-    tmp, upper = np.empty_like(b[:rows]), np.empty_like(b[:rows])
-    for lo in range(0, len(b), rows):
-        sb, sa = b[lo:lo + rows], a[lo:lo + rows]
-        u = np.multiply(l[0, 1], sa, out=upper[:len(sa)]) if l[0, 1] != 0 else None
-        np.multiply(l[1, 1], sa, out=sa)
-        sa += np.multiply(l[1, 0], sb, out=tmp[:len(sb)])
-        np.multiply(l[0, 0], sb, out=sb)
-        if u is not None:
-            sb += u
+def _slab_rows(row_nbytes):
+    """Rows of row_nbytes each in a slab of about _SLAB_BYTES, at least one."""
+    return max(1, _SLAB_BYTES // row_nbytes)
+
+
+def _mix_rows(l, b, a, tmp):
+    """(b, a) <- l @ (b, a) in place, through the scratch tmp of their shape.
+    l[0, 1] is 0, and skipped, unless _chol_psd fell back to its eigenvalue
+    factor."""
+    upper = l[0, 1] * a if l[0, 1] != 0 else None
+    np.multiply(l[1, 1], a, out=a)
+    a += np.multiply(l[1, 0], b, out=tmp)
+    np.multiply(l[0, 0], b, out=b)
+    if upper is not None:
+        b += upper
 
 
 def _ar1(pole, x, coef=0.0, y=None):
     """x[t] = pole * x[t-1] + x[t] in place along the first axis, from t = 1:
-    the recursion driven by a time-major drive x, with x[-1] = 0.  Given y,
-    the drive x[t] first gains coef * y[t-1]."""
+    the recursion driven by a time-major drive x, continuing from the row
+    x[0], which it leaves as it is.  Given y, the drive x[t] first gains
+    coef * y[t-1]."""
     tmp = np.empty_like(x[0])
     for t in range(1, len(x)):
         if y is not None:
@@ -462,11 +476,11 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
 
 def _simulate_chunk(cfg, model, plan, n, order, rng):
     b0, a0 = model.stationary_sample(n, rng)
-    # only a is kept, so b is freed before the voltage is built
+    # b is carried through the propagation, so a is the one record held
     a = model.evolve_block(b0, a0, cfg.trace_len, rng)[1]
     # the voltage and its demodulation buffer exist a slab of traces at a
     # time; the voltage noise is still drawn trace-major, slab after slab
-    rows = max(1, _SLAB_BYTES // (16 * plan.n_fft))
+    rows = _slab_rows(16 * plan.n_fft)
     z = np.empty((n, plan.cols.size), dtype=complex)
     for lo in range(0, n, rows):
         z[lo:lo + rows] = plan.demodulate(plan.voltage_from_field(a[lo:lo + rows], rng))
@@ -482,7 +496,7 @@ def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     wsum = w.sum()
     if wsum <= 0:
         raise ConfigError("ensemble weights sum to zero (no herald signal)")
-    rows = max(1, _SLAB_BYTES // ens.z[0].nbytes)
+    rows = _slab_rows(ens.z[0].nbytes)
     blocks = [slice(lo, lo + rows) for lo in range(0, ens.n_traces, rows)]
     # the mean, then |z - mean|^2, summed over blocks of rows in a fixed
     # order, so no scratch of z's size exists; einsum without optimize never

@@ -246,12 +246,18 @@ def _ar1_allocating(pole, drive):
 
 def evolve_block_allocating(model, b0, a0, n_steps, rng):
     """FieldModel.evolve_block from trace-major arrays, a new one for each
-    draw, drive and recursion.  Each drive's normals are drawn time-major
-    with real and imaginary parts interleaved, as the propagator places
-    them, and then viewed trace-major."""
+    draw, drive and recursion, over the whole record at once.  The normals
+    are drawn in the propagator's order: slab by slab of
+    sim._slab_rows(16 n) steps, the b drive and then the a drive, each
+    time-major with real and imaginary parts interleaved.  They are then
+    joined along time and viewed trace-major."""
     n = b0.size
-    x1, x2 = (rng.standard_normal((n_steps, n, 2)).view(complex)[..., 0].T
-              for _ in range(2))
+    rows = sim._slab_rows(16 * n)
+    draws = ([], [])
+    for lo in range(0, n_steps, rows):
+        for d in draws:
+            d.append(rng.standard_normal((min(rows, n_steps - lo), n, 2)))
+    x1, x2 = (np.concatenate(d).view(complex)[..., 0].T for d in draws)
     l_step = model.L_q / math.sqrt(2.0)
     wb = l_step[0, 0] * x1
     if l_step[0, 1] != 0:
@@ -261,7 +267,7 @@ def evolve_block_allocating(model, b0, a0, n_steps, rng):
     wa[:, 0] = a0
     b = _ar1_allocating(model.E[0, 0], wb)
     wa[:, 1:] += model.E[1, 0] * b[:, :-1]
-    return b, _ar1_allocating(model.E[1, 1], wa)
+    return b[:, -1].copy(), _ar1_allocating(model.E[1, 1], wa)
 
 
 def simulate_chunk_allocating(cfg, model, plan, n, order, rng):

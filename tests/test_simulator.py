@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import ar1_lfilter, draw_block_stepwise, simulate_fields, \
-    simulate_chunk_allocating, time_domain_demodulate, time_domain_impulse_response
+from oracles import ar1_lfilter, draw_block_stepwise, evolve_block_allocating, \
+    simulate_fields, simulate_chunk_allocating, time_domain_demodulate, \
+    time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,30 @@ class TestFieldModel:
             se = per_trace.std(ddof=1) / math.sqrt(per_trace.size)
             ana = model.correlation_a(lag / cfg.sample_rate)
             assert abs(per_trace.mean() - ana) < 5 * se
+
+    @pytest.mark.parametrize("rel_gap", [1e-3, 1e-6, 1e-9, 1.1e-9, 1e-12, 0.0])
+    def test_step_matrix_equals_expm_near_degeneracy(self, cfg, rel_gap):
+        # (e_bb - e_aa) / (k - r) cancelled to 7.4e-7 relative just above
+        # its old 1e-9 cut-off; the expm1 form keeps every entry exact
+        from scipy.linalg import expm
+        p = cfg.params
+        c = cfg.with_updates(params=p.with_updates(gamma=p.kappa2 * (1.0 - rel_gap)))
+        model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
+        g, r, k = model.coupling, model.rate, model.kappa
+        ref = expm(np.array([[-r, 0.0], [-1j * g, -k]]) * model.dt)
+        np.testing.assert_allclose(model.E, ref, rtol=1e-14, atol=0.0)
+
+    def test_propagator_equals_the_allocating_oracle(self, cfg):
+        # 44 traces of 2048 steps run as two slabs, the second short
+        model = sim.FieldModel(cfg, dt=1.0 / cfg.sample_rate)
+        out = []
+        for propagate in (model.evolve_block, partial(evolve_block_allocating, model)):
+            rng = np.random.Generator(np.random.Philox(25))
+            out.append(propagate(*model.stationary_sample(44, rng), 2048, rng))
+        (b_last, a), (b_ref, a_ref) = out
+        assert b_last.shape == (44,) and a.shape == (44, 2048)
+        assert np.array_equal(b_last, b_ref)
+        assert np.array_equal(a, a_ref)
 
     def test_zero_coupling_gives_vacuum(self, cfg):
         c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
@@ -178,6 +204,31 @@ class TestFrequencyDomainFilter:
             x = drive.T.copy()              # _ar1 runs in place, time-major
             sim._ar1(pole, x)
             assert np.array_equal(x.T, ar1_lfilter(pole, drive))
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_ar1_slab_by_slab_equals_the_whole_record(self, cfg, rows):
+        # as the propagator runs it: b's slab sits in a scratch after the
+        # carried row, a's runs in place from the row before the slab
+        model = sim.FieldModel(cfg)
+        pole_b, pole_a, coef = model.E[0, 0], model.E[1, 1], model.E[1, 0]
+        rng = np.random.Generator(np.random.Philox(24))
+        drive_b, drive_a = sim._circular_normal((2, 500, 16), rng)
+        whole_b, whole_a = drive_b.copy(), drive_a.copy()
+        sim._ar1(pole_b, whole_b)
+        sim._ar1(pole_a, whole_a, coef, whole_b)
+        b, a = np.empty_like(drive_b), drive_a.copy()
+        scratch = np.empty((rows + 1, 16), dtype=complex)
+        for lo in range(0, 500, rows):
+            m = min(rows, 500 - lo)
+            scratch[1:m + 1] = drive_b[lo:lo + m]
+            start = max(lo - 1, 0)
+            run = scratch[start - lo + 1:m + 1]
+            sim._ar1(pole_b, run)
+            sim._ar1(pole_a, a[start:lo + m], coef, run)
+            b[lo:lo + m] = scratch[1:m + 1]
+            scratch[0] = scratch[m]
+        assert np.array_equal(b, whole_b)
+        assert np.array_equal(a, whole_a)
 
     @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
     @pytest.mark.parametrize("trace_len", [3125, 12500])
@@ -270,11 +321,17 @@ class TestHeraldedEnsembles:
         resid = (curve.values[sel] - analytic[sel]) / analytic[sel]
         assert np.max(np.abs(resid)) < 0.10
 
-    @pytest.mark.parametrize("demod_filter,mech_linewidth",
-                             [("butter4", "bare"), ("boxcar", "effective")])
-    def test_chunk_equals_the_allocating_oracle(self, cfg, monkeypatch,
-                                                demod_filter, mech_linewidth):
-        # 300 traces in chunks of 128 leave a short last chunk
+    @pytest.mark.parametrize("demod_filter,mech_linewidth,slab_bytes", [
+        pytest.param("butter4", "bare", None, id="butter4-bare"),
+        pytest.param("boxcar", "effective", None, id="boxcar-effective"),
+        pytest.param("butter4", "bare", 3 * 16 * 44, id="butter4-bare-short-slabs")])
+    def test_chunk_equals_the_allocating_oracle(self, cfg, monkeypatch, demod_filter,
+                                                mech_linewidth, slab_bytes):
+        # 300 traces in chunks of 128 leave a short last chunk of 44; the
+        # short-slab case steps the full chunks in 1-row slabs and the last
+        # one in 3-row slabs, the last of them 2 rows
+        if slab_bytes is not None:
+            monkeypatch.setattr(sim, "_SLAB_BYTES", slab_bytes)
         c = cfg.with_updates(demod_filter=demod_filter, chunk_traces=128,
                              mech_linewidth=mech_linewidth)
         runs = {(kind, threads): sim.run_ensemble(c, kind, n_traces=300,
@@ -287,10 +344,10 @@ class TestHeraldedEnsembles:
             assert np.array_equal(ens.weights, ref.weights)
 
     @pytest.mark.parametrize("n,trace_len", [(1024, 3125), (256, 12500)])
-    def test_chunk_holds_its_record_about_twice(self, n, trace_len):
-        # the propagator holds the two trajectories, 2 records, and the
-        # voltage and its FFT buffer exist a slab of traces at a time after
-        # it has freed b; the allocating oracle chunk holds 5
+    def test_chunk_holds_its_record_about_once(self, n, trace_len):
+        # the propagator stores only a, one record, and carries b through a
+        # slab-sized scratch; the voltage and its FFT buffer exist a slab of
+        # traces at a time; the allocating oracle chunk holds 5
         c = sim.SimConfig(trace_len=trace_len, chunk_traces=n)
         model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
         plan = sim.DemodPlan(c, model)
@@ -301,7 +358,7 @@ class TestHeraldedEnsembles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * 16 * n * trace_len
+        assert peak < 1.25 * 16 * n * trace_len
 
     def test_deterministic_across_threads(self, cfg):
         a = sim.run_ensemble(cfg, herald_kind="single", n_traces=600, threads=1)
