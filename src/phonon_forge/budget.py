@@ -32,11 +32,8 @@ class BudgetReport:
     dark_fraction: float         # dark / (dark + real)
     multi_photon_risk: bool      # n_det above 0.1
 
-    def to_dict(self):
-        return asdict(self)
-
     def to_json(self, path):
-        write_json(path, self.to_dict())
+        write_json(path, asdict(self))
 
 
 def cavity_flux(params: SystemParams, coupling=None):
@@ -81,8 +78,8 @@ def herald_fidelity(real_rate, dark_rate):
     return dark_rate / total
 
 
-def build_report(params: SystemParams, spad: SpadConfig, coupling=None) -> BudgetReport:
-    f_cav = cavity_flux(params, coupling)
+def build_report(params: SystemParams, spad: SpadConfig) -> BudgetReport:
+    f_cav = cavity_flux(params)
     r_det = detector_rate(f_cav, spad.arm_efficiencies)
     n_det = counts_per_gate(r_det, spad)
     singles = n_det * spad.gate_rate

@@ -23,7 +23,7 @@ import numpy as np
 from . import budget as budget_mod
 from . import dynamics, phase_space, simulator
 from ._formats import write_csv, write_json
-from .errors import ConfigError, NumericsError, PhononForgeError
+from .errors import ConfigError, NumericsError
 from .params import SpadConfig, SystemParams, default_params, default_spad, \
     require_integer, require_positive
 
@@ -251,7 +251,7 @@ def cmd_characterize(cfg: RunConfig, args):
     except ValueError:
         raise ConfigError(f"--powers must be comma-separated numbers, "
                           f"got {args.powers!r}") from None
-    rows = [(p, dynamics.characterize(cfg.params.with_updates(p_in=p)))
+    rows = [(p, dynamics.characterize(dataclasses.replace(cfg.params, p_in=p)))
             for p in powers]
     path = out / "characterization.csv"
     table = [(p, ch.n_cav, ch.coupling / (2 * math.pi), ch.cooperativity,
@@ -359,9 +359,6 @@ def main(argv=None):
     except (NumericsError, ArithmeticError) as exc:
         print(f"numerical validity error: {exc}", file=sys.stderr)
         return 3
-    except PhononForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -111,9 +111,6 @@ class SystemParams:
         if n_cav < 0:
             raise ConfigError("n_cav must be >= 0")
         return self.g0 * math.sqrt(n_cav)
-
-    def with_updates(self, **kwargs):
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ tests/oracles.py, not against the package's own series.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,8 +274,8 @@ def test_criterion_10_property_suite():
     e1 = sim.run_ensemble(cfg, herald_kind="single", n_traces=300, threads=1)
     e2 = sim.run_ensemble(cfg, herald_kind="single", n_traces=300, threads=2)
     assert np.array_equal(e1.z, e2.z) and np.array_equal(e1.weights, e2.weights)
-    c1 = sim.gated_click_stream(cfg.with_updates(seed=4), 0.5)
-    c2 = sim.gated_click_stream(cfg.with_updates(seed=4), 0.5)
+    c1 = sim.gated_click_stream(replace(cfg, seed=4), 0.5)
+    c2 = sim.gated_click_stream(replace(cfg, seed=4), 0.5)
     assert np.array_equal(c1.times, c2.times)
     assert np.array_equal(c1.detector, c2.detector)
     cases += 2

@@ -18,7 +18,7 @@ class TestCavityFlux:
 
     def test_linear_in_external_coupling(self, params):
         f1 = bud.cavity_flux(params)
-        doubled = params.with_updates(kappa2_ext=2 * params.kappa2_ext)
+        doubled = replace(params, kappa2_ext=2 * params.kappa2_ext)
         assert bud.cavity_flux(doubled) == pytest.approx(2 * f1)
 
 

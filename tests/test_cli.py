@@ -195,6 +195,18 @@ class TestDeterminism:
         assert run(args) == 0
         assert (outdir / "variance_n2.csv").read_bytes() == first
 
+    def test_simulate_rerun_identical_across_threads(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert run(["--threads", threads, "--out", str(out), "simulate",
+                        "--herald", "coincidence", "--n-traces", "64",
+                        "--trace-len", "3125", "--click-seconds", "0.2"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        first, second = outputs
+        assert {name.rsplit(".", 1)[1] for name in first} == {"csv", "json", "npz"}
+        assert first == second
+
     def test_threads_env_fallback(self, outdir, monkeypatch):
         for env, code in (("1", 0), ("zebra", 2), ("-4", 2)):
             monkeypatch.setenv("PHONON_FORGE_THREADS", env)
@@ -252,6 +264,8 @@ _BAD_CONFIGS = [
     # a click step 1/(20 kappa2) that rounds to 0, and a decimation longer
     # than the trace, whose demodulation buffer would not fit in memory
     ({"system": {"kappa2": 1e308}}, _SMALL_SIMULATE),
+    ({"system": {"kappa2": 1e308}}, ["budget"]),
+    ({"system": {"kappa2": 1e308}}, ["variance", "--n", "1"]),
     ({"sim": {"decimate": 1000000000000}}, _SMALL_SIMULATE),
 ]
 

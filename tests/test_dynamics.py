@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ class TestCharacterizationChain:
     def test_intracavity_photons(self, params):
         n_cav = params.intracavity_photons()
         assert abs(n_cav - 1.2e9) / 1.2e9 < 0.15
-        zero = params.with_updates(p_in=0.0)
+        zero = replace(params, p_in=0.0)
         assert zero.intracavity_photons() == 0.0
-        double = params.with_updates(p_in=2 * params.p_in)
+        double = replace(params, p_in=2 * params.p_in)
         assert double.intracavity_photons() == pytest.approx(2 * n_cav)
 
     def test_coupling_rate(self, params):
@@ -63,7 +64,7 @@ class TestCharacterizationChain:
 class TestSpectrum:
     def test_fwhm_is_twice_gamma_eff(self, params):
         # mirrored-peak overlap falls out of the 1e-6 check at large omega_het
-        p = params.with_updates(omega_het=TWO_PI * 50e9)
+        p = replace(params, omega_het=TWO_PI * 50e9)
         chain = dyn.characterize(p)
         psd = dyn.anti_stokes_spectrum(p, chain.coupling)
         from scipy.optimize import brentq

@@ -56,9 +56,8 @@ class TestConfigValidation:
             sim.SimConfig(trace_len=256, decimate=257)
 
     def test_click_step_overflow_names_kappa2(self, params):
-        c = sim.SimConfig(params=replace(params, kappa2=1e308))
         with pytest.raises(ConfigError, match="kappa2"):
-            c.dt
+            sim.SimConfig(params=replace(params, kappa2=1e308))
 
 
 class TestFieldModel:
@@ -102,11 +101,37 @@ class TestFieldModel:
         # its old 1e-9 cut-off; the expm1 form keeps every entry exact
         from scipy.linalg import expm
         p = cfg.params
-        c = cfg.with_updates(params=p.with_updates(gamma=p.kappa2 * (1.0 - rel_gap)))
+        c = replace(cfg, params=replace(p, gamma=p.kappa2 * (1.0 - rel_gap)))
         model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
         g, r, k = model.coupling, model.rate, model.kappa
         ref = expm(np.array([[-r, 0.0], [-1j * g, -k]]) * model.dt)
         np.testing.assert_allclose(model.E, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("linewidth,system", [
+        ("bare", {}), ("effective", {}), ("bare", {"p_in": 0.0}),
+        ("bare", {"nbar_th": 0.0}), ("effective", {"nbar_th": 0.0})])
+    def test_noise_factors_are_lower_triangular_and_exact(self, cfg, linewidth,
+                                                         system):
+        c = replace(cfg, mech_linewidth=linewidth,
+                    params=replace(cfg.params, **system))
+        for dt in (None, 1.0 / c.sample_rate):       # the click and sample steps
+            model = sim.FieldModel(c, dt=dt)
+            q = model.Sigma - model.E @ model.Sigma @ model.E.conj().T
+            for mat in (q, model.Sigma):
+                l = sim._chol_psd(mat)
+                assert l[0, 1] == 0.0
+                assert l[0, 0].imag == 0.0 and l[1, 1].imag == 0.0
+                # Q's upper triangle is its lower one's conjugate only to the
+                # rounding of Sigma - E Sigma E^dag; like LAPACK, the factor
+                # reads the lower triangle
+                lower = np.tril(mat) + np.tril(mat, -1).conj().T
+                np.testing.assert_allclose(l @ l.conj().T, lower, rtol=0.0,
+                                           atol=1e-15 * np.abs(mat).max())
+                try:
+                    ref = np.linalg.cholesky(mat)
+                except np.linalg.LinAlgError:
+                    continue                          # singular: no reference
+                assert np.array_equal(l, ref)
 
     def test_propagator_equals_the_allocating_oracle(self, cfg):
         # 44 traces of 2048 steps run as two slabs, the second short
@@ -121,12 +146,12 @@ class TestFieldModel:
         assert np.array_equal(a, a_ref)
 
     def test_zero_coupling_gives_vacuum(self, cfg):
-        c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
+        c = replace(cfg, params=replace(cfg.params, p_in=0.0))
         a = simulate_fields(c, 2000, n_traces=3, seed=8)
         assert np.all(a == 0.0)
 
     def test_effective_linewidth_decay(self, cfg):
-        c = cfg.with_updates(mech_linewidth="effective")
+        c = replace(cfg, mech_linewidth="effective")
         model = sim.FieldModel(c)
         chain = dyn.characterize(c.params)
         assert model.rate == pytest.approx(chain.gamma_eff)
@@ -141,7 +166,7 @@ class TestFieldModel:
 
 class TestHeterodyneAndDemod:
     def test_vacuum_anchor(self, cfg):
-        c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
+        c = replace(cfg, params=replace(cfg.params, p_in=0.0))
         a = np.zeros((300, c.trace_len), dtype=complex)
         plan = sim.DemodPlan(c)
         v = plan.voltage_from_field(a, np.random.Generator(np.random.Philox(11)))
@@ -164,14 +189,14 @@ class TestHeterodyneAndDemod:
         assert curve.values[m:-m].std() / mean_var < 0.05
 
     def test_small_eta_approaches_vacuum(self, cfg):
-        c = cfg.with_updates(params=cfg.params.with_updates(eta_total=1e-4))
+        c = replace(cfg, params=replace(cfg.params, eta_total=1e-4))
         ens = sim.run_ensemble(c, herald_kind="none", n_traces=200)
         m = ens.margin_cols
         mean_var = sim.ensemble_variance(ens).values[m:-m].mean()
         assert abs(mean_var - 1.0) < 0.1
 
     def test_boxcar_filter_keeps_anchors(self, cfg):
-        c = cfg.with_updates(demod_filter="boxcar")
+        c = replace(cfg, demod_filter="boxcar")
         ens = sim.run_ensemble(c, herald_kind="none", n_traces=400)
         m = ens.margin_cols
         mean_var = sim.ensemble_variance(ens).values[m:-m].mean()
@@ -256,7 +281,7 @@ class TestFrequencyDomainFilter:
 
     @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
     def test_impulse_response_matches_time_domain(self, cfg, demod_filter):
-        plan = sim.DemodPlan(cfg.with_updates(demod_filter=demod_filter))
+        plan = sim.DemodPlan(replace(cfg, demod_filter=demod_filter))
         h = time_domain_impulse_response(plan.cfg)
         support = np.nonzero(np.abs(h) > 1e-10 * np.abs(h).max())[0]
         h = h[support[0]:support[-1] + 1]
@@ -271,8 +296,8 @@ class TestFrequencyDomainFilter:
         narrowest = {"butter4": 7.22e6, "boxcar": 1.91e5}[demod_filter]
         f_het = cfg.params.omega_het / (2 * math.pi)
         for bandwidth in (narrowest, math.nextafter(f_het, 0.0)):
-            c = cfg.with_updates(demod_filter=demod_filter,
-                                 demod_bandwidth=bandwidth)
+            c = replace(cfg, demod_filter=demod_filter,
+                        demod_bandwidth=bandwidth)
             with np.errstate(over="raise", invalid="raise"):
                 plan = sim.DemodPlan(c)
                 z = plan.demodulate(np.ones((2, c.trace_len)))
@@ -282,8 +307,8 @@ class TestFrequencyDomainFilter:
         # a response wrapped around the grid would give a wrong noise gain
         for bandwidth in (1.0, 0.98 * narrowest):
             with pytest.raises(ConfigError, match="too narrow"):
-                sim.DemodPlan(cfg.with_updates(demod_filter=demod_filter,
-                                               demod_bandwidth=bandwidth))
+                sim.DemodPlan(replace(cfg, demod_filter=demod_filter,
+                                      demod_bandwidth=bandwidth))
 
     def test_too_narrow_refusal_switches_at_one_bandwidth(self, cfg):
         # the wrapped tails of the 8192-point response used to cancel at the
@@ -291,7 +316,7 @@ class TestFrequencyDomainFilter:
         accepted = []
         for bandwidth in np.linspace(6.5e6, 10e6, 200):
             try:
-                sim.DemodPlan(cfg.with_updates(demod_bandwidth=float(bandwidth)))
+                sim.DemodPlan(replace(cfg, demod_bandwidth=float(bandwidth)))
                 accepted.append(True)
             except ConfigError:
                 accepted.append(False)
@@ -332,8 +357,8 @@ class TestHeraldedEnsembles:
         # one in 3-row slabs, the last of them 2 rows
         if slab_bytes is not None:
             monkeypatch.setattr(sim, "_SLAB_BYTES", slab_bytes)
-        c = cfg.with_updates(demod_filter=demod_filter, chunk_traces=128,
-                             mech_linewidth=mech_linewidth)
+        c = replace(cfg, demod_filter=demod_filter, chunk_traces=128,
+                    mech_linewidth=mech_linewidth)
         runs = {(kind, threads): sim.run_ensemble(c, kind, n_traces=300,
                                                   threads=threads)
                 for kind in ("none", "single", "coincidence") for threads in (1, 2)}
@@ -440,7 +465,7 @@ class TestHeraldedEnsembles:
         # halving the demodulation bandwidth moves the predicted herald-time
         # enhancement by far less than the few-percent scale seen in practice
         plan_full = sim.DemodPlan(cfg)
-        plan_half = sim.DemodPlan(cfg.with_updates(demod_bandwidth=50e6))
+        plan_half = sim.DemodPlan(replace(cfg, demod_bandwidth=50e6))
         r_full = plan_full.predicted_ratio(1)
         r_half = plan_half.predicted_ratio(1)
         assert abs(r_full - r_half) < 0.06
@@ -498,13 +523,13 @@ class TestHeraldHistogram:
 
 
 def _with_spad(cfg, **changes):
-    return cfg.with_updates(spad=replace(cfg.spad, **changes))
+    return replace(cfg, spad=replace(cfg.spad, **changes))
 
 
 class TestClicks:
     def test_rate_matches_budget(self, cfg):
         duration = 4.0
-        clicks = sim.gated_click_stream(cfg.with_updates(seed=77), duration)
+        clicks = sim.gated_click_stream(replace(cfg, seed=77), duration)
         report = bud.build_report(cfg.params, cfg.spad)
         expected = report.singles_rate * duration
         per_det = [(clicks.detector == d).sum() for d in (0, 1)]
@@ -512,9 +537,9 @@ class TestClicks:
             assert abs(counted - expected) < 3 * math.sqrt(expected)
 
     def test_dark_only_when_uncoupled(self, cfg):
-        c = cfg.with_updates(params=cfg.params.with_updates(p_in=0.0))
+        c = replace(cfg, params=replace(cfg.params, p_in=0.0))
         duration = 20.0
-        clicks = sim.gated_click_stream(c.with_updates(seed=13), duration)
+        clicks = sim.gated_click_stream(replace(c, seed=13), duration)
         assert np.all(clicks.is_dark)
         expected = c.spad.dark_rate * c.spad.duty_cycle * duration
         per_det = [(clicks.detector == d).sum() for d in (0, 1)]
@@ -523,7 +548,7 @@ class TestClicks:
 
     def test_coincidences_follow_product_law(self, cfg):
         duration = 40.0
-        clicks = sim.gated_click_stream(cfg.with_updates(seed=21), duration)
+        clicks = sim.gated_click_stream(replace(cfg, seed=21), duration)
         coinc = sim.herald_select(clicks, "coincidence")
         report = bud.build_report(cfg.params, cfg.spad)
         expected = report.coincidence_rate * duration
@@ -532,7 +557,7 @@ class TestClicks:
         assert 0.1 < coinc.size / duration < 20.0
 
     def test_dead_time_invariant(self, cfg):
-        clicks = sim.gated_click_stream(cfg.with_updates(seed=55), 4.0)
+        clicks = sim.gated_click_stream(replace(cfg, seed=55), 4.0)
         for d in (0, 1):
             t = clicks.times[clicks.detector == d]
             if t.size > 1:
@@ -544,7 +569,7 @@ class TestClicks:
             sim.gated_click_stream(cfg, duration)
 
     def test_click_stream_deterministic(self, cfg):
-        c = cfg.with_updates(seed=3)
+        c = replace(cfg, seed=3)
         a = sim.gated_click_stream(c, 1.0)
         b = sim.gated_click_stream(c, 1.0)
         assert np.array_equal(a.times, b.times)
@@ -553,7 +578,7 @@ class TestClicks:
 
     def test_click_stream_equals_the_stepwise_oracle(self, cfg, monkeypatch):
         # 205 000 gates: three full blocks of 65 536 and a partial one
-        c = cfg.with_updates(seed=8)
+        c = replace(cfg, seed=8)
         fast = sim.gated_click_stream(c, 4.1)
         blocks = []
 
