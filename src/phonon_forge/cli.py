@@ -200,8 +200,7 @@ def cmd_simulate(cfg: RunConfig, args):
 
     report = {"herald_kind": args.herald, "n_traces": ens.n_traces,
               "calibration": {"vacuum_variance_expected": 1.0,
-                              "sigma_sq_inf_analytic":
-                                  dynamics.steady_state_variance(cfg.params)}}
+                              "sigma_sq_inf_analytic": plan.sigma_inf}}
     report.update(simulator.variance_ratio_report(ens) if ens.order
                   else {"sigma_sq_inf": float(np.mean(curve.values[usable]))})
 

@@ -27,7 +27,10 @@ coincidences within one gate.  This is statistically identical to triggering
 on the rare thinned click process but needs no rejection sampling.  The
 explicit gated click machinery (Poisson thinning, dark counts, dead time) is
 exercised separately at realistic rates via per-gate field snapshots, valid
-because gates are spaced by thousands of field correlation times.
+because gates are spaced by thousands of field correlation times.  The clicks
+read only the optical path, so across a gate a is drawn exactly, from one
+complex innovation per step, and b is carried as its conditional mean given
+b_0 and a's path so far (the Kalman filter's innovations form).
 """
 
 from __future__ import annotations
@@ -136,17 +139,58 @@ class FieldModel:
         sig_aa = correlation_amplitude(p, g, r)
         self.Sigma = np.array([[self.nbar_th, sig_ba],
                                [np.conj(sig_ba), sig_aa]], dtype=complex)
-        q = self.Sigma - self.E @ self.Sigma @ self.E.conj().T
-        self.L_q = _chol_psd(q)
+        self.Q = self.Sigma - self.E @ self.Sigma @ self.E.conj().T
+        self.L_q = _chol_psd(self.Q)
         self.L_s = _chol_psd(self.Sigma)
         self.var_a = sig_aa
 
-    def step_states(self, b, a, rng):
-        """The state vectors (b, a) one exact step of self.dt later."""
-        z = _circular_normal((2, b.size), rng)
-        l_q, e = self.L_q, self.E
-        return (e[0, 0] * b + l_q[0, 0] * z[0],
-                e[1, 1] * a + e[1, 0] * b + (l_q[1, 0] * z[0] + l_q[1, 1] * z[1]))
+    def innovation_gains(self, m_steps):
+        """Yield the gains (s_j / sqrt(2), K_j) of a gate's steps j = 1 ...
+        m_steps - 1 from stationary_sample's exact (b, a).
+
+        s_j^2 is the variance of a's innovation at step j given b_0 and
+        a_0 ... a_(j-1), and K_j = P_j[0, 1] / P_j[1, 1] the gain that takes
+        b to its mean given a_j as well (the Kalman filter's innovations
+        form).  P_j = E diag(v, 0) E^dag + Q is the one-step prediction
+        covariance, from v, the variance of b about that mean, which is 0 at
+        step 0.  A singular step (P_j[1, 1] = 0) has s_j = K_j = 0.  The
+        gains are made as they are used, so a gate of any length costs no
+        memory.
+        """
+        e_b, e_ab = complex(self.E[0, 0]), complex(self.E[1, 0])
+        q_bb, q_ba, q_aa = self.Q[0, 0].real, complex(self.Q[0, 1]), self.Q[1, 1].real
+        v = 0.0
+        for _ in range(m_steps - 1):
+            p_bb = v * abs(e_b) ** 2 + q_bb
+            p_ba = v * e_b * e_ab.conjugate() + q_ba
+            p_aa = v * abs(e_ab) ** 2 + q_aa
+            if p_aa > 0:
+                p_bb -= abs(p_ba) ** 2 / p_aa
+                yield math.sqrt(p_aa / 2.0), p_ba / p_aa
+            else:
+                yield 0.0, 0j
+            v = max(p_bb, 0.0)
+
+    def step_states(self, b, a, gain, z, rng):
+        """Step the gate states (b, a) in place by self.dt: a by its
+        innovation, b to its mean given a's path so far.
+
+        gain is the step's (s / sqrt(2), K) from innovation_gains.  The
+        innovation is s zeta, zeta ~ CN(0, 1), drawn with interleaved real and
+        imaginary parts into the scratch z, which first holds E[1, 0] b.  So
+        a's path has its exact law from one complex normal per step.
+        """
+        s, k = gain
+        e = self.E
+        np.multiply(e[1, 0], b, out=z)
+        a *= e[1, 1]
+        a += z
+        b *= e[0, 0]
+        rng.standard_normal(out=z.view(float))
+        z *= s
+        a += z
+        z *= k
+        b += z
 
     def correlation_a(self, tau):
         """Analytic <a*(0) a(tau)> of this model (real valued)."""
@@ -298,9 +342,10 @@ class DemodPlan:
         if self.var_a_filtered > 0:
             eta_nbar_th = cfg.params.eta_total * cfg.params.nbar_th
             self.gain = math.sqrt(2.0 * eta_nbar_th / self.var_a_filtered)
+            self.sigma_inf = steady_state_variance(cfg.params)
         else:
-            self.gain = 0.0          # no scattered signal, pure vacuum record
-        self.sigma_inf = steady_state_variance(cfg.params)
+            # no scattered signal: the record is pure vacuum, whatever the pump
+            self.gain, self.sigma_inf = 0.0, 1.0
         # margin wide enough for filter transients at both trace edges
         margin_time = (3 * self._core_half_width + 16) * self.dt_s
         self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
@@ -600,14 +645,17 @@ def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng)
     """Raw (times, detector, is_dark) of both detectors for the gates opening
     at starts, unsorted.
 
-    Each gate gets a stationary snippet, stepped across the gate by model.dt.
+    Each gate gets an exact stationary (b, a), stepped across the gate by
+    model.dt: a with its exact law, one complex innovation per step, and b as
+    its conditional mean given a's path (model.innovation_gains).
     At every step both detectors, 0 first, thin p = min(hit_scale |a|^2, 1).
     Then each detector draws, in this order: its hits' jitter within their
     steps, its dark counts per gate and their offsets within the gate.
     """
     n, dt = starts.size, model.dt
+    gains = model.innovation_gains(m_steps)
     b, a = model.stationary_sample(n, rng)
-    p, u = np.empty(n), np.empty(n)
+    p, u, z = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
     hits = ([], [])                     # step-major indices j * n + gate
     for j in range(m_steps):
         np.square(np.abs(a, out=p), out=p)
@@ -615,7 +663,7 @@ def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng)
         for d in range(2):
             hits[d].append(np.flatnonzero(rng.random(out=u) < p) + j * n)
         if j + 1 < m_steps:
-            b, a = model.step_states(b, a, rng)
+            model.step_states(b, a, next(gains), z, rng)
     times, det, dark = [], [], []
     for d in range(2):
         steps, rows = np.divmod(np.concatenate(hits[d]), n)
@@ -635,7 +683,9 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
 
     Gates are free running at spad.gate_rate.  Successive gates are separated
     by far more than the field correlation time, so each gate gets an
-    independent stationary field snippet evolved exactly across the gate.
+    independent stationary field snippet, evolved across the gate with the
+    exact law of the optical path a that the clicks read; the mechanics b is
+    only its conditional mean given that path.
     Gates are processed in blocks of _CLICK_BLOCK_GATES, each with its own
     random stream, so memory does not grow with the gate length.
     """

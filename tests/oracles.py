@@ -200,12 +200,13 @@ def nbinom_tail(spec, n, m_max):
     return float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
 
 
-def _step_states_allocating(model, b, a, rng):
-    """One exact step of model.dt into new arrays."""
-    z = sim._circular_normal((2, b.size), rng)
-    wb = model.L_q[0, 0] * z[0] + model.L_q[0, 1] * z[1]
-    wa = model.L_q[1, 0] * z[0] + model.L_q[1, 1] * z[1]
-    return model.E[0, 0] * b + wb, model.E[1, 1] * a + model.E[1, 0] * b + wa
+def _step_states_allocating(model, b, a, gain, rng):
+    """One step of model.dt into new arrays, in the innovations form: a gains
+    s zeta, zeta drawn as (gates, 2) real normals, and b its mean given a."""
+    s, k = gain
+    w = s * rng.standard_normal((b.size, 2)).view(complex)[:, 0]
+    a = model.E[1, 1] * a + model.E[1, 0] * b + w
+    return model.E[0, 0] * b + k * w, a
 
 
 def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
@@ -213,6 +214,7 @@ def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
     the hit probabilities and thinning draws are stored (gates, steps) and
     read step-major at the end, in the order the kernel collects its hits."""
     n, dt = starts.size, model.dt
+    gains = model.innovation_gains(m_steps)
     b, a = model.stationary_sample(n, rng)
     p = np.empty((n, m_steps))
     u = np.empty((2, n, m_steps))
@@ -221,7 +223,7 @@ def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
         u[0, :, j] = rng.random(n)
         u[1, :, j] = rng.random(n)
         if j + 1 < m_steps:
-            b, a = _step_states_allocating(model, b, a, rng)
+            b, a = _step_states_allocating(model, b, a, next(gains), rng)
     times, det, dark = [], [], []
     for d in range(2):
         steps, rows = np.nonzero((u[d] < p).T)

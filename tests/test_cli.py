@@ -170,6 +170,18 @@ class TestCommands:
         # the edge columns carry the filter's transients, as in the heralded wings
         assert report["sigma_sq_inf"] == float(np.mean(values[margin:-margin]))
 
+    def test_uncoupled_unheralded_report_expects_the_vacuum(self, tmp_path, outdir):
+        # with no pump the record is pure vacuum, so the analytic steady state
+        # is 1, not 1 + eta nbar_th; 64 traces read 1 to about 0.03
+        assert run_with({"system": {"p_in": 0}}, tmp_path, outdir, "simulate",
+                        "--herald", "none", "--n-traces", "64",
+                        "--trace-len", "1024", "--click-seconds", "0") == 0
+        report = json.loads((outdir / "report_none.json").read_text())
+        meta = simulator.load_ensemble(outdir / "ensemble_none").meta
+        assert report["calibration"]["sigma_sq_inf_analytic"] == 1.0
+        assert meta["sigma_inf_expected"] == 1.0
+        assert report["sigma_sq_inf"] == pytest.approx(1.0, abs=0.2)
+
     @pytest.mark.parametrize("herald", ["none", "single", "coincidence"])
     def test_too_narrow_bandwidth_exits_2_and_writes_nothing(self, tmp_path,
                                                              outdir, herald):

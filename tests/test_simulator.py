@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -526,6 +527,56 @@ def _with_spad(cfg, **changes):
     return replace(cfg, spad=replace(cfg.spad, **changes))
 
 
+class _ImpulseNormals:
+    """A Generator stand-in for n gates whose normals are unit impulses:
+    counting one gate's normals in the order drawn, normal k is 1 in gate k
+    and 0 in every other.  A draw of shape (rows, n) gives each gate one
+    normal per row; a draw into a flat out gives each gate a pair in turn."""
+
+    def __init__(self, n):
+        self.n, self.drawn = n, 0
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        per_gate = out.reshape(-1, self.n) if out.ndim > 1 else out.reshape(self.n, -1).T
+        per_gate[...] = 0.0
+        for row in per_gate:
+            if self.drawn < self.n:
+                row[self.drawn] = 1.0
+            self.drawn += 1
+        return out
+
+
+class _CountingRng:
+    """A Generator proxy that counts the normals and uniforms drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.normals, self.uniforms = rng, 0, 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.normals += out.size
+        return out
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
+        self.uniforms += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _gate_paths(model, m_steps, n, rng):
+    """The (m_steps, n) optical paths of n gates, stepped by the click kernel."""
+    b, a = model.stationary_sample(n, rng)
+    path, z = [a.copy()], np.empty(n, dtype=complex)
+    for gain in model.innovation_gains(m_steps):
+        model.step_states(b, a, gain, z, rng)
+        path.append(a.copy())
+    return np.array(path)
+
+
 class TestClicks:
     def test_rate_matches_budget(self, cfg):
         duration = 4.0
@@ -595,22 +646,74 @@ class TestClicks:
         assert np.array_equal(fast.detector, slow.detector)
         assert np.array_equal(fast.is_dark, slow.is_dark)
 
-    def test_click_field_follows_its_correlation(self, cfg):
-        # a gate's snippets, stepped by step_states from stationary_sample,
-        # carry the model's <a*(0) a(j dt)> at every step of the gate
-        n, m_steps = 200_000, math.ceil(cfg.spad.gate_len / cfg.dt)
+    @pytest.mark.parametrize("linewidth,system", [
+        ("bare", {}), ("effective", {}), ("bare", {"nbar_th": 0.0}),
+        ("bare", {"p_in": 0.0})], ids=["bare", "effective", "nbar_th0", "p_in0"])
+    def test_click_path_law_is_exact(self, cfg, linewidth, system):
+        # the kernel is linear in its normals.  Run on one gate per normal,
+        # gate k fed normal k alone as 1, it returns each a_j's coefficients
+        # on the normals, whose Gram matrix is the path's covariance: the
+        # whole law of a gate's path with nothing drawn
+        c = replace(cfg, mech_linewidth=linewidth,
+                    params=replace(cfg.params, **system))
+        m_steps = math.ceil(c.spad.gate_len / c.dt)
         assert m_steps == 22
-        model = sim.FieldModel(cfg, dt=cfg.spad.gate_len / m_steps)
+        model = sim.FieldModel(c, dt=c.spad.gate_len / m_steps)
+        n = 4 + 2 * (m_steps - 1)
+        rng = _ImpulseNormals(n)
+        coef = _gate_paths(model, m_steps, n, rng)
+        assert rng.drawn == n
+        lags = np.arange(m_steps)
+        toeplitz = model.correlation_a(np.abs(lags[:, None] - lags) * model.dt)
+        atol = 1e-12 * model.var_a
+        assert np.all(np.isfinite(coef))
+        np.testing.assert_allclose(coef @ coef.conj().T, toeplitz, rtol=0, atol=atol)
+        np.testing.assert_allclose(coef @ coef.T, 0.0, rtol=0, atol=atol)
+        if system:          # no thermal drive or no coupling: no field at all
+            assert np.all(coef == 0.0)
+
+    @pytest.mark.parametrize("linewidth", ["bare", "effective"])
+    def test_click_path_covariance_sampled(self, cfg, linewidth):
+        # 200 000 gates stepped by the kernel: every <a_i* a_j> of the
+        # 22-step path within 4.5 standard errors of the model's correlation
+        # (and its imaginary part of 0), a bound that 506 comparisons pass
+        # by chance with probability above 99.6%
+        c = replace(cfg, mech_linewidth=linewidth)
+        m_steps = math.ceil(c.spad.gate_len / c.dt)
+        model = sim.FieldModel(c, dt=c.spad.gate_len / m_steps)
         rng = np.random.Generator(np.random.Philox(12))
-        b, a = model.stationary_sample(n, rng)
-        a0 = a.conj()
-        for j in range(1, m_steps):
-            b, a = model.step_states(b, a, rng)
-            prod = a0 * a
-            se = prod.real.std() / math.sqrt(n), prod.imag.std() / math.sqrt(n)
-            expected = float(model.correlation_a(j * model.dt))
-            assert abs(prod.real.mean() - expected) < 3 * se[0], j
-            assert abs(prod.imag.mean()) < 3 * se[1], j
+        n, chunks = 50_000, 4
+        # per pair (i <= j): the sums of Re and Im of a_i* a_j, and of their squares
+        sums = np.zeros((4, m_steps, m_steps))
+        for _ in range(chunks):
+            path = _gate_paths(model, m_steps, n, rng)
+            for i, ai in enumerate(path):
+                prod = ai.conj() * path[i:]
+                for k, part in enumerate((prod.real, prod.imag)):
+                    sums[k, i, i:] += part.sum(axis=1)
+                    sums[2 + k, i, i:] += np.square(part).sum(axis=1)
+        total = n * chunks
+        upper = np.triu_indices(m_steps)
+        mean = sums[:2, upper[0], upper[1]] / total
+        se = np.sqrt((sums[2:, upper[0], upper[1]] / total - mean ** 2) / total)
+        expected = model.correlation_a((upper[1] - upper[0]) * model.dt)
+        assert np.all(np.abs(mean[0] - expected) < 4.5 * se[0])
+        assert np.all(np.abs(mean[1]) < 4.5 * se[1])
+
+    @pytest.mark.parametrize("m_steps", [2, 22, 50])
+    def test_draw_block_draws_one_complex_normal_per_step(self, cfg, m_steps):
+        # the exact (b_0, a_0) takes 4 real normals per gate, then each step
+        # one complex innovation, 2; the thinning takes 2 uniforms per step.
+        # No hits (hit_scale 0) and no dark counts, so nothing else is drawn
+        spad = replace(cfg.spad, dark_rate=0.0)
+        model = sim.FieldModel(cfg, dt=spad.gate_len / m_steps)
+        n = 1000
+        rng = _CountingRng(np.random.Generator(np.random.Philox(3)))
+        times, _, _ = sim._draw_block(model, np.arange(n) / spad.gate_rate, m_steps,
+                                      0.0, spad, 1.0, rng)
+        assert times.size == 0
+        assert rng.normals == n * (4 + 2 * (m_steps - 1))
+        assert rng.uniforms == n * 2 * m_steps
 
     def test_click_stream_memory_is_bounded_whatever_the_gate(self):
         # blocks hold a fixed number of gates and no per-step intensities, so
@@ -665,8 +768,11 @@ class TestClicks:
             def stationary_sample(self, n, rng):
                 return np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
 
-            def step_states(self, b, a, rng):
-                return b, a
+            def innovation_gains(self, m_steps):
+                return itertools.repeat(None)
+
+            def step_states(self, b, a, gain, z, rng):
+                pass
 
         n_gates = 200_000
         starts = np.arange(n_gates) / spad.gate_rate
