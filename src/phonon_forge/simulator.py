@@ -30,7 +30,12 @@ exercised separately at realistic rates via per-gate field snapshots, valid
 because gates are spaced by thousands of field correlation times.  The clicks
 read only the optical path, so across a gate a is drawn exactly, from one
 complex innovation per step, and b is carried as its conditional mean given
-b_0 and a's path so far (the Kalman filter's innovations form).
+b_0 and a's path so far (the Kalman filter's innovations form).  A gate
+almost never clicks, so most are never stepped: each draws its start state,
+its detectors' thresholds and the norm of its innovations, and a sure bound
+on the gate's summed hit probability, from the Gram matrix of the noiseless
+path map and the Frobenius norm of the innovation map, certifies it
+click-free (thinning against a dominating bound, Lewis & Shedler 1979).
 """
 
 from __future__ import annotations
@@ -639,31 +644,123 @@ _CLICK_BLOCK_GATES = 1 << 16
 # a gate of more steps is refused before any work; each step is a pass of
 # NumPy calls, so an unbounded gate would mean a near-endless loop
 _CLICK_MAX_STEPS = 1 << 23
+# block i of a click stream draws from node (_CLICK_SEED_BRANCH, i) of the
+# seed's tree, never from an ensemble chunk's node (i,)
+_CLICK_SEED_BRANCH = 2 ** 32 - 1
 
 
-def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng):
+def _path_bound(model, m_steps):
+    """(L, f) for a gate of m_steps: L L^dag = G, the Gram matrix of the
+    noiseless path map x = (b_0, a_0) -> (a_0 ... a_(m_steps-1)), and f^2 =
+    sum_j Var(a_j | x), the squared Frobenius norm of the map from a gate's
+    2 (m_steps - 1) innovation normals g to its path.
+
+    So sum_j |a_j|^2 <= (|L^dag x| + f |g|)^2.  Both follow the kernel's
+    recursion: a_j's coefficients on x are row 1 of E^j, and the covariance
+    C of (b, a) given x steps as E C E^dag + s_j^2 (K_j, 1) (K_j, 1)^dag,
+    where s_j^2 = 2 (s_j / sqrt(2))^2 is the innovation's variance.
+    """
+    e = model.E
+    row = np.array([0.0, 1.0], dtype=complex)     # a_0 is x's second entry
+    gram = np.outer(row, row)
+    cov = np.zeros((2, 2), dtype=complex)
+    f_sq = 0.0
+    for s, k in model.innovation_gains(m_steps):
+        row = row @ e
+        gram += np.outer(row.conj(), row)
+        u = np.array([k, 1.0])
+        cov = e @ cov @ e.conj().T + 2.0 * s * s * np.outer(u, u.conj())
+        f_sq += cov[1, 1].real
+    return _chol_psd(gram), math.sqrt(f_sq)
+
+
+def _norm_l_dag(l, b, a):
+    """|L^dag x| = |(l00 b + l10* a, l11 a)| for a lower-triangular l with a
+    real diagonal, summed in place from real parts, so that its scratch is
+    one real array where complex products would hold four."""
+    c = l[1, 0].conjugate()
+    norm = l[0, 0].real * b.real
+    norm += c.real * a.real
+    norm -= c.imag * a.imag
+    part = l[0, 0].real * b.imag
+    part += c.real * a.imag
+    part += c.imag * a.real
+    np.hypot(norm, part, out=norm)
+    np.abs(a, out=part)
+    part *= l[1, 1].real
+    return np.hypot(norm, part, out=norm)
+
+
+def _draw_block(model, starts, m_steps, hit_scale, path_bound, spad: SpadConfig,
+                t_end, rng):
     """Raw (times, detector, is_dark) of both detectors for the gates opening
     at starts, unsorted.
 
-    Each gate gets an exact stationary (b, a), stepped across the gate by
-    model.dt: a with its exact law, one complex innovation per step, and b as
-    its conditional mean given a's path (model.innovation_gains).
-    At every step both detectors, 0 first, thin p = min(hit_scale |a|^2, 1).
-    Then each detector draws, in this order: its hits' jitter within their
-    steps, its dark counts per gate and their offsets within the gate.
+    Each gate gets an exact stationary x = (b, a) to be stepped across the
+    gate by model.dt: a with its exact law, one complex innovation per step,
+    and b as its conditional mean given a's path (model.innovation_gains).
+    At every step each detector has a hit with p_j = min(hit_scale |a_j|^2,
+    1).  That is drawn by inversion: detector d hits at the first step where
+    the survival S_d = prod (1 - p_j) falls below a threshold V_d in (0, 1],
+    and then starts again, S_d = 1 with a fresh V_d.
+
+    Most gates are never stepped.  Each draws its V_d and the norm R of its
+    innovation normals, R ~ chi_(2 (m_steps - 1)), and since
+    S_d >= 1 - sum_j p_j >= 1 - hit_scale (|L^dag x| + f R)^2 (path_bound),
+    a gate whose V_d lie at or below that bound surely has no hit.  Only the
+    others, the candidates, are stepped, with the normals' direction from
+    one child stream read twice: first for its norm |w|, then scaled by
+    R / |w| for the steps.  Given R a direction is uniform and independent
+    of it, so each candidate's path keeps its exact law, and so does the
+    thinning.  Then each detector draws, in this order: its hits' jitter
+    within their steps, its dark counts per gate and their offsets within
+    the gate.
     """
     n, dt = starts.size, model.dt
-    gains = model.innovation_gains(m_steps)
+    l_gram, f = path_bound
     b, a = model.stationary_sample(n, rng)
-    p, u, z = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
-    hits = ([], [])                     # step-major indices j * n + gate
-    for j in range(m_steps):
-        np.square(np.abs(a, out=p), out=p)
-        np.minimum(np.multiply(p, hit_scale, out=p), 1.0, out=p)
-        for d in range(2):
-            hits[d].append(np.flatnonzero(rng.random(out=u) < p) + j * n)
-        if j + 1 < m_steps:
-            model.step_states(b, a, next(gains), z, rng)
+    # 1 - hit_scale (|L^dag x| + f R)^2, with a margin for its rounding,
+    # built in place; R and the V_d are drawn once |L^dag x|'s scratch is
+    # freed, which keeps the block's peak memory at that of x's draw
+    bound = _norm_l_dag(l_gram, b, a)
+    r = rng.chisquare(2 * (m_steps - 1), n)
+    np.sqrt(r, out=r)
+    bound += f * r
+    np.square(bound, out=bound)
+    bound *= hit_scale * (1.0 + 1e-9)
+    np.subtract(1.0, bound, out=bound)
+    v = rng.random((2, n))
+    np.subtract(1.0, v, out=v)
+    cand = np.flatnonzero((v > bound).any(axis=0))
+    # step-major indices j * n + gate
+    hits = ([np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)])
+    if cand.size:
+        b, a, v, r = b[cand], a[cand], v[:, cand], r[cand]
+        child = rng.spawn(1)[0]
+        start = child.bit_generator.state
+        z, w_sq = np.empty(cand.size, dtype=complex), np.zeros(cand.size)
+        zf = z.view(float)
+        for _ in range(m_steps - 1):
+            child.standard_normal(out=zf)
+            np.square(zf, out=zf)
+            w_sq += zf[0::2]
+            w_sq += zf[1::2]
+        child.bit_generator.state = start
+        r /= np.sqrt(w_sq)              # the normals' scale R / |w|
+        gains = model.innovation_gains(m_steps)
+        p, surv = np.empty(cand.size), np.ones((2, cand.size))
+        for j in range(m_steps):
+            np.square(np.abs(a, out=p), out=p)
+            np.minimum(np.multiply(p, hit_scale, out=p), 1.0, out=p)
+            surv *= np.subtract(1.0, p, out=p)
+            for d in range(2):
+                hit = np.flatnonzero(surv[d] < v[d])
+                hits[d].append(cand[hit] + j * n)
+                surv[d, hit] = 1.0
+                v[d, hit] = 1.0 - rng.random(hit.size)
+            if j + 1 < m_steps:
+                s, k = next(gains)
+                model.step_states(b, a, (s * r, k), z, child)
     times, det, dark = [], [], []
     for d in range(2):
         steps, rows = np.divmod(np.concatenate(hits[d]), n)
@@ -708,16 +805,18 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
                           f"{spad.gate_len:.3e} s gate: its {m_steps} steps pass "
                           f"{_CLICK_MAX_STEPS}")
     hit_scale = dt * r_registered / model.var_a if model.var_a > 0 else 0.0
+    path_bound = _path_bound(model, m_steps)
     n_blocks = (n_gates + _CLICK_BLOCK_GATES - 1) // _CLICK_BLOCK_GATES
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
+    seeds = np.random.SeedSequence(cfg.seed, spawn_key=(_CLICK_SEED_BRANCH,)) \
+        .spawn(n_blocks)
 
     blocks = []
     for bi in range(n_blocks):
         lo = bi * _CLICK_BLOCK_GATES
         starts = np.arange(lo, min(lo + _CLICK_BLOCK_GATES, n_gates)) / spad.gate_rate
         rng = np.random.Generator(np.random.Philox(seeds[bi]))
-        blocks.append(_draw_block(model, starts, m_steps, hit_scale, spad,
-                                  duration, rng))
+        blocks.append(_draw_block(model, starts, m_steps, hit_scale, path_bound,
+                                  spad, duration, rng))
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
                                         spad.dead_time)

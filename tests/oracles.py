@@ -210,9 +210,11 @@ def _step_states_allocating(model, b, a, gain, rng):
 
 
 def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
-    """simulator._draw_block by a gate-major loop that allocates every step:
-    the hit probabilities and thinning draws are stored (gates, steps) and
-    read step-major at the end, in the order the kernel collects its hits."""
+    """The per-step Bernoulli law that simulator._draw_block draws by
+    inversion, directly: every gate is stepped by a gate-major loop that
+    allocates every step, and each detector thins every step with its own
+    uniform.  The hit probabilities and uniforms are stored (gates, steps)
+    and read step-major at the end."""
     n, dt = starts.size, model.dt
     gains = model.innovation_gains(m_steps)
     b, a = model.stationary_sample(n, rng)

@@ -1,4 +1,4 @@
-import itertools
+import collections
 import json
 import math
 import os
@@ -548,23 +548,44 @@ class _ImpulseNormals:
 
 
 class _CountingRng:
-    """A Generator proxy that counts the normals and uniforms drawn."""
+    """A Generator proxy that counts the normals, chi-squares and uniforms
+    drawn, by it and by the children it spawns, in one Counter."""
 
-    def __init__(self, rng):
-        self.rng, self.normals, self.uniforms = rng, 0, 0
+    def __init__(self, rng, counts=None):
+        self.rng = rng
+        self.counts = collections.Counter() if counts is None else counts
+
+    def _counted(self, kind, out):
+        self.counts[kind] += np.size(out)
+        return out
 
     def standard_normal(self, *args, **kwargs):
-        out = self.rng.standard_normal(*args, **kwargs)
-        self.normals += out.size
-        return out
+        return self._counted("normals", self.rng.standard_normal(*args, **kwargs))
+
+    def chisquare(self, *args, **kwargs):
+        return self._counted("chisquares", self.rng.chisquare(*args, **kwargs))
 
     def random(self, *args, **kwargs):
-        out = self.rng.random(*args, **kwargs)
-        self.uniforms += np.size(out)
-        return out
+        return self._counted("uniforms", self.rng.random(*args, **kwargs))
+
+    def spawn(self, n):
+        return [_CountingRng(child, self.counts) for child in self.rng.spawn(n)]
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
+
+
+class _SquaredNormals:
+    """A Generator proxy for n gates that adds to sq each gate's squared
+    normals drawn into a flat out, two per gate."""
+
+    def __init__(self, rng, n):
+        self.rng, self.sq = rng, np.zeros(n)
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        self.sq += np.square(out).reshape(self.sq.size, 2).sum(axis=1)
+        return out
 
 
 def _gate_paths(model, m_steps, n, rng):
@@ -575,6 +596,51 @@ def _gate_paths(model, m_steps, n, rng):
         model.step_states(b, a, gain, z, rng)
         path.append(a.copy())
     return np.array(path)
+
+
+def _stream_args(cfg, monkeypatch):
+    """The (model, m_steps, hit_scale, path_bound) that gated_click_stream
+    hands _draw_block for cfg."""
+    seen = []
+
+    def record(model, starts, m_steps, hit_scale, path_bound, *args):
+        seen.append((model, m_steps, hit_scale, path_bound))
+        empty = np.empty(0)
+        return empty, empty.astype(np.int8), empty.astype(bool)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_draw_block", record)
+        sim.gated_click_stream(cfg, 2.0 / cfg.spad.gate_rate)
+    return seen[0]
+
+
+def _hit_moments(draw, n_blocks, m_steps, dt, gate_rate):
+    """(n, s1, s2): the number of gates and the sums over gates of each
+    per-gate statistic and of its square, for n_blocks blocks of 2^16 gates
+    drawn by draw(starts, block) with no dark counts.
+
+    The statistics are, per detector, a hit at step j (for every j), exactly
+    k hits (k = 0, 1, 2) and 3 or more, then a hit on both detectors, then
+    the number of hits per detector."""
+    n = sim._CLICK_BLOCK_GATES
+    s1 = s2 = 0.0
+    for block in range(n_blocks):
+        starts = np.arange(block * n, (block + 1) * n) / gate_rate
+        times, det, dark = draw(starts, block)
+        assert not dark.any()
+        det = det.astype(np.intp)
+        gate = np.floor(times * gate_rate).astype(np.intp) - block * n
+        step = np.minimum(((times - starts[gate]) / dt).astype(np.intp), m_steps - 1)
+        per_step = np.bincount(det * m_steps + step, minlength=2 * m_steps)
+        counts = np.bincount(det * n + gate, minlength=2 * n).reshape(2, n)
+        flags = np.concatenate([
+            per_step,
+            np.stack([(counts == k).sum(axis=1) for k in range(3)]
+                     + [(counts >= 3).sum(axis=1)], axis=1).ravel(),
+            [np.count_nonzero(counts.all(axis=0))]])
+        s1 = s1 + np.concatenate([flags, counts.sum(axis=1)])
+        s2 = s2 + np.concatenate([flags, np.square(counts).sum(axis=1)])
+    return n * n_blocks, s1, s2
 
 
 class TestClicks:
@@ -628,23 +694,37 @@ class TestClicks:
         assert np.array_equal(a.is_dark, b.is_dark)
 
     def test_click_stream_equals_the_stepwise_oracle(self, cfg, monkeypatch):
-        # 205 000 gates: three full blocks of 65 536 and a partial one
-        c = replace(cfg, seed=8)
-        fast = sim.gated_click_stream(c, 4.1)
-        blocks = []
+        # in law: the kernel against the per-step Bernoulli oracle, on
+        # independent draws, at the stream's hit_scale (2^20 gates a side)
+        # and at 300x and 3000x (2^16), where p caps at 1 and a detector hits
+        # several times a gate.  Compared: each detector's hits per step,
+        # its gates with 0, 1, 2 and 3+ hits, the gates with a hit on both
+        # and the hits per detector.  Each is a sum over independent gates,
+        # so its standard error comes from the per-gate spread, which carries
+        # the overdispersion of hits that share one field.  4.5 standard
+        # errors: 165 comparisons pass it by chance with probability 99.9%
+        spad = replace(cfg.spad, dark_rate=0.0)
+        model, m_steps, hit_scale, bound = _stream_args(replace(cfg, spad=spad),
+                                                        monkeypatch)
+        for scale, n_blocks in ((1, 16), (300, 1), (3000, 1)):
+            args = (m_steps, scale * hit_scale)
 
-        def oracle(model, starts, *args):
-            blocks.append(starts.size)
-            return draw_block_stepwise(model, starts, *args)
+            def kernel(starts, block):
+                rng = np.random.Generator(np.random.Philox([scale, block, 0]))
+                return sim._draw_block(model, starts, *args, bound, spad, 1e9, rng)
 
-        monkeypatch.setattr(sim, "_draw_block", oracle)
-        slow = sim.gated_click_stream(c, 4.1)
-        full = sim._CLICK_BLOCK_GATES
-        assert blocks == [full] * 3 + [slow.meta["n_gates"] - 3 * full]
-        assert fast.n_events > 100
-        assert np.array_equal(fast.times, slow.times)
-        assert np.array_equal(fast.detector, slow.detector)
-        assert np.array_equal(fast.is_dark, slow.is_dark)
+            def oracle(starts, block):
+                rng = np.random.Generator(np.random.Philox([scale, block, 1]))
+                return draw_block_stepwise(model, starts, *args, spad, 1e9, rng)
+
+            sides = [_hit_moments(draw, n_blocks, m_steps, model.dt, spad.gate_rate)
+                     for draw in (kernel, oracle)]
+            means = [s1 / n for n, s1, _ in sides]
+            errs = [(s2 / n - mean ** 2) / n for (n, _, s2), mean in zip(sides, means)]
+            diff, se = means[0] - means[1], np.sqrt(errs[0] + errs[1])
+            assert np.all(np.abs(diff) <= 4.5 * se), (scale, np.max(np.abs(diff) / se))
+            hits_per_detector = sides[0][1][-2:]
+            assert hits_per_detector.min() > 2000
 
     @pytest.mark.parametrize("linewidth,system", [
         ("bare", {}), ("effective", {}), ("bare", {"nbar_th": 0.0}),
@@ -701,19 +781,65 @@ class TestClicks:
         assert np.all(np.abs(mean[1]) < 4.5 * se[1])
 
     @pytest.mark.parametrize("m_steps", [2, 22, 50])
-    def test_draw_block_draws_one_complex_normal_per_step(self, cfg, m_steps):
-        # the exact (b_0, a_0) takes 4 real normals per gate, then each step
-        # one complex innovation, 2; the thinning takes 2 uniforms per step.
-        # No hits (hit_scale 0) and no dark counts, so nothing else is drawn
+    def test_draw_block_draws_one_complex_normal_per_step(self, cfg, m_steps,
+                                                          monkeypatch):
+        # every gate draws its exact (b_0, a_0), 4 real normals, its two
+        # thresholds, 2 uniforms, and its innovations' norm, 1 chi-square.  A
+        # candidate reads one complex normal per step twice, for their norm
+        # and then for its steps, and each hit draws a fresh threshold and a
+        # jitter.  At hit_scale 0 no gate is a candidate and none is stepped;
+        # at 1e300 every gate is one and hits at every step.  No dark counts
         spad = replace(cfg.spad, dark_rate=0.0)
         model = sim.FieldModel(cfg, dt=spad.gate_len / m_steps)
+        bound = sim._path_bound(model, m_steps)
         n = 1000
-        rng = _CountingRng(np.random.Generator(np.random.Philox(3)))
-        times, _, _ = sim._draw_block(model, np.arange(n) / spad.gate_rate, m_steps,
-                                      0.0, spad, 1.0, rng)
-        assert times.size == 0
-        assert rng.normals == n * (4 + 2 * (m_steps - 1))
-        assert rng.uniforms == n * 2 * m_steps
+        stepped = []
+        step_states = sim.FieldModel.step_states
+
+        def counted(self, b, *args):
+            stepped.append(b.size)
+            return step_states(self, b, *args)
+
+        monkeypatch.setattr(sim.FieldModel, "step_states", counted)
+        for hit_scale, candidates in ((0.0, 0), (1e300, n)):
+            stepped.clear()
+            rng = _CountingRng(np.random.Generator(np.random.Philox(3)))
+            times, _, _ = sim._draw_block(model, np.arange(n) / spad.gate_rate,
+                                          m_steps, hit_scale, bound, spad, 1.0, rng)
+            assert times.size == 2 * m_steps * candidates
+            assert sum(stepped) == (m_steps - 1) * candidates
+            assert rng.counts["normals"] == 4 * n + 4 * (m_steps - 1) * candidates
+            assert rng.counts["chisquares"] == n
+            assert rng.counts["uniforms"] == 2 * n + 2 * times.size
+
+    def test_candidates_step_with_innovations_of_norm_r(self, cfg, monkeypatch):
+        # the certificate reads each gate's R, so a candidate's innovation
+        # normals, as step_states scales them, must have norm R exactly.  At
+        # hit_scale 1e300 every gate is a candidate
+        model = sim.FieldModel(cfg)
+        m_steps = math.ceil(cfg.spad.gate_len / cfg.dt)
+        n, gains = 500, list(model.innovation_gains(m_steps))
+        g_sq, chi, steps = np.zeros(n), [], []
+        step_states = sim.FieldModel.step_states
+
+        def recorded(self, b, a, gain, z, rng):
+            normals = _SquaredNormals(rng, b.size)
+            step_states(self, b, a, gain, z, normals)
+            g_sq[:] += normals.sq * (gain[0] / gains[len(steps)][0]) ** 2
+            steps.append(gain[1])
+
+        class ChiRng(_CountingRng):
+            def chisquare(self, *args, **kwargs):
+                out = self.rng.chisquare(*args, **kwargs)
+                chi.append(out.copy())
+                return out
+
+        monkeypatch.setattr(sim.FieldModel, "step_states", recorded)
+        sim._draw_block(model, np.arange(n) / cfg.spad.gate_rate, m_steps, 1e300,
+                        sim._path_bound(model, m_steps), cfg.spad, 1.0,
+                        ChiRng(np.random.Generator(np.random.Philox(6))))
+        assert steps == [k for _, k in gains] and len(chi) == 1
+        np.testing.assert_allclose(g_sq, chi[0], rtol=1e-12)
 
     def test_click_stream_memory_is_bounded_whatever_the_gate(self):
         # blocks hold a fixed number of gates and no per-step intensities, so
@@ -757,32 +883,118 @@ class TestClicks:
 
     def test_trajectory_thinning_rate(self, cfg):
         # a stand-in field of constant |a|^2 = 1, so every step of every gate
-        # thins at rate * dt
+        # thins at rate * dt.  Its path map is the identity with no
+        # innovations, so its bound is exact: m_steps rate dt per gate
         rate = 2.0e5
         spad = cfg.spad
         m_steps = math.ceil(spad.gate_len / cfg.dt)
 
         class ConstantField:
             dt = spad.gate_len / m_steps
+            E = np.eye(2, dtype=complex)
 
             def stationary_sample(self, n, rng):
                 return np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
 
             def innovation_gains(self, m_steps):
-                return itertools.repeat(None)
+                return iter([(0.0, 0j)] * (m_steps - 1))
 
             def step_states(self, b, a, gain, z, rng):
                 pass
 
+        field_ = ConstantField()
+        bound = sim._path_bound(field_, m_steps)
+        assert bound[1] == 0.0
+        np.testing.assert_allclose(bound[0] @ bound[0].conj().T,
+                                   [[0.0, 0.0], [0.0, m_steps]], rtol=0, atol=1e-12)
         n_gates = 200_000
         starts = np.arange(n_gates) / spad.gate_rate
         duration = n_gates / spad.gate_rate
-        _, det, dark = sim._draw_block(ConstantField(), starts, m_steps,
-                                       rate * ConstantField.dt, spad, duration,
+        _, det, dark = sim._draw_block(field_, starts, m_steps, rate * field_.dt,
+                                       bound, spad, duration,
                                        np.random.Generator(np.random.Philox(2)))
         expected = rate * spad.duty_cycle * duration
         counted = int((~dark & (det == 0)).sum())
         assert abs(counted - expected) < 3 * math.sqrt(expected) + 3
+
+    @pytest.mark.parametrize("linewidth", ["bare", "effective"])
+    def test_path_bound_is_the_path_maps_norms(self, cfg, linewidth):
+        # G is the Gram matrix of x -> (a_0 ... a_21), whose rows are row 1 of
+        # E^j; f^2 the squared Frobenius norm of the map from the innovation
+        # normals to the path, read off unit impulses as in
+        # test_click_path_law_is_exact.  f^2 takes 2 (s_j / sqrt(2))^2 per step
+        c = replace(cfg, mech_linewidth=linewidth)
+        m_steps = math.ceil(c.spad.gate_len / c.dt)
+        model = sim.FieldModel(c, dt=c.spad.gate_len / m_steps)
+        l_gram, f = sim._path_bound(model, m_steps)
+        rows = np.array([np.linalg.matrix_power(model.E, j)[1] for j in range(m_steps)])
+        gram = rows.conj().T @ rows
+        np.testing.assert_allclose(l_gram @ l_gram.conj().T, gram, rtol=0,
+                                   atol=1e-12 * np.abs(gram).max())
+        n = 4 + 2 * (m_steps - 1)
+        coef = _gate_paths(model, m_steps, n, _ImpulseNormals(n))
+        frobenius_sq = np.sum(np.abs(coef[:, 4:]) ** 2)
+        assert frobenius_sq > 0
+        assert abs(f * f - frobenius_sq) <= 1e-12 * frobenius_sq
+
+    @pytest.mark.parametrize("linewidth", ["bare", "effective"])
+    @pytest.mark.parametrize("gate_scale,n", [(1, 50_000), (50, 2_000)])
+    def test_path_bound_holds_on_sampled_gates(self, cfg, linewidth, gate_scale, n,
+                                               monkeypatch):
+        # every gate's sum_j |a_j|^2 within (|L^dag x| + f |g|)^2, g its
+        # innovation normals, at the default gate (22 steps) and 50x (1094)
+        c = _with_spad(replace(cfg, mech_linewidth=linewidth),
+                       gate_len=gate_scale * cfg.spad.gate_len)
+        model, m_steps, _, (l_gram, f) = _stream_args(c, monkeypatch)
+        rng = np.random.Generator(np.random.Philox(gate_scale))
+        b, a = model.stationary_sample(n, rng)
+        x_norm = np.hypot(np.abs(l_gram[0, 0] * b + l_gram[1, 0].conjugate() * a),
+                          np.abs(l_gram[1, 1] * a))
+        normals = _SquaredNormals(rng, n)
+        path_sq, z = np.abs(a) ** 2, np.empty(n, dtype=complex)
+        for gain in model.innovation_gains(m_steps):
+            model.step_states(b, a, gain, z, normals)
+            path_sq += np.abs(a) ** 2
+        ratio = path_sq / (x_norm + f * np.sqrt(normals.sq)) ** 2
+        assert np.all(np.isfinite(ratio)) and ratio.max() <= 1.0, ratio.max()
+
+    @pytest.mark.parametrize("system", [{"nbar_th": 0.0}, {"p_in": 0.0}],
+                             ids=["nbar_th0", "p_in0"])
+    def test_fieldless_gates_are_never_stepped(self, cfg, system, monkeypatch):
+        def never(*args):
+            raise AssertionError("a gate was stepped")
+
+        c = replace(cfg, params=replace(cfg.params, **system), seed=4)
+        model, m_steps, hit_scale, (l_gram, f) = _stream_args(c, monkeypatch)
+        assert hit_scale == 0.0
+        assert np.all(np.isfinite(l_gram)) and math.isfinite(f)
+        monkeypatch.setattr(sim.FieldModel, "step_states", never)
+        clicks = sim.gated_click_stream(c, 2.0)
+        assert clicks.n_events > 0 and np.all(clicks.is_dark)
+        assert np.all(np.isfinite(clicks.times))
+
+    def test_click_blocks_draw_apart_from_ensemble_chunks(self, cfg, monkeypatch):
+        # block i of a click stream and chunk i of an ensemble once shared a
+        # generator; now no block's starts like any chunk's, at 8 of each
+        firsts = {"block": set(), "chunk": set()}
+
+        def block(model, starts, m_steps, hit_scale, path_bound, spad, t_end, rng):
+            firsts["block"].add(tuple(rng.bit_generator.random_raw(4)))
+            empty = np.empty(0)
+            return empty, empty.astype(np.int8), empty.astype(bool)
+
+        def chunk(cfg_, model, plan, n, order, rng):
+            firsts["chunk"].add(tuple(rng.bit_generator.random_raw(4)))
+            return np.zeros((n, plan.cols.size), dtype=complex), np.ones(n)
+
+        monkeypatch.setattr(sim, "_draw_block", block)
+        monkeypatch.setattr(sim, "_simulate_chunk", chunk)
+        for seed in (5, 4242):
+            c = replace(cfg, seed=seed, chunk_traces=1)
+            sim.gated_click_stream(c, 8 * sim._CLICK_BLOCK_GATES / c.spad.gate_rate)
+            sim.run_ensemble(c, sim.HERALD_NONE, n_traces=8)
+        assert len(firsts["block"]) == len(firsts["chunk"]) == 16
+        assert not firsts["block"] & firsts["chunk"]
 
 
 class TestHeraldSelect:
