@@ -31,11 +31,13 @@ because gates are spaced by thousands of field correlation times.  The clicks
 read only the optical path, so across a gate a is drawn exactly, from one
 complex innovation per step, and b is carried as its conditional mean given
 b_0 and a's path so far (the Kalman filter's innovations form).  A gate
-almost never clicks, so most are never stepped: each draws its start state,
-its detectors' thresholds and the norm of its innovations, and a sure bound
-on the gate's summed hit probability, from the Gram matrix of the noiseless
-path map and the Frobenius norm of the innovation map, certifies it
-click-free (thinning against a dominating bound, Lewis & Shedler 1979).
+almost never clicks, so most are never drawn: a sure bound on a gate's
+summed hit probability, from its start state and the norm of its
+innovations through the Gram matrix of the noiseless path map and the
+Frobenius norm of the innovation map, certifies it click-free (thinning
+against a dominating bound, Lewis & Shedler 1979), and the few gates it
+cannot certify are drawn alone, from a proposal size-biased by a bound on
+their chance to be among them, then thinned to it.
 """
 
 from __future__ import annotations
@@ -674,21 +676,61 @@ def _path_bound(model, m_steps):
     return _chol_psd(gram), math.sqrt(f_sq)
 
 
-def _norm_l_dag(l, b, a):
-    """|L^dag x| = |(l00 b + l10* a, l11 a)| for a lower-triangular l with a
-    real diagonal, summed in place from real parts, so that its scratch is
-    one real array where complex products would hold four."""
-    c = l[1, 0].conjugate()
-    norm = l[0, 0].real * b.real
-    norm += c.real * a.real
-    norm -= c.imag * a.imag
-    part = l[0, 0].real * b.imag
-    part += c.real * a.imag
-    part += c.imag * a.real
-    np.hypot(norm, part, out=norm)
-    np.abs(a, out=part)
-    part *= l[1, 1].real
-    return np.hypot(norm, part, out=norm)
+def _select_gates(model, n, m_steps, hit_scale, path_bound, rng):
+    """(gates, b, a, r, v) for the gates of a block of n that the
+    certificate cannot pass: their indices, start states x = (b_0, a_0),
+    innovation norms R and thresholds V_d.  No other gate draws anything.
+    When q >= 1 every gate is taken, with its stationary x and uniform V_d,
+    and r is None.
+
+    A gate with x, R ~ chi_(2 (m_steps - 1)) and V_d in (0, 1] is certified
+    click-free when both V_d <= 1 - B, B = hit_scale (|L^dag x| + f R)^2
+    (path_bound).  It fails with probability pi = 1 - (1 - min(B, 1))^2,
+    at most nu = 4 hit_scale (|L^dag x|^2 + f^2 R^2).  So each gate is
+    proposed with probability q = E[nu], draws (x, R) from their law
+    size-biased by nu, and is kept with probability pi / nu.  The two terms
+    of nu give the two parts of the size-biased law:
+    - R^2 ~ chi^2_(2 m_steps), x stationary;
+    - R as ever, x = L_s V eta, eta ~ CN(0, I) but for one coordinate i,
+      picked with weight lam_i, of |eta_i|^2 ~ Gamma(2), where
+      V diag(lam) V^dag = M^dag M and M = L^dag L_s.
+    A kept gate's V_d are drawn given that one exceeds 1 - B: the larger
+    by inverting its law, the other uniform below it.
+    """
+    l_gram, f = path_bound
+    h = hit_scale * (1.0 + 1e-9)            # a margin for the bound's rounding
+    m_x = l_gram.conj().T @ model.L_s
+    lam, basis = np.linalg.eigh(m_x.conj().T @ m_x)
+    lam = np.maximum(lam, 0.0)
+    # E|L^dag x|^2 and E f^2 R^2
+    x_part, g_part = lam.sum(), 2 * (m_steps - 1) * f * f
+    q = 4.0 * h * (x_part + g_part)
+    if not q < 1.0:
+        b, a = model.stationary_sample(n, rng)
+        return np.arange(n), b, a, None, 1.0 - rng.random((2, n))
+    k = rng.binomial(n, q)
+    gates = np.sort(rng.choice(n, k, replace=False, shuffle=False))
+    in_g = rng.random(k) * (x_part + g_part) < g_part
+    k_g = np.count_nonzero(in_g)
+    b, a, r = np.empty(k, dtype=complex), np.empty(k, dtype=complex), np.empty(k)
+    b[in_g], a[in_g] = model.stationary_sample(k_g, rng)
+    r[in_g] = rng.chisquare(2 * m_steps, k_g)
+    k_x = k - k_g
+    eta = _circular_normal((2, k_x), rng)
+    biased = np.sqrt(rng.standard_gamma(2.0, k_x)) * np.exp(2j * np.pi * rng.random(k_x))
+    eta[(rng.random(k_x) * x_part < lam[1]).astype(np.intp), np.arange(k_x)] = biased
+    b[~in_g], a[~in_g] = model.L_s @ basis @ eta
+    r[~in_g] = rng.chisquare(2 * (m_steps - 1), k_x)
+    x_sq = np.abs(l_gram[0, 0] * b + l_gram[1, 0].conjugate() * a) ** 2 \
+        + np.abs(l_gram[1, 1] * a) ** 2
+    bound = np.minimum(h * (np.sqrt(x_sq) + f * np.sqrt(r)) ** 2, 1.0)
+    pi = bound * (2.0 - bound)
+    keep = rng.random(k) * 4.0 * h * (x_sq + f * f * r) < pi
+    u = rng.random((3, np.count_nonzero(keep)))
+    top = np.sqrt(1.0 - u[0] * pi[keep])
+    v = np.stack([top, top * (1.0 - u[1])])
+    v[:, u[2] < 0.5] = v[::-1, u[2] < 0.5]
+    return gates[keep], b[keep], a[keep], np.sqrt(r[keep]), v
 
 
 def _draw_block(model, starts, m_steps, hit_scale, path_bound, spad: SpadConfig,
@@ -704,70 +746,55 @@ def _draw_block(model, starts, m_steps, hit_scale, path_bound, spad: SpadConfig,
     the survival S_d = prod (1 - p_j) falls below a threshold V_d in (0, 1],
     and then starts again, S_d = 1 with a fresh V_d.
 
-    Most gates are never stepped.  Each draws its V_d and the norm R of its
-    innovation normals, R ~ chi_(2 (m_steps - 1)), and since
-    S_d >= 1 - sum_j p_j >= 1 - hit_scale (|L^dag x| + f R)^2 (path_bound),
-    a gate whose V_d lie at or below that bound surely has no hit.  Only the
-    others, the candidates, are stepped, with the normals' direction from
-    one child stream read twice: first for its norm |w|, then scaled by
-    R / |w| for the steps.  Given R a direction is uniform and independent
-    of it, so each candidate's path keeps its exact law, and so does the
-    thinning.  Then each detector draws, in this order: its hits' jitter
-    within their steps, its dark counts per gate and their offsets within
-    the gate.
+    Since S_d >= 1 - sum_j p_j >= 1 - hit_scale (|L^dag x| + f R)^2
+    (path_bound), R the norm of a gate's innovation normals, a gate whose V_d
+    lie at or below that bound surely has no hit.  Only the others are
+    drawn and stepped (_select_gates), with the normals' direction from one
+    child stream read twice: first for its norm |w|, then scaled by R / |w|
+    for the steps.  Given R a direction is uniform and independent of it,
+    so each path keeps its exact law, and so does the thinning.  When every
+    gate is taken, its normals are drawn once, from rng.  Then each detector
+    draws its hits' jitter within their steps, and its dark counts: a
+    Poisson total over the block, each on a uniform gate at a uniform offset.
     """
     n, dt = starts.size, model.dt
-    l_gram, f = path_bound
-    b, a = model.stationary_sample(n, rng)
-    # 1 - hit_scale (|L^dag x| + f R)^2, with a margin for its rounding,
-    # built in place; R and the V_d are drawn once |L^dag x|'s scratch is
-    # freed, which keeps the block's peak memory at that of x's draw
-    bound = _norm_l_dag(l_gram, b, a)
-    r = rng.chisquare(2 * (m_steps - 1), n)
-    np.sqrt(r, out=r)
-    bound += f * r
-    np.square(bound, out=bound)
-    bound *= hit_scale * (1.0 + 1e-9)
-    np.subtract(1.0, bound, out=bound)
-    v = rng.random((2, n))
-    np.subtract(1.0, v, out=v)
-    cand = np.flatnonzero((v > bound).any(axis=0))
-    # step-major indices j * n + gate
-    hits = ([np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)])
-    if cand.size:
-        b, a, v, r = b[cand], a[cand], v[:, cand], r[cand]
-        child = rng.spawn(1)[0]
-        start = child.bit_generator.state
-        z, w_sq = np.empty(cand.size, dtype=complex), np.zeros(cand.size)
-        zf = z.view(float)
+    gates, b, a, r, v = _select_gates(model, n, m_steps, hit_scale, path_bound, rng)
+    z, stream = np.empty(gates.size, dtype=complex), rng
+    if r is None:
+        r = 1.0
+    elif gates.size:
+        stream = rng.spawn(1)[0]
+        start, w_sq, zf = stream.bit_generator.state, np.zeros(gates.size), z.view(float)
         for _ in range(m_steps - 1):
-            child.standard_normal(out=zf)
+            stream.standard_normal(out=zf)
             np.square(zf, out=zf)
             w_sq += zf[0::2]
             w_sq += zf[1::2]
-        child.bit_generator.state = start
+        stream.bit_generator.state = start
         r /= np.sqrt(w_sq)              # the normals' scale R / |w|
+    # step-major indices j * n + gate
+    hits = ([np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)])
+    if gates.size:
         gains = model.innovation_gains(m_steps)
-        p, surv = np.empty(cand.size), np.ones((2, cand.size))
+        p, surv = np.empty(gates.size), np.ones((2, gates.size))
         for j in range(m_steps):
             np.square(np.abs(a, out=p), out=p)
             np.minimum(np.multiply(p, hit_scale, out=p), 1.0, out=p)
             surv *= np.subtract(1.0, p, out=p)
             for d in range(2):
                 hit = np.flatnonzero(surv[d] < v[d])
-                hits[d].append(cand[hit] + j * n)
+                hits[d].append(gates[hit] + j * n)
                 surv[d, hit] = 1.0
                 v[d, hit] = 1.0 - rng.random(hit.size)
             if j + 1 < m_steps:
                 s, k = next(gains)
-                model.step_states(b, a, (s * r, k), z, child)
+                model.step_states(b, a, (s * r, k), z, stream)
     times, det, dark = [], [], []
     for d in range(2):
         steps, rows = np.divmod(np.concatenate(hits[d]), n)
         t_hit = starts[rows] + (steps + rng.random(rows.size)) * dt
-        counts = rng.poisson(spad.dark_rate * spad.gate_len, size=n)
-        t_dark = np.repeat(starts, counts) \
-            + rng.random(counts.sum()) * spad.gate_len
+        rows = rng.integers(n, size=rng.poisson(n * spad.dark_rate * spad.gate_len))
+        t_dark = starts[rows] + rng.random(rows.size) * spad.gate_len
         t_dark = t_dark[t_dark < t_end]          # a last gate may overrun t_end
         times += [t_hit, t_dark]
         dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]

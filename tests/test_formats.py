@@ -27,8 +27,10 @@ def _same_bits(parsed, expected):
 
 @pytest.fixture(scope="module")
 def clicks():
+    # about 2 dark events a second over both detectors, so a 4 s stream
+    # holds one but with probability e^-8
     cfg = sim.SimConfig(seed=5)
-    return sim.gated_click_stream(cfg, 1.0)
+    return sim.gated_click_stream(cfg, 4.0)
 
 
 def test_grid_round_trip(tmp_path, params):

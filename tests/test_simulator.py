@@ -19,9 +19,9 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import ar1_lfilter, draw_block_stepwise, evolve_block_allocating, \
-    simulate_fields, simulate_chunk_allocating, time_domain_demodulate, \
-    time_domain_impulse_response
+from oracles import ar1_lfilter, certify_gates, draw_block_stepwise, \
+    evolve_block_allocating, l_dag_sq, simulate_fields, simulate_chunk_allocating, \
+    time_domain_demodulate, time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -643,6 +643,34 @@ def _hit_moments(draw, n_blocks, m_steps, dt, gate_rate):
     return n * n_blocks, s1, s2
 
 
+def _assert_same_law(model, m_steps, hit_scale, bound, spad, scale, n_blocks):
+    """The kernel and draw_block_stepwise, on independent draws of n_blocks
+    blocks at scale times hit_scale, give the same law: each detector's hits
+    per step, its gates with 0, 1, 2 and 3+ hits, the gates with a hit on
+    both and the hits per detector.  Each is a sum over independent gates,
+    so its standard error comes from the per-gate spread, which carries the
+    overdispersion of hits that share one field.  The bound, 4.5 standard
+    errors, is passed by chance by 165 comparisons with probability 99.9%."""
+    args = (m_steps, scale * hit_scale)
+
+    def kernel(starts, block):
+        rng = np.random.Generator(np.random.Philox([scale, block, 0]))
+        return sim._draw_block(model, starts, *args, bound, spad, 1e9, rng)
+
+    def oracle(starts, block):
+        rng = np.random.Generator(np.random.Philox([scale, block, 1]))
+        return draw_block_stepwise(model, starts, *args, spad, 1e9, rng)
+
+    sides = [_hit_moments(draw, n_blocks, m_steps, model.dt, spad.gate_rate)
+             for draw in (kernel, oracle)]
+    means = [s1 / n for n, s1, _ in sides]
+    errs = [(s2 / n - mean ** 2) / n for (n, _, s2), mean in zip(sides, means)]
+    diff, se = means[0] - means[1], np.sqrt(errs[0] + errs[1])
+    assert np.all(np.abs(diff) <= 4.5 * se), (scale, np.max(np.abs(diff) / se))
+    hits_per_detector = sides[0][1][-2:]
+    assert hits_per_detector.min() > 2000
+
+
 class TestClicks:
     def test_rate_matches_budget(self, cfg):
         duration = 4.0
@@ -695,36 +723,51 @@ class TestClicks:
 
     def test_click_stream_equals_the_stepwise_oracle(self, cfg, monkeypatch):
         # in law: the kernel against the per-step Bernoulli oracle, on
-        # independent draws, at the stream's hit_scale (2^20 gates a side)
-        # and at 300x and 3000x (2^16), where p caps at 1 and a detector hits
-        # several times a gate.  Compared: each detector's hits per step,
-        # its gates with 0, 1, 2 and 3+ hits, the gates with a hit on both
-        # and the hits per detector.  Each is a sum over independent gates,
-        # so its standard error comes from the per-gate spread, which carries
-        # the overdispersion of hits that share one field.  4.5 standard
-        # errors: 165 comparisons pass it by chance with probability 99.9%
+        # independent draws, at the stream's hit_scale (2^20 gates a side),
+        # at 60x (2^17), where about 2 gates in 3 are proposed, and at 300x
+        # and 3000x (2^16), where every gate is stepped and p caps at 1, so
+        # that a detector hits several times a gate
         spad = replace(cfg.spad, dark_rate=0.0)
-        model, m_steps, hit_scale, bound = _stream_args(replace(cfg, spad=spad),
-                                                        monkeypatch)
-        for scale, n_blocks in ((1, 16), (300, 1), (3000, 1)):
-            args = (m_steps, scale * hit_scale)
+        args = _stream_args(replace(cfg, spad=spad), monkeypatch)
+        for scale, n_blocks in ((1, 16), (60, 2), (300, 1), (3000, 1)):
+            _assert_same_law(*args, spad, scale, n_blocks)
 
-            def kernel(starts, block):
-                rng = np.random.Generator(np.random.Philox([scale, block, 0]))
-                return sim._draw_block(model, starts, *args, bound, spad, 1e9, rng)
+    def test_effective_linewidth_stream_equals_the_stepwise_oracle(self, cfg,
+                                                                   monkeypatch):
+        # the proposal's two parts weigh differently at the effective
+        # linewidth; at 60x about 4 gates in 5 are proposed
+        spad = replace(cfg.spad, dark_rate=0.0)
+        args = _stream_args(replace(cfg, spad=spad, mech_linewidth="effective"),
+                            monkeypatch)
+        _assert_same_law(*args, spad, 60, 2)
 
-            def oracle(starts, block):
-                rng = np.random.Generator(np.random.Philox([scale, block, 1]))
-                return draw_block_stepwise(model, starts, *args, spad, 1e9, rng)
-
-            sides = [_hit_moments(draw, n_blocks, m_steps, model.dt, spad.gate_rate)
-                     for draw in (kernel, oracle)]
-            means = [s1 / n for n, s1, _ in sides]
-            errs = [(s2 / n - mean ** 2) / n for (n, _, s2), mean in zip(sides, means)]
-            diff, se = means[0] - means[1], np.sqrt(errs[0] + errs[1])
-            assert np.all(np.abs(diff) <= 4.5 * se), (scale, np.max(np.abs(diff) / se))
-            hits_per_detector = sides[0][1][-2:]
-            assert hits_per_detector.min() > 2000
+    @pytest.mark.parametrize("scale,n_blocks", [(1, 16), (60, 4)])
+    def test_kept_gates_follow_the_certificate(self, cfg, monkeypatch, scale,
+                                               n_blocks):
+        # the gates the kernel draws are those the certificate keeps when
+        # every gate draws its own x, R and V_d (oracles.certify_gates): per
+        # gate, the chance to be kept, and R^2 and |L^dag x|^2 on kept gates
+        # (0 on the others), within 4.5 standard errors
+        model, m_steps, hit_scale, bound = _stream_args(cfg, monkeypatch)
+        hit_scale *= scale
+        n = sim._CLICK_BLOCK_GATES
+        sums = np.zeros((2, 2, 3))      # side, (sum, sum of squares), statistic
+        for block in range(n_blocks):
+            rng = np.random.Generator(np.random.Philox([scale, block, 2]))
+            _, b, a, r, _ = sim._select_gates(model, n, m_steps, hit_scale, bound, rng)
+            kernel = np.stack([np.ones(b.size), r * r, l_dag_sq(bound[0], b, a)])
+            rng = np.random.Generator(np.random.Philox([scale, block, 3]))
+            kept, r_sq, x_sq = certify_gates(model, n, m_steps, hit_scale, bound, rng)
+            oracle = np.stack([np.ones(kept.sum()), r_sq[kept], x_sq[kept]])
+            for side, values in enumerate((kernel, oracle)):
+                sums[side, 0] += values.sum(axis=1)
+                sums[side, 1] += np.square(values).sum(axis=1)
+        total = n * n_blocks
+        means = sums[:, 0] / total
+        var = (sums[:, 1] / total - means ** 2) / total
+        z = (means[0] - means[1]) / np.sqrt(var.sum(axis=0))
+        assert np.all(np.abs(z) <= 4.5), z
+        assert sums[1, 0, 0] > 2000
 
     @pytest.mark.parametrize("linewidth,system", [
         ("bare", {}), ("effective", {}), ("bare", {"nbar_th": 0.0}),
@@ -783,12 +826,12 @@ class TestClicks:
     @pytest.mark.parametrize("m_steps", [2, 22, 50])
     def test_draw_block_draws_one_complex_normal_per_step(self, cfg, m_steps,
                                                           monkeypatch):
-        # every gate draws its exact (b_0, a_0), 4 real normals, its two
-        # thresholds, 2 uniforms, and its innovations' norm, 1 chi-square.  A
-        # candidate reads one complex normal per step twice, for their norm
-        # and then for its steps, and each hit draws a fresh threshold and a
-        # jitter.  At hit_scale 0 no gate is a candidate and none is stepped;
-        # at 1e300 every gate is one and hits at every step.  No dark counts
+        # at hit_scale 0 no gate may click, so nothing is drawn for any gate
+        # and none is stepped.  At 1e300 every gate is taken: it draws its
+        # exact (b_0, a_0), 4 real normals, its two thresholds, 2 uniforms,
+        # and then one complex normal per step, read once, with no
+        # chi-square; it hits at every step, and each hit draws a fresh
+        # threshold and a jitter.  No dark counts
         spad = replace(cfg.spad, dark_rate=0.0)
         model = sim.FieldModel(cfg, dt=spad.gate_len / m_steps)
         bound = sim._path_bound(model, m_steps)
@@ -801,45 +844,50 @@ class TestClicks:
             return step_states(self, b, *args)
 
         monkeypatch.setattr(sim.FieldModel, "step_states", counted)
-        for hit_scale, candidates in ((0.0, 0), (1e300, n)):
+        for hit_scale, taken in ((0.0, 0), (1e300, n)):
             stepped.clear()
             rng = _CountingRng(np.random.Generator(np.random.Philox(3)))
             times, _, _ = sim._draw_block(model, np.arange(n) / spad.gate_rate,
                                           m_steps, hit_scale, bound, spad, 1.0, rng)
-            assert times.size == 2 * m_steps * candidates
-            assert sum(stepped) == (m_steps - 1) * candidates
-            assert rng.counts["normals"] == 4 * n + 4 * (m_steps - 1) * candidates
-            assert rng.counts["chisquares"] == n
-            assert rng.counts["uniforms"] == 2 * n + 2 * times.size
+            assert times.size == 2 * m_steps * taken
+            assert sum(stepped) == (m_steps - 1) * taken
+            assert rng.counts["normals"] == (4 + 2 * (m_steps - 1)) * taken
+            assert rng.counts["chisquares"] == 0
+            assert rng.counts["uniforms"] == 2 * taken + 2 * times.size
 
     def test_candidates_step_with_innovations_of_norm_r(self, cfg, monkeypatch):
-        # the certificate reads each gate's R, so a candidate's innovation
+        # the certificate reads each gate's R, so a drawn gate's innovation
         # normals, as step_states scales them, must have norm R exactly.  At
-        # hit_scale 1e300 every gate is a candidate
-        model = sim.FieldModel(cfg)
-        m_steps = math.ceil(cfg.spad.gate_len / cfg.dt)
+        # 60x the stream's hit_scale about 2 gates in 3 are proposed, and
+        # the proposal draws R^2 from two chi-squares, one per part of its law
+        model, m_steps, hit_scale, bound = _stream_args(cfg, monkeypatch)
         n, gains = 500, list(model.innovation_gains(m_steps))
-        g_sq, chi, steps = np.zeros(n), [], []
+        g_sq, chi, steps = 0.0, [], []
         step_states = sim.FieldModel.step_states
 
         def recorded(self, b, a, gain, z, rng):
+            nonlocal g_sq
             normals = _SquaredNormals(rng, b.size)
             step_states(self, b, a, gain, z, normals)
-            g_sq[:] += normals.sq * (gain[0] / gains[len(steps)][0]) ** 2
+            g_sq = g_sq + normals.sq * (gain[0] / gains[len(steps)][0]) ** 2
             steps.append(gain[1])
 
         class ChiRng(_CountingRng):
-            def chisquare(self, *args, **kwargs):
-                out = self.rng.chisquare(*args, **kwargs)
-                chi.append(out.copy())
+            def chisquare(self, df, size):
+                out = self.rng.chisquare(df, size)
+                chi.append((df, out.copy()))
                 return out
 
         monkeypatch.setattr(sim.FieldModel, "step_states", recorded)
-        sim._draw_block(model, np.arange(n) / cfg.spad.gate_rate, m_steps, 1e300,
-                        sim._path_bound(model, m_steps), cfg.spad, 1.0,
+        sim._draw_block(model, np.arange(n) / cfg.spad.gate_rate, m_steps,
+                        60 * hit_scale, bound, cfg.spad, 1.0,
                         ChiRng(np.random.Generator(np.random.Philox(6))))
-        assert steps == [k for _, k in gains] and len(chi) == 1
-        np.testing.assert_allclose(g_sq, chi[0], rtol=1e-12)
+        assert steps == [k for _, k in gains]
+        assert [df for df, _ in chi] == [2 * m_steps, 2 * (m_steps - 1)]
+        drawn = np.concatenate([out for _, out in chi])
+        assert 50 < g_sq.size < drawn.size
+        gap = np.abs(drawn[:, None] - g_sq).min(axis=0)
+        assert np.all(gap <= 1e-12 * g_sq), (gap / g_sq).max()
 
     def test_click_stream_memory_is_bounded_whatever_the_gate(self):
         # blocks hold a fixed number of gates and no per-step intensities, so
@@ -882,9 +930,10 @@ class TestClicks:
                                    0.05)
 
     def test_trajectory_thinning_rate(self, cfg):
-        # a stand-in field of constant |a|^2 = 1, so every step of every gate
-        # thins at rate * dt.  Its path map is the identity with no
-        # innovations, so its bound is exact: m_steps rate dt per gate
+        # a stand-in Gaussian field, x ~ CN(0, diag(0, 1)), constant across
+        # the gate (E = I, no innovations), so every step of a gate thins at
+        # rate dt |a|^2 and a gate has rate gate_len hits on average.  Its
+        # path map is the identity, so its bound is exact: m_steps rate dt |a|^2
         rate = 2.0e5
         spad = cfg.spad
         m_steps = math.ceil(spad.gate_len / cfg.dt)
@@ -892,9 +941,10 @@ class TestClicks:
         class ConstantField:
             dt = spad.gate_len / m_steps
             E = np.eye(2, dtype=complex)
+            L_s = np.diag([0.0, 1.0]).astype(complex)
 
             def stationary_sample(self, n, rng):
-                return np.zeros(n, dtype=complex), np.ones(n, dtype=complex)
+                return np.zeros(n, dtype=complex), sim._circular_normal(n, rng)
 
             def innovation_gains(self, m_steps):
                 return iter([(0.0, 0j)] * (m_steps - 1))
@@ -916,6 +966,57 @@ class TestClicks:
         expected = rate * spad.duty_cycle * duration
         counted = int((~dark & (det == 0)).sum())
         assert abs(counted - expected) < 3 * math.sqrt(expected) + 3
+
+    def test_dark_counts_are_poisson_per_gate(self, cfg):
+        # an all-dark block at about 0.5 dark counts per gate and detector:
+        # each detector's gates with 0, 1, 2 and 3+ counts match Poisson(mu)
+        # within 4.5 standard errors, offsets are uniform within the gate
+        # (ten bins, each within 4.5 standard errors) and no event lies at or
+        # past t_end, which cuts the last gate in half
+        c = replace(cfg, params=replace(cfg.params, p_in=0.0))
+        spad = replace(c.spad, dark_rate=0.5 / c.spad.gate_len)
+        model, m_steps = sim.FieldModel(c), 22
+        n = sim._CLICK_BLOCK_GATES
+        starts = np.arange(n) / spad.gate_rate
+        t_end = starts[-1] + 0.5 * spad.gate_len
+        rng = np.random.Generator(np.random.Philox(8))
+        times, det, dark = sim._draw_block(model, starts, m_steps, 0.0,
+                                           sim._path_bound(model, m_steps), spad,
+                                           t_end, rng)
+        assert np.all(dark) and np.all(times < t_end)
+        gate = np.floor(times * spad.gate_rate).astype(np.intp)
+        offset = (times - starts[gate]) / spad.gate_len
+        assert np.all((offset >= 0.0) & (offset < 1.0))
+        assert np.any(gate == n - 1) and offset[gate == n - 1].max() < 0.5
+        whole = gate < n - 1
+        mu = spad.dark_rate * spad.gate_len
+        pmf = [math.exp(-mu) * mu ** k / math.factorial(k) for k in range(3)]
+        expected = np.array(pmf + [1.0 - sum(pmf)])
+        for d in range(2):
+            counts = np.bincount(gate[(det == d) & whole], minlength=n - 1)
+            seen = np.array([np.count_nonzero(counts == k) for k in range(3)]
+                            + [np.count_nonzero(counts >= 3)]) / (n - 1)
+            se = np.sqrt(expected * (1.0 - expected) / (n - 1))
+            assert np.all(np.abs(seen - expected) <= 4.5 * se), (d, seen, expected)
+        binned = np.bincount((offset[whole] * 10).astype(np.intp), minlength=10)
+        share = binned / binned.sum()
+        assert np.all(np.abs(share - 0.1) <= 4.5 * math.sqrt(0.09 / binned.sum()))
+
+    def test_default_stream_calls_both_field_layers(self, monkeypatch):
+        # the traced benchmark times FieldModel.stationary_sample and
+        # step_states in its clicks pass and fails when either is never
+        # called, so a default 1 s stream must call both
+        calls = collections.Counter()
+        for name in ("stationary_sample", "step_states"):
+            method = getattr(sim.FieldModel, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(sim.FieldModel, name, counted)
+        sim.gated_click_stream(sim.SimConfig(), 1.0)
+        assert calls["stationary_sample"] > 0 and calls["step_states"] > 0
 
     @pytest.mark.parametrize("linewidth", ["bare", "effective"])
     def test_path_bound_is_the_path_maps_norms(self, cfg, linewidth):
