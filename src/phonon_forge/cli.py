@@ -220,6 +220,7 @@ def cmd_simulate(cfg: RunConfig, args):
                 simulator.herald_select(clicks, "coincidence").size
                 / clicks.duration),
             "budget_singles_rate": budget_pred.singles_rate,
+            "budget_dark_rate": budget_pred.dark_rate_observed,
             "budget_coincidence_rate": budget_pred.coincidence_rate,
         }
 

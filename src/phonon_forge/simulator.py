@@ -31,13 +31,10 @@ because gates are spaced by thousands of field correlation times.  The clicks
 read only the optical path, so across a gate a is drawn exactly, from one
 complex innovation per step, and b is carried as its conditional mean given
 b_0 and a's path so far (the Kalman filter's innovations form).  A gate
-almost never clicks, so most are never drawn: a sure bound on a gate's
-summed hit probability, from its start state and the norm of its
-innovations through the Gram matrix of the noiseless path map and the
-Frobenius norm of the innovation map, certifies it click-free (thinning
-against a dominating bound, Lewis & Shedler 1979), and the few gates it
-cannot certify are drawn alone, from a proposal size-biased by a bound on
-their chance to be among them, then thinned to it.
+almost never clicks, so most are never drawn: its chance of a hit is at
+most twice its summed hit probabilities, so candidates are proposed at that
+bound's mean, drawn from their path law size-biased by it, and thinned to
+their exact chance (Lewis & Shedler 1979).
 """
 
 from __future__ import annotations
@@ -643,6 +640,9 @@ def _register_events(times, det, dark, dead_time):
 
 
 _CLICK_BLOCK_GATES = 1 << 16
+# a block whose candidates' optical paths would fill more than this many
+# bytes, on average, steps every gate on the fly instead of storing them
+_CLICK_PATH_BYTES = 6 << 20
 # a gate of more steps is refused before any work; each step is a pass of
 # NumPy calls, so an unbounded gate would mean a near-endless loop
 _CLICK_MAX_STEPS = 1 << 23
@@ -651,144 +651,93 @@ _CLICK_MAX_STEPS = 1 << 23
 _CLICK_SEED_BRANCH = 2 ** 32 - 1
 
 
-def _path_bound(model, m_steps):
-    """(L, f) for a gate of m_steps: L L^dag = G, the Gram matrix of the
-    noiseless path map x = (b_0, a_0) -> (a_0 ... a_(m_steps-1)), and f^2 =
-    sum_j Var(a_j | x), the squared Frobenius norm of the map from a gate's
-    2 (m_steps - 1) innovation normals g to its path.
+def _stepped(model, b, a, m_steps, rng):
+    """Yield a at each of a gate's m_steps steps, stepping (b, a) in place."""
+    z = np.empty_like(a)
+    yield a
+    for gain in model.innovation_gains(m_steps):
+        model.step_states(b, a, gain, z, rng)
+        yield a
 
-    So sum_j |a_j|^2 <= (|L^dag x| + f |g|)^2.  Both follow the kernel's
-    recursion: a_j's coefficients on x are row 1 of E^j, and the covariance
-    C of (b, a) given x steps as E C E^dag + s_j^2 (K_j, 1) (K_j, 1)^dag,
-    where s_j^2 = 2 (s_j / sqrt(2))^2 is the innovation's variance.
+
+def _biased_paths(model, k, m_steps, rng):
+    """The (m_steps, k) optical paths of k gates from the law of a gate's
+    path size-biased by sum_j |a_j|^2.
+
+    Every step has variance var_a, so that law picks a uniform step J,
+    draws a_J = alpha from its law size-biased by |a_J|^2 (|alpha|^2 / var_a
+    ~ Gamma(2), uniform phase), and the rest given a_J = alpha.  That is
+    Matheron's rule: a path stepped by step_states moves by rho(t - t_J)
+    (alpha - a_J), rho = correlation_a / var_a, exact for a circular
+    Gaussian path of real covariance.  With no gate nothing is drawn.
     """
-    e = model.E
-    row = np.array([0.0, 1.0], dtype=complex)     # a_0 is x's second entry
-    gram = np.outer(row, row)
-    cov = np.zeros((2, 2), dtype=complex)
-    f_sq = 0.0
-    for s, k in model.innovation_gains(m_steps):
-        row = row @ e
-        gram += np.outer(row.conj(), row)
-        u = np.array([k, 1.0])
-        cov = e @ cov @ e.conj().T + 2.0 * s * s * np.outer(u, u.conj())
-        f_sq += cov[1, 1].real
-    return _chol_psd(gram), math.sqrt(f_sq)
+    paths = np.empty((m_steps, k), dtype=complex)
+    if k:
+        b, a = model.stationary_sample(k, rng)
+        for row, a_j in zip(paths, _stepped(model, b, a, m_steps, rng)):
+            row[...] = a_j
+        at = rng.integers(m_steps, size=k)
+        alpha = np.sqrt(model.var_a * rng.standard_gamma(2.0, k)) \
+            * np.exp(2j * np.pi * rng.random(k))
+        shift = alpha - paths[at, np.arange(k)]
+        rho = model.correlation_a(np.arange(m_steps) * model.dt) / model.var_a
+        for j, row in enumerate(paths):
+            row += rho[np.abs(j - at)] * shift
+    return paths
 
 
-def _select_gates(model, n, m_steps, hit_scale, path_bound, rng):
-    """(gates, b, a, r, v) for the gates of a block of n that the
-    certificate cannot pass: their indices, start states x = (b_0, a_0),
-    innovation norms R and thresholds V_d.  No other gate draws anything.
-    When q >= 1 every gate is taken, with its stationary x and uniform V_d,
-    and r is None.
-
-    A gate with x, R ~ chi_(2 (m_steps - 1)) and V_d in (0, 1] is certified
-    click-free when both V_d <= 1 - B, B = hit_scale (|L^dag x| + f R)^2
-    (path_bound).  It fails with probability pi = 1 - (1 - min(B, 1))^2,
-    at most nu = 4 hit_scale (|L^dag x|^2 + f^2 R^2).  So each gate is
-    proposed with probability q = E[nu], draws (x, R) from their law
-    size-biased by nu, and is kept with probability pi / nu.  The two terms
-    of nu give the two parts of the size-biased law:
-    - R^2 ~ chi^2_(2 m_steps), x stationary;
-    - R as ever, x = L_s V eta, eta ~ CN(0, I) but for one coordinate i,
-      picked with weight lam_i, of |eta_i|^2 ~ Gamma(2), where
-      V diag(lam) V^dag = M^dag M and M = L^dag L_s.
-    A kept gate's V_d are drawn given that one exceeds 1 - B: the larger
-    by inverting its law, the other uniform below it.
-    """
-    l_gram, f = path_bound
-    h = hit_scale * (1.0 + 1e-9)            # a margin for the bound's rounding
-    m_x = l_gram.conj().T @ model.L_s
-    lam, basis = np.linalg.eigh(m_x.conj().T @ m_x)
-    lam = np.maximum(lam, 0.0)
-    # E|L^dag x|^2 and E f^2 R^2
-    x_part, g_part = lam.sum(), 2 * (m_steps - 1) * f * f
-    q = 4.0 * h * (x_part + g_part)
-    if not q < 1.0:
-        b, a = model.stationary_sample(n, rng)
-        return np.arange(n), b, a, None, 1.0 - rng.random((2, n))
-    k = rng.binomial(n, q)
-    gates = np.sort(rng.choice(n, k, replace=False, shuffle=False))
-    in_g = rng.random(k) * (x_part + g_part) < g_part
-    k_g = np.count_nonzero(in_g)
-    b, a, r = np.empty(k, dtype=complex), np.empty(k, dtype=complex), np.empty(k)
-    b[in_g], a[in_g] = model.stationary_sample(k_g, rng)
-    r[in_g] = rng.chisquare(2 * m_steps, k_g)
-    k_x = k - k_g
-    eta = _circular_normal((2, k_x), rng)
-    biased = np.sqrt(rng.standard_gamma(2.0, k_x)) * np.exp(2j * np.pi * rng.random(k_x))
-    eta[(rng.random(k_x) * x_part < lam[1]).astype(np.intp), np.arange(k_x)] = biased
-    b[~in_g], a[~in_g] = model.L_s @ basis @ eta
-    r[~in_g] = rng.chisquare(2 * (m_steps - 1), k_x)
-    x_sq = np.abs(l_gram[0, 0] * b + l_gram[1, 0].conjugate() * a) ** 2 \
-        + np.abs(l_gram[1, 1] * a) ** 2
-    bound = np.minimum(h * (np.sqrt(x_sq) + f * np.sqrt(r)) ** 2, 1.0)
-    pi = bound * (2.0 - bound)
-    keep = rng.random(k) * 4.0 * h * (x_sq + f * f * r) < pi
-    u = rng.random((3, np.count_nonzero(keep)))
-    top = np.sqrt(1.0 - u[0] * pi[keep])
-    v = np.stack([top, top * (1.0 - u[1])])
-    v[:, u[2] < 0.5] = v[::-1, u[2] < 0.5]
-    return gates[keep], b[keep], a[keep], np.sqrt(r[keep]), v
-
-
-def _draw_block(model, starts, m_steps, hit_scale, path_bound, spad: SpadConfig,
-                t_end, rng):
+def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng):
     """Raw (times, detector, is_dark) of both detectors for the gates opening
     at starts, unsorted.
 
-    Each gate gets an exact stationary x = (b, a) to be stepped across the
-    gate by model.dt: a with its exact law, one complex innovation per step,
-    and b as its conditional mean given a's path (model.innovation_gains).
     At every step each detector has a hit with p_j = min(hit_scale |a_j|^2,
-    1).  That is drawn by inversion: detector d hits at the first step where
-    the survival S_d = prod (1 - p_j) falls below a threshold V_d in (0, 1],
-    and then starts again, S_d = 1 with a fresh V_d.
-
-    Since S_d >= 1 - sum_j p_j >= 1 - hit_scale (|L^dag x| + f R)^2
-    (path_bound), R the norm of a gate's innovation normals, a gate whose V_d
-    lie at or below that bound surely has no hit.  Only the others are
-    drawn and stepped (_select_gates), with the normals' direction from one
-    child stream read twice: first for its norm |w|, then scaled by R / |w|
-    for the steps.  Given R a direction is uniform and independent of it,
-    so each path keeps its exact law, and so does the thinning.  When every
-    gate is taken, its normals are drawn once, from rng.  Then each detector
-    draws its hits' jitter within their steps, and its dark counts: a
-    Poisson total over the block, each on a uniform gate at a uniform offset.
+    1), drawn by inversion: detector d hits at the first step where the
+    survival S_d = prod (1 - p_j) falls below a threshold V_d in (0, 1], and
+    then starts again, S_d = 1 with a fresh V_d.  A gate has a hit with
+    probability pi = 1 - S^2, at most nu = 2 hit_scale sum_j |a_j|^2, of
+    mean q.  So k ~ Binomial(n, q) distinct gates draw their paths from the
+    law size-biased by nu (_biased_paths), each is kept with probability
+    pi / nu, and a kept gate draws its V_d given a hit: the larger by
+    inversion, the other uniform below it.  When q >= 1, or when the paths
+    would pass _CLICK_PATH_BYTES, every gate is stepped on the fly instead,
+    with uniform V_d.  Then each detector draws its hits' jitter within
+    their steps, and its dark counts: a Poisson total over the block, each
+    on a uniform gate at a uniform offset.
     """
     n, dt = starts.size, model.dt
-    gates, b, a, r, v = _select_gates(model, n, m_steps, hit_scale, path_bound, rng)
-    z, stream = np.empty(gates.size, dtype=complex), rng
-    if r is None:
-        r = 1.0
-    elif gates.size:
-        stream = rng.spawn(1)[0]
-        start, w_sq, zf = stream.bit_generator.state, np.zeros(gates.size), z.view(float)
-        for _ in range(m_steps - 1):
-            stream.standard_normal(out=zf)
-            np.square(zf, out=zf)
-            w_sq += zf[0::2]
-            w_sq += zf[1::2]
-        stream.bit_generator.state = start
-        r /= np.sqrt(w_sq)              # the normals' scale R / |w|
+    q = 2.0 * hit_scale * m_steps * model.var_a
+    if q < 1.0 and 16.0 * q * n * m_steps <= _CLICK_PATH_BYTES:
+        gates = np.sort(rng.choice(n, rng.binomial(n, q), replace=False, shuffle=False))
+        paths = _biased_paths(model, gates.size, m_steps, rng)
+        nu, surv = np.zeros(gates.size), np.ones(gates.size)
+        for row in paths:
+            p = np.abs(row) ** 2
+            nu += p
+            surv *= 1.0 - np.minimum(hit_scale * p, 1.0)
+        pi = 1.0 - surv * surv
+        keep = rng.random(gates.size) * (2.0 * hit_scale) * nu < pi
+        gates = gates[keep]
+        u = rng.random((3, gates.size))
+        top = np.sqrt(1.0 - u[0] * pi[keep])
+        v = np.stack([top, top * (1.0 - u[1])])
+        v[:, u[2] < 0.5] = v[::-1, u[2] < 0.5]
+        path = (row[keep] for row in paths)
+    else:
+        gates = np.arange(n)
+        path = _stepped(model, *model.stationary_sample(n, rng), m_steps, rng)
+        v = 1.0 - rng.random((2, n))
     # step-major indices j * n + gate
     hits = ([np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)])
-    if gates.size:
-        gains = model.innovation_gains(m_steps)
-        p, surv = np.empty(gates.size), np.ones((2, gates.size))
-        for j in range(m_steps):
-            np.square(np.abs(a, out=p), out=p)
-            np.minimum(np.multiply(p, hit_scale, out=p), 1.0, out=p)
-            surv *= np.subtract(1.0, p, out=p)
-            for d in range(2):
-                hit = np.flatnonzero(surv[d] < v[d])
-                hits[d].append(gates[hit] + j * n)
-                surv[d, hit] = 1.0
-                v[d, hit] = 1.0 - rng.random(hit.size)
-            if j + 1 < m_steps:
-                s, k = next(gains)
-                model.step_states(b, a, (s * r, k), z, stream)
+    p, surv = np.empty(gates.size), np.ones((2, gates.size))
+    for j, a in enumerate(path):
+        np.square(np.abs(a, out=p), out=p)
+        np.minimum(np.multiply(p, hit_scale, out=p), 1.0, out=p)
+        surv *= np.subtract(1.0, p, out=p)
+        for d in range(2):
+            hit = np.flatnonzero(surv[d] < v[d])
+            hits[d].append(gates[hit] + j * n)
+            surv[d, hit] = 1.0
+            v[d, hit] = 1.0 - rng.random(hit.size)
     times, det, dark = [], [], []
     for d in range(2):
         steps, rows = np.divmod(np.concatenate(hits[d]), n)
@@ -811,7 +760,7 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
     exact law of the optical path a that the clicks read; the mechanics b is
     only its conditional mean given that path.
     Gates are processed in blocks of _CLICK_BLOCK_GATES, each with its own
-    random stream, so memory does not grow with the gate length.
+    random stream, so memory is bounded whatever the gate length.
     """
     require_positive("duration", duration)
     spad = cfg.spad
@@ -832,7 +781,6 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
                           f"{spad.gate_len:.3e} s gate: its {m_steps} steps pass "
                           f"{_CLICK_MAX_STEPS}")
     hit_scale = dt * r_registered / model.var_a if model.var_a > 0 else 0.0
-    path_bound = _path_bound(model, m_steps)
     n_blocks = (n_gates + _CLICK_BLOCK_GATES - 1) // _CLICK_BLOCK_GATES
     seeds = np.random.SeedSequence(cfg.seed, spawn_key=(_CLICK_SEED_BRANCH,)) \
         .spawn(n_blocks)
@@ -842,8 +790,8 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
         lo = bi * _CLICK_BLOCK_GATES
         starts = np.arange(lo, min(lo + _CLICK_BLOCK_GATES, n_gates)) / spad.gate_rate
         rng = np.random.Generator(np.random.Philox(seeds[bi]))
-        blocks.append(_draw_block(model, starts, m_steps, hit_scale, path_bound,
-                                  spad, duration, rng))
+        blocks.append(_draw_block(model, starts, m_steps, hit_scale, spad, duration,
+                                  rng))
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
                                         spad.dead_time)

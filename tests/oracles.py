@@ -239,27 +239,6 @@ def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
     return np.concatenate(times), np.concatenate(det), np.concatenate(dark)
 
 
-def l_dag_sq(l_gram, b, a):
-    """|L^dag x|^2 for x = (b, a) and a lower-triangular L."""
-    return np.abs(l_gram[0, 0] * b + np.conj(l_gram[1, 0]) * a) ** 2 \
-        + np.abs(l_gram[1, 1] * a) ** 2
-
-
-def certify_gates(model, n, m_steps, hit_scale, path_bound, rng):
-    """(kept, r_sq, x_sq) for n gates certified one by one, with no proposal:
-    each draws its exact x = (b_0, a_0), R^2 ~ chi^2_(2 (m_steps - 1)) and
-    two thresholds V_d in (0, 1], and is kept, as one that may click, when
-    either V_d exceeds 1 - hit_scale (|L^dag x| + f R)^2 with the kernel's
-    1e-9 margin.  x_sq is |L^dag x|^2."""
-    l_gram, f = path_bound
-    b, a = model.stationary_sample(n, rng)
-    x_sq = l_dag_sq(l_gram, b, a)
-    r_sq = rng.chisquare(2 * (m_steps - 1), n)
-    bound = hit_scale * (1.0 + 1e-9) * (np.sqrt(x_sq) + f * np.sqrt(r_sq)) ** 2
-    kept = (1.0 - rng.random((2, n)) > 1.0 - bound).any(axis=0)
-    return kept, r_sq, x_sq
-
-
 def _ar1_allocating(pole, drive):
     """x[t] = pole * x[t-1] + drive[t] along the last axis, x[-1] = 0, into a
     time-major copy returned transposed."""

@@ -146,7 +146,11 @@ class TestCommands:
         report = json.loads((outdir / "report_single.json").read_text())
         assert report["n_traces"] == 100
         assert "peak_ratio" in report
-        assert "click_rates" in report
+        # the singles per detector count dark events too, so the budget
+        # gives both their real and their dark parts
+        rates = report["click_rates"]
+        assert rates["budget_dark_rate"] == SpadConfig().registered_dark_rate
+        assert rates["budget_singles_rate"] > rates["budget_dark_rate"] > 0
         assert (outdir / "ensemble_single.npz").exists()
         assert (outdir / "empirical_variance_single.csv").exists()
         assert (outdir / "histogram_single.csv").exists()

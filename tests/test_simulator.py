@@ -19,9 +19,9 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import ar1_lfilter, certify_gates, draw_block_stepwise, \
-    evolve_block_allocating, l_dag_sq, simulate_fields, simulate_chunk_allocating, \
-    time_domain_demodulate, time_domain_impulse_response
+from oracles import ar1_lfilter, draw_block_stepwise, evolve_block_allocating, \
+    simulate_fields, simulate_chunk_allocating, time_domain_demodulate, \
+    time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -548,8 +548,8 @@ class _ImpulseNormals:
 
 
 class _CountingRng:
-    """A Generator proxy that counts the normals, chi-squares and uniforms
-    drawn, by it and by the children it spawns, in one Counter."""
+    """A Generator proxy that counts the normals, chi-squares, gammas and
+    uniforms drawn, by it and by the children it spawns, in one Counter."""
 
     def __init__(self, rng, counts=None):
         self.rng = rng
@@ -565,6 +565,9 @@ class _CountingRng:
     def chisquare(self, *args, **kwargs):
         return self._counted("chisquares", self.rng.chisquare(*args, **kwargs))
 
+    def standard_gamma(self, *args, **kwargs):
+        return self._counted("gammas", self.rng.standard_gamma(*args, **kwargs))
+
     def random(self, *args, **kwargs):
         return self._counted("uniforms", self.rng.random(*args, **kwargs))
 
@@ -573,19 +576,6 @@ class _CountingRng:
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
-
-
-class _SquaredNormals:
-    """A Generator proxy for n gates that adds to sq each gate's squared
-    normals drawn into a flat out, two per gate."""
-
-    def __init__(self, rng, n):
-        self.rng, self.sq = rng, np.zeros(n)
-
-    def standard_normal(self, out):
-        self.rng.standard_normal(out=out)
-        self.sq += np.square(out).reshape(self.sq.size, 2).sum(axis=1)
-        return out
 
 
 def _gate_paths(model, m_steps, n, rng):
@@ -598,13 +588,37 @@ def _gate_paths(model, m_steps, n, rng):
     return np.array(path)
 
 
+def _assert_path_covariance(draw, expected):
+    """Every <a_i* a_j> (i <= j) over 200 000 paths drawn by draw(n), an
+    (m_steps, n) array, within 4.5 standard errors of expected[i, j] (and
+    its imaginary part of 0), a bound that the 506 comparisons of a 22-step
+    path pass by chance with probability above 99.6%."""
+    m_steps = expected.shape[0]
+    n, chunks = 50_000, 4
+    # per pair (i <= j): the sums of Re and Im of a_i* a_j, and of their squares
+    sums = np.zeros((4, m_steps, m_steps))
+    for _ in range(chunks):
+        path = draw(n)
+        for i, ai in enumerate(path):
+            prod = ai.conj() * path[i:]
+            for k, part in enumerate((prod.real, prod.imag)):
+                sums[k, i, i:] += part.sum(axis=1)
+                sums[2 + k, i, i:] += np.square(part).sum(axis=1)
+    total = n * chunks
+    upper = np.triu_indices(m_steps)
+    mean = sums[:2, upper[0], upper[1]] / total
+    se = np.sqrt((sums[2:, upper[0], upper[1]] / total - mean ** 2) / total)
+    assert np.all(np.abs(mean[0] - expected[upper]) < 4.5 * se[0])
+    assert np.all(np.abs(mean[1]) < 4.5 * se[1])
+
+
 def _stream_args(cfg, monkeypatch):
-    """The (model, m_steps, hit_scale, path_bound) that gated_click_stream
-    hands _draw_block for cfg."""
+    """The (model, m_steps, hit_scale) that gated_click_stream hands
+    _draw_block for cfg."""
     seen = []
 
-    def record(model, starts, m_steps, hit_scale, path_bound, *args):
-        seen.append((model, m_steps, hit_scale, path_bound))
+    def record(model, starts, m_steps, hit_scale, *args):
+        seen.append((model, m_steps, hit_scale))
         empty = np.empty(0)
         return empty, empty.astype(np.int8), empty.astype(bool)
 
@@ -643,7 +657,7 @@ def _hit_moments(draw, n_blocks, m_steps, dt, gate_rate):
     return n * n_blocks, s1, s2
 
 
-def _assert_same_law(model, m_steps, hit_scale, bound, spad, scale, n_blocks):
+def _assert_same_law(model, m_steps, hit_scale, spad, scale, n_blocks):
     """The kernel and draw_block_stepwise, on independent draws of n_blocks
     blocks at scale times hit_scale, give the same law: each detector's hits
     per step, its gates with 0, 1, 2 and 3+ hits, the gates with a hit on
@@ -655,7 +669,7 @@ def _assert_same_law(model, m_steps, hit_scale, bound, spad, scale, n_blocks):
 
     def kernel(starts, block):
         rng = np.random.Generator(np.random.Philox([scale, block, 0]))
-        return sim._draw_block(model, starts, *args, bound, spad, 1e9, rng)
+        return sim._draw_block(model, starts, *args, spad, 1e9, rng)
 
     def oracle(starts, block):
         rng = np.random.Generator(np.random.Philox([scale, block, 1]))
@@ -677,7 +691,8 @@ class TestClicks:
         clicks = sim.gated_click_stream(replace(cfg, seed=77), duration)
         report = bud.build_report(cfg.params, cfg.spad)
         expected = report.singles_rate * duration
-        per_det = [(clicks.detector == d).sum() for d in (0, 1)]
+        # the budget's singles rate holds real clicks only
+        per_det = [((clicks.detector == d) & ~clicks.is_dark).sum() for d in (0, 1)]
         for counted in per_det:
             assert abs(counted - expected) < 3 * math.sqrt(expected)
 
@@ -724,7 +739,7 @@ class TestClicks:
     def test_click_stream_equals_the_stepwise_oracle(self, cfg, monkeypatch):
         # in law: the kernel against the per-step Bernoulli oracle, on
         # independent draws, at the stream's hit_scale (2^20 gates a side),
-        # at 60x (2^17), where about 2 gates in 3 are proposed, and at 300x
+        # at 60x (2^17), where about 1 gate in 4 is proposed, and at 300x
         # and 3000x (2^16), where every gate is stepped and p caps at 1, so
         # that a detector hits several times a gate
         spad = replace(cfg.spad, dark_rate=0.0)
@@ -734,40 +749,47 @@ class TestClicks:
 
     def test_effective_linewidth_stream_equals_the_stepwise_oracle(self, cfg,
                                                                    monkeypatch):
-        # the proposal's two parts weigh differently at the effective
-        # linewidth; at 60x about 4 gates in 5 are proposed
+        # the path decorrelates faster across the gate at the effective
+        # linewidth; at 60x about 1 gate in 4 is proposed
         spad = replace(cfg.spad, dark_rate=0.0)
         args = _stream_args(replace(cfg, spad=spad, mech_linewidth="effective"),
                             monkeypatch)
         _assert_same_law(*args, spad, 60, 2)
 
-    @pytest.mark.parametrize("scale,n_blocks", [(1, 16), (60, 4)])
-    def test_kept_gates_follow_the_certificate(self, cfg, monkeypatch, scale,
-                                               n_blocks):
-        # the gates the kernel draws are those the certificate keeps when
-        # every gate draws its own x, R and V_d (oracles.certify_gates): per
-        # gate, the chance to be kept, and R^2 and |L^dag x|^2 on kept gates
-        # (0 on the others), within 4.5 standard errors
-        model, m_steps, hit_scale, bound = _stream_args(cfg, monkeypatch)
-        hit_scale *= scale
-        n = sim._CLICK_BLOCK_GATES
-        sums = np.zeros((2, 2, 3))      # side, (sum, sum of squares), statistic
-        for block in range(n_blocks):
-            rng = np.random.Generator(np.random.Philox([scale, block, 2]))
-            _, b, a, r, _ = sim._select_gates(model, n, m_steps, hit_scale, bound, rng)
-            kernel = np.stack([np.ones(b.size), r * r, l_dag_sq(bound[0], b, a)])
-            rng = np.random.Generator(np.random.Philox([scale, block, 3]))
-            kept, r_sq, x_sq = certify_gates(model, n, m_steps, hit_scale, bound, rng)
-            oracle = np.stack([np.ones(kept.sum()), r_sq[kept], x_sq[kept]])
-            for side, values in enumerate((kernel, oracle)):
-                sums[side, 0] += values.sum(axis=1)
-                sums[side, 1] += np.square(values).sum(axis=1)
-        total = n * n_blocks
-        means = sums[:, 0] / total
-        var = (sums[:, 1] / total - means ** 2) / total
-        z = (means[0] - means[1]) / np.sqrt(var.sum(axis=0))
-        assert np.all(np.abs(z) <= 4.5), z
-        assert sums[1, 0, 0] > 2000
+    @pytest.mark.parametrize("scale,n_blocks", [(60, 4), (200, 2)])
+    def test_fast_mechanics_stream_equals_the_stepwise_oracle(self, cfg, monkeypatch,
+                                                              scale, n_blocks):
+        # at gamma = 2 pi 300 MHz a's correlation across the gate falls to
+        # 0.44, so a candidate's size-biased step J must be uniform over the
+        # gate and the rest of its path conditioned on a_J: a J anchored at
+        # step 0 passes every test above and fails these.  At 60x (2^18
+        # gates) and 200x (2^17) about 4% and 13% of gates are proposed
+        spad = replace(cfg.spad, dark_rate=0.0)
+        c = replace(cfg, spad=spad, params=replace(cfg.params, gamma=2 * math.pi * 300e6))
+        model, m_steps, hit_scale = args = _stream_args(c, monkeypatch)
+        lag = model.correlation_a((m_steps - 1) * model.dt) / model.var_a
+        assert 0.4 < lag < 0.5
+        _assert_same_law(*args, spad, scale, n_blocks)
+
+    @pytest.mark.parametrize("linewidth", ["bare", "effective"])
+    def test_raw_hits_per_gate_match_the_closed_form(self, cfg, monkeypatch, linewidth):
+        # each detector's mean hits per gate is sum_j E p_j = hit_scale
+        # m_steps var_a, p_j never capped at 1 at the stream's hit_scale.
+        # On 2^24 gates, within 4.5 standard errors from the per-gate spread,
+        # this sees a rate bias of about 2.4%, which the law tests cannot
+        spad = replace(cfg.spad, dark_rate=0.0)
+        model, m_steps, hit_scale = _stream_args(
+            replace(cfg, spad=spad, mech_linewidth=linewidth), monkeypatch)
+
+        def kernel(starts, block):
+            rng = np.random.Generator(np.random.Philox([block, 4]))
+            return sim._draw_block(model, starts, m_steps, hit_scale, spad, 1e9, rng)
+
+        n, s1, s2 = _hit_moments(kernel, 256, m_steps, model.dt, spad.gate_rate)
+        mean = s1[-2:] / n
+        se = np.sqrt((s2[-2:] / n - mean ** 2) / n)
+        expected = hit_scale * m_steps * model.var_a
+        assert np.all(np.abs(mean - expected) <= 4.5 * se), (mean - expected) / se
 
     @pytest.mark.parametrize("linewidth,system", [
         ("bare", {}), ("effective", {}), ("bare", {"nbar_th": 0.0}),
@@ -797,44 +819,44 @@ class TestClicks:
 
     @pytest.mark.parametrize("linewidth", ["bare", "effective"])
     def test_click_path_covariance_sampled(self, cfg, linewidth):
-        # 200 000 gates stepped by the kernel: every <a_i* a_j> of the
-        # 22-step path within 4.5 standard errors of the model's correlation
-        # (and its imaginary part of 0), a bound that 506 comparisons pass
-        # by chance with probability above 99.6%
+        # 200 000 gates stepped by the kernel against the model's correlation
         c = replace(cfg, mech_linewidth=linewidth)
         m_steps = math.ceil(c.spad.gate_len / c.dt)
         model = sim.FieldModel(c, dt=c.spad.gate_len / m_steps)
         rng = np.random.Generator(np.random.Philox(12))
-        n, chunks = 50_000, 4
-        # per pair (i <= j): the sums of Re and Im of a_i* a_j, and of their squares
-        sums = np.zeros((4, m_steps, m_steps))
-        for _ in range(chunks):
-            path = _gate_paths(model, m_steps, n, rng)
-            for i, ai in enumerate(path):
-                prod = ai.conj() * path[i:]
-                for k, part in enumerate((prod.real, prod.imag)):
-                    sums[k, i, i:] += part.sum(axis=1)
-                    sums[2 + k, i, i:] += np.square(part).sum(axis=1)
-        total = n * chunks
-        upper = np.triu_indices(m_steps)
-        mean = sums[:2, upper[0], upper[1]] / total
-        se = np.sqrt((sums[2:, upper[0], upper[1]] / total - mean ** 2) / total)
-        expected = model.correlation_a((upper[1] - upper[0]) * model.dt)
-        assert np.all(np.abs(mean[0] - expected) < 4.5 * se[0])
-        assert np.all(np.abs(mean[1]) < 4.5 * se[1])
+        lags = np.arange(m_steps)
+        _assert_path_covariance(
+            lambda n: _gate_paths(model, m_steps, n, rng),
+            model.correlation_a(np.abs(lags[:, None] - lags) * model.dt))
+
+    @pytest.mark.parametrize("linewidth,system", [
+        ("bare", {}), ("effective", {}), ("bare", {"gamma": 2 * math.pi * 300e6})],
+        ids=["bare", "effective", "fast"])
+    def test_candidate_paths_follow_the_size_biased_law(self, cfg, linewidth, system):
+        # a circular Gaussian path of covariance C, size-biased by sum_j
+        # |a_j|^2, has covariance C + C^2 / tr C (Isserlis): 200 000
+        # candidates from _biased_paths against it, at both linewidths and
+        # at gamma = 2 pi 300 MHz, where C falls to 0.44 across the gate
+        c = replace(cfg, mech_linewidth=linewidth, params=replace(cfg.params, **system))
+        m_steps = math.ceil(c.spad.gate_len / c.dt)
+        model = sim.FieldModel(c, dt=c.spad.gate_len / m_steps)
+        rng = np.random.Generator(np.random.Philox(13))
+        lags = np.arange(m_steps)
+        cov = model.correlation_a(np.abs(lags[:, None] - lags) * model.dt)
+        _assert_path_covariance(lambda n: sim._biased_paths(model, n, m_steps, rng),
+                                cov + cov @ cov / np.trace(cov))
 
     @pytest.mark.parametrize("m_steps", [2, 22, 50])
     def test_draw_block_draws_one_complex_normal_per_step(self, cfg, m_steps,
                                                           monkeypatch):
         # at hit_scale 0 no gate may click, so nothing is drawn for any gate
-        # and none is stepped.  At 1e300 every gate is taken: it draws its
-        # exact (b_0, a_0), 4 real normals, its two thresholds, 2 uniforms,
-        # and then one complex normal per step, read once, with no
-        # chi-square; it hits at every step, and each hit draws a fresh
-        # threshold and a jitter.  No dark counts
+        # and none is stepped.  At 1e300 every gate is stepped on the fly:
+        # it draws its exact (b_0, a_0), 4 real normals, its two thresholds,
+        # 2 uniforms, and then one complex normal per step, read once, with
+        # no chi-square or gamma; it hits at every step, and each hit draws a
+        # fresh threshold and a jitter.  No dark counts
         spad = replace(cfg.spad, dark_rate=0.0)
         model = sim.FieldModel(cfg, dt=spad.gate_len / m_steps)
-        bound = sim._path_bound(model, m_steps)
         n = 1000
         stepped = []
         step_states = sim.FieldModel.step_states
@@ -848,60 +870,66 @@ class TestClicks:
             stepped.clear()
             rng = _CountingRng(np.random.Generator(np.random.Philox(3)))
             times, _, _ = sim._draw_block(model, np.arange(n) / spad.gate_rate,
-                                          m_steps, hit_scale, bound, spad, 1.0, rng)
+                                          m_steps, hit_scale, spad, 1.0, rng)
             assert times.size == 2 * m_steps * taken
             assert sum(stepped) == (m_steps - 1) * taken
             assert rng.counts["normals"] == (4 + 2 * (m_steps - 1)) * taken
-            assert rng.counts["chisquares"] == 0
+            assert rng.counts["chisquares"] == rng.counts["gammas"] == 0
             assert rng.counts["uniforms"] == 2 * taken + 2 * times.size
 
-    def test_candidates_step_with_innovations_of_norm_r(self, cfg, monkeypatch):
-        # the certificate reads each gate's R, so a drawn gate's innovation
-        # normals, as step_states scales them, must have norm R exactly.  At
-        # 60x the stream's hit_scale about 2 gates in 3 are proposed, and
-        # the proposal draws R^2 from two chi-squares, one per part of its law
-        model, m_steps, hit_scale, bound = _stream_args(cfg, monkeypatch)
-        n, gains = 500, list(model.innovation_gains(m_steps))
-        g_sq, chi, steps = 0.0, [], []
+    def test_candidates_draw_their_normals_once(self, cfg, monkeypatch):
+        # at 60x the stream's hit_scale about 1 gate in 4 is a candidate.
+        # The candidates are stepped together through every gain in turn,
+        # and each draws its (b_0, a_0), 4 real normals, its 2 (m_steps - 1)
+        # innovation normals, once, and one gamma for its size-biased step:
+        # no chi-square, and no normal read twice, by it or by a child stream
+        model, m_steps, hit_scale = _stream_args(cfg, monkeypatch)
+        n, gains = 500, [k for _, k in model.innovation_gains(m_steps)]
+        stepped = []
         step_states = sim.FieldModel.step_states
 
         def recorded(self, b, a, gain, z, rng):
-            nonlocal g_sq
-            normals = _SquaredNormals(rng, b.size)
-            step_states(self, b, a, gain, z, normals)
-            g_sq = g_sq + normals.sq * (gain[0] / gains[len(steps)][0]) ** 2
-            steps.append(gain[1])
-
-        class ChiRng(_CountingRng):
-            def chisquare(self, df, size):
-                out = self.rng.chisquare(df, size)
-                chi.append((df, out.copy()))
-                return out
+            stepped.append((b.size, gain[1]))
+            return step_states(self, b, a, gain, z, rng)
 
         monkeypatch.setattr(sim.FieldModel, "step_states", recorded)
+        rng = _CountingRng(np.random.Generator(np.random.Philox(6)))
         sim._draw_block(model, np.arange(n) / cfg.spad.gate_rate, m_steps,
-                        60 * hit_scale, bound, cfg.spad, 1.0,
-                        ChiRng(np.random.Generator(np.random.Philox(6))))
-        assert steps == [k for _, k in gains]
-        assert [df for df, _ in chi] == [2 * m_steps, 2 * (m_steps - 1)]
-        drawn = np.concatenate([out for _, out in chi])
-        assert 50 < g_sq.size < drawn.size
-        gap = np.abs(drawn[:, None] - g_sq).min(axis=0)
-        assert np.all(gap <= 1e-12 * g_sq), (gap / g_sq).max()
+                        60 * hit_scale, cfg.spad, 1.0, rng)
+        k = stepped[0][0]
+        assert 50 < k < n
+        assert stepped == [(k, gain) for gain in gains]
+        assert rng.counts["normals"] == (4 + 2 * (m_steps - 1)) * k
+        assert rng.counts["gammas"] == k and rng.counts["chisquares"] == 0
 
-    def test_click_stream_memory_is_bounded_whatever_the_gate(self):
-        # blocks hold a fixed number of gates and no per-step intensities, so
-        # a gate 500 times the default's (10 938 steps) needs no more memory
+    def test_click_stream_memory_is_bounded_whatever_the_gate(self, monkeypatch):
+        # blocks hold a fixed number of gates, and their candidates' paths
+        # only up to _CLICK_PATH_BYTES on average: 7 times the default gate
+        # (154 steps) is the longest whose full blocks store them, while 8
+        # and 500 times (10 938 steps) step every gate on the fly and store
+        # no path
         c = sim.SimConfig()
-        for cfg_, duration in ((c, 4.0),
-                               (_with_spad(c, gate_len=500 * c.spad.gate_len), 0.05)):
+        stored = []
+        biased_paths = sim._biased_paths
+
+        def recorded(model, k, *args):
+            stored.append(k)
+            return biased_paths(model, k, *args)
+
+        monkeypatch.setattr(sim, "_biased_paths", recorded)
+        block = (sim._CLICK_BLOCK_GATES + 0.5) / c.spad.gate_rate
+        for scale, duration, blocks_stored in ((1, 4.0, 4), (7, 4.0, 4), (8, block, 0),
+                                               (500, 0.05, 0)):
+            stored.clear()
             tracemalloc.start()
             try:
-                sim.gated_click_stream(cfg_, duration)
+                sim.gated_click_stream(_with_spad(c, gate_len=scale * c.spad.gate_len),
+                                       duration)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16e6, (cfg_.spad.gate_len, peak)
+            assert peak < 16e6, (scale, peak)
+            assert len(stored) == blocks_stored, scale
 
     def test_fine_step_stream_runs_in_budgeted_blocks(self, cfg, monkeypatch):
         shapes = []
@@ -930,18 +958,20 @@ class TestClicks:
                                    0.05)
 
     def test_trajectory_thinning_rate(self, cfg):
-        # a stand-in Gaussian field, x ~ CN(0, diag(0, 1)), constant across
-        # the gate (E = I, no innovations), so every step of a gate thins at
-        # rate dt |a|^2 and a gate has rate gate_len hits on average.  Its
-        # path map is the identity, so its bound is exact: m_steps rate dt |a|^2
+        # a stand-in Gaussian field, a ~ CN(0, 1) constant across the gate
+        # (correlation 1 at every lag, no innovations), so every step of a
+        # gate thins at rate dt |a|^2 and a gate has rate gate_len hits on
+        # average.  A candidate's size-biased path is alpha at every step
         rate = 2.0e5
         spad = cfg.spad
         m_steps = math.ceil(spad.gate_len / cfg.dt)
 
         class ConstantField:
             dt = spad.gate_len / m_steps
-            E = np.eye(2, dtype=complex)
-            L_s = np.diag([0.0, 1.0]).astype(complex)
+            var_a = 1.0
+
+            def correlation_a(self, tau):
+                return np.ones(np.shape(tau))
 
             def stationary_sample(self, n, rng):
                 return np.zeros(n, dtype=complex), sim._circular_normal(n, rng)
@@ -953,15 +983,11 @@ class TestClicks:
                 pass
 
         field_ = ConstantField()
-        bound = sim._path_bound(field_, m_steps)
-        assert bound[1] == 0.0
-        np.testing.assert_allclose(bound[0] @ bound[0].conj().T,
-                                   [[0.0, 0.0], [0.0, m_steps]], rtol=0, atol=1e-12)
         n_gates = 200_000
         starts = np.arange(n_gates) / spad.gate_rate
         duration = n_gates / spad.gate_rate
         _, det, dark = sim._draw_block(field_, starts, m_steps, rate * field_.dt,
-                                       bound, spad, duration,
+                                       spad, duration,
                                        np.random.Generator(np.random.Philox(2)))
         expected = rate * spad.duty_cycle * duration
         counted = int((~dark & (det == 0)).sum())
@@ -980,9 +1006,8 @@ class TestClicks:
         starts = np.arange(n) / spad.gate_rate
         t_end = starts[-1] + 0.5 * spad.gate_len
         rng = np.random.Generator(np.random.Philox(8))
-        times, det, dark = sim._draw_block(model, starts, m_steps, 0.0,
-                                           sim._path_bound(model, m_steps), spad,
-                                           t_end, rng)
+        times, det, dark = sim._draw_block(model, starts, m_steps, 0.0, spad, t_end,
+                                           rng)
         assert np.all(dark) and np.all(times < t_end)
         gate = np.floor(times * spad.gate_rate).astype(np.intp)
         offset = (times - starts[gate]) / spad.gate_len
@@ -1005,59 +1030,48 @@ class TestClicks:
     def test_default_stream_calls_both_field_layers(self, monkeypatch):
         # the traced benchmark times FieldModel.stationary_sample and
         # step_states in its clicks pass and fails when either is never
-        # called, so a default 1 s stream must call both
-        calls = collections.Counter()
-        for name in ("stationary_sample", "step_states"):
-            method = getattr(sim.FieldModel, name)
+        # called, so a default 1 s stream must call both.  Its one block of
+        # 50 000 gates takes the size-biased route, so the benchmark measures
+        # that route: about 220 candidates, drawn and stepped together
+        calls = collections.defaultdict(list)
+        for owner, name in ((sim.FieldModel, "stationary_sample"),
+                            (sim.FieldModel, "step_states"), (sim, "_biased_paths")):
+            method = getattr(owner, name)
 
-            def counted(self, *args, _name=name, _method=method):
-                calls[_name] += 1
-                return _method(self, *args)
+            def counted(first, second, *args, _name=name, _method=method):
+                calls[_name].append(np.size(second) if np.ndim(second) else second)
+                return _method(first, second, *args)
 
-            monkeypatch.setattr(sim.FieldModel, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         sim.gated_click_stream(sim.SimConfig(), 1.0)
-        assert calls["stationary_sample"] > 0 and calls["step_states"] > 0
+        (k,) = calls["_biased_paths"]
+        assert 0 < k < 0.01 * 50_000
+        assert calls["stationary_sample"] == [k]
+        assert calls["step_states"] == [k] * 21
 
     @pytest.mark.parametrize("linewidth", ["bare", "effective"])
-    def test_path_bound_is_the_path_maps_norms(self, cfg, linewidth):
-        # G is the Gram matrix of x -> (a_0 ... a_21), whose rows are row 1 of
-        # E^j; f^2 the squared Frobenius norm of the map from the innovation
-        # normals to the path, read off unit impulses as in
-        # test_click_path_law_is_exact.  f^2 takes 2 (s_j / sqrt(2))^2 per step
+    def test_path_bound_is_the_path_maps_norms(self, cfg, linewidth, monkeypatch):
+        # a gate's chance of a hit is at most nu = 2 hit_scale sum_j |a_j|^2,
+        # and a block proposes each gate with nu's mean: 2 hit_scale times
+        # the squared Frobenius norm of the map from a gate's normals to its
+        # path, read off unit impulses as in test_click_path_law_is_exact
         c = replace(cfg, mech_linewidth=linewidth)
-        m_steps = math.ceil(c.spad.gate_len / c.dt)
-        model = sim.FieldModel(c, dt=c.spad.gate_len / m_steps)
-        l_gram, f = sim._path_bound(model, m_steps)
-        rows = np.array([np.linalg.matrix_power(model.E, j)[1] for j in range(m_steps)])
-        gram = rows.conj().T @ rows
-        np.testing.assert_allclose(l_gram @ l_gram.conj().T, gram, rtol=0,
-                                   atol=1e-12 * np.abs(gram).max())
+        model, m_steps, hit_scale = _stream_args(c, monkeypatch)
         n = 4 + 2 * (m_steps - 1)
-        coef = _gate_paths(model, m_steps, n, _ImpulseNormals(n))
-        frobenius_sq = np.sum(np.abs(coef[:, 4:]) ** 2)
-        assert frobenius_sq > 0
-        assert abs(f * f - frobenius_sq) <= 1e-12 * frobenius_sq
+        frobenius_sq = np.sum(np.abs(_gate_paths(model, m_steps, n, _ImpulseNormals(n))) ** 2)
+        proposed = []
 
-    @pytest.mark.parametrize("linewidth", ["bare", "effective"])
-    @pytest.mark.parametrize("gate_scale,n", [(1, 50_000), (50, 2_000)])
-    def test_path_bound_holds_on_sampled_gates(self, cfg, linewidth, gate_scale, n,
-                                               monkeypatch):
-        # every gate's sum_j |a_j|^2 within (|L^dag x| + f |g|)^2, g its
-        # innovation normals, at the default gate (22 steps) and 50x (1094)
-        c = _with_spad(replace(cfg, mech_linewidth=linewidth),
-                       gate_len=gate_scale * cfg.spad.gate_len)
-        model, m_steps, _, (l_gram, f) = _stream_args(c, monkeypatch)
-        rng = np.random.Generator(np.random.Philox(gate_scale))
-        b, a = model.stationary_sample(n, rng)
-        x_norm = np.hypot(np.abs(l_gram[0, 0] * b + l_gram[1, 0].conjugate() * a),
-                          np.abs(l_gram[1, 1] * a))
-        normals = _SquaredNormals(rng, n)
-        path_sq, z = np.abs(a) ** 2, np.empty(n, dtype=complex)
-        for gain in model.innovation_gains(m_steps):
-            model.step_states(b, a, gain, z, normals)
-            path_sq += np.abs(a) ** 2
-        ratio = path_sq / (x_norm + f * np.sqrt(normals.sq)) ** 2
-        assert np.all(np.isfinite(ratio)) and ratio.max() <= 1.0, ratio.max()
+        class ProposalRng(_CountingRng):
+            def binomial(self, n, q):
+                proposed.append(q)
+                return self.rng.binomial(n, q)
+
+        rng = ProposalRng(np.random.Generator(np.random.Philox(1)))
+        sim._draw_block(model, np.arange(100) / c.spad.gate_rate, m_steps, hit_scale,
+                        c.spad, 1.0, rng)
+        (q,) = proposed
+        assert frobenius_sq > 0
+        assert abs(q - 2 * hit_scale * frobenius_sq) <= 1e-12 * q
 
     @pytest.mark.parametrize("system", [{"nbar_th": 0.0}, {"p_in": 0.0}],
                              ids=["nbar_th0", "p_in0"])
@@ -1066,9 +1080,8 @@ class TestClicks:
             raise AssertionError("a gate was stepped")
 
         c = replace(cfg, params=replace(cfg.params, **system), seed=4)
-        model, m_steps, hit_scale, (l_gram, f) = _stream_args(c, monkeypatch)
+        model, m_steps, hit_scale = _stream_args(c, monkeypatch)
         assert hit_scale == 0.0
-        assert np.all(np.isfinite(l_gram)) and math.isfinite(f)
         monkeypatch.setattr(sim.FieldModel, "step_states", never)
         clicks = sim.gated_click_stream(c, 2.0)
         assert clicks.n_events > 0 and np.all(clicks.is_dark)
@@ -1079,7 +1092,7 @@ class TestClicks:
         # generator; now no block's starts like any chunk's, at 8 of each
         firsts = {"block": set(), "chunk": set()}
 
-        def block(model, starts, m_steps, hit_scale, path_bound, spad, t_end, rng):
+        def block(model, starts, m_steps, hit_scale, spad, t_end, rng):
             firsts["block"].add(tuple(rng.bit_generator.random_raw(4)))
             empty = np.empty(0)
             return empty, empty.astype(np.int8), empty.astype(bool)
