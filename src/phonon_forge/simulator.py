@@ -10,8 +10,10 @@ forms in :mod:`phonon_forge.dynamics` exactly (r = gamma).  Integration uses
 the exact one-step discretization x[k+1] = E x[k] + w with E = expm(M dt) and
 noise covariance Q = Sigma - E Sigma E^dag, so there is no step-size bias at
 any dt; heralded ensembles therefore step at the sample rate, and only the
-click stream steps finer, at the SimConfig.dt derived from kappa2.  The
-measured heterodyne voltage is
+click stream steps finer, at the SimConfig.dt derived from kappa2.  Only a
+is read, so ensembles and clicks draw it exactly from one complex innovation
+per step, with b carried as its mean given b_0 and a's path so far (the
+Kalman filter's innovations form, Kailath 1968).  The heterodyne voltage is
 
     v(t) = sqrt(2) g Re[a(t) e^(-i w_het t)] + vacuum noise,
 
@@ -27,10 +29,7 @@ coincidences within one gate.  This is statistically identical to triggering
 on the rare thinned click process but needs no rejection sampling.  The
 explicit gated click machinery (Poisson thinning, dark counts, dead time) is
 exercised separately at realistic rates via per-gate field snapshots, valid
-because gates are spaced by thousands of field correlation times.  The clicks
-read only the optical path, so across a gate a is drawn exactly, from one
-complex innovation per step, and b is carried as its conditional mean given
-b_0 and a's path so far (the Kalman filter's innovations form).  A gate
+because gates are spaced by thousands of field correlation times.  A gate
 almost never clicks, so most are never drawn: its chance of a hit is at
 most twice its summed hit probabilities, so candidates are proposed at that
 bound's mean, drawn from their path law size-biased by it, and thinned to
@@ -39,6 +38,7 @@ their exact chance (Lewis & Shedler 1979).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -144,36 +144,39 @@ class FieldModel:
         self.Sigma = np.array([[self.nbar_th, sig_ba],
                                [np.conj(sig_ba), sig_aa]], dtype=complex)
         self.Q = self.Sigma - self.E @ self.Sigma @ self.E.conj().T
-        self.L_q = _chol_psd(self.Q)
         self.L_s = _chol_psd(self.Sigma)
         self.var_a = sig_aa
 
     def innovation_gains(self, m_steps):
-        """Yield the gains (s_j / sqrt(2), K_j) of a gate's steps j = 1 ...
-        m_steps - 1 from stationary_sample's exact (b, a).
+        """Yield the gains (s_j / sqrt(2), K_j) of steps j = 1 ... m_steps - 1
+        from stationary_sample's exact (b, a).
 
         s_j^2 is the variance of a's innovation at step j given b_0 and
         a_0 ... a_(j-1), and K_j = P_j[0, 1] / P_j[1, 1] the gain that takes
         b to its mean given a_j as well (the Kalman filter's innovations
         form).  P_j = E diag(v, 0) E^dag + Q is the one-step prediction
         covariance, from v, the variance of b about that mean, which is 0 at
-        step 0.  A singular step (P_j[1, 1] = 0) has s_j = K_j = 0.  The
-        gains are made as they are used, so a gate of any length costs no
-        memory.
+        step 0.  A singular step (P_j[1, 1] = 0) has s_j = K_j = 0.  Once v
+        repeats bit for bit (after 14-16 steps at the defaults) every later
+        gain is the last one, so a record of any length costs no memory.
         """
         e_b, e_ab = complex(self.E[0, 0]), complex(self.E[1, 0])
         q_bb, q_ba, q_aa = self.Q[0, 0].real, complex(self.Q[0, 1]), self.Q[1, 1].real
         v = 0.0
-        for _ in range(m_steps - 1):
+        for left in reversed(range(m_steps - 1)):
             p_bb = v * abs(e_b) ** 2 + q_bb
             p_ba = v * e_b * e_ab.conjugate() + q_ba
             p_aa = v * abs(e_ab) ** 2 + q_aa
             if p_aa > 0:
                 p_bb -= abs(p_ba) ** 2 / p_aa
-                yield math.sqrt(p_aa / 2.0), p_ba / p_aa
+                gain = math.sqrt(p_aa / 2.0), p_ba / p_aa
             else:
-                yield 0.0, 0j
-            v = max(p_bb, 0.0)
+                gain = 0.0, 0j
+            yield gain
+            v, v_last = max(p_bb, 0.0), v
+            if v == v_last:
+                yield from itertools.repeat(gain, left)
+                return
 
     def step_states(self, b, a, gain, z, rng):
         """Step the gate states (b, a) in place by self.dt: a by its
@@ -208,29 +211,34 @@ class FieldModel:
 
     def evolve_block(self, b0, a0, n_steps, rng):
         """(b_last, a): the optical trajectory a, shape (n_traces, n_steps),
-        index 0 holding t=0, and b_last, the (n_traces,) mechanical state at
-        the last step.
+        index 0 holding t=0, and b_last, the (n_traces,) mean of the
+        mechanical state at the last step given b0 and a's path.  With the
+        gains (s_t, K_t) of innovation_gains, as the click gates step,
 
-        a is the transposed view of a time-major array, one contiguous row
-        per step.  The steps run a slab at a time: the slab's b drive is
-        drawn into a scratch, then its a drive straight into a, and both are
-        mixed there by L_q / sqrt(2).  Each recursion continues from the row
-        before the slab, so b is carried from slab to slab, never stored.
+            b_t = E_bb b_(t-1) + K_t s_t zeta_t,
+            a_t = E_aa a_(t-1) + E_ab b_(t-1) + s_t zeta_t,   zeta_t ~ CN(0, 1),
+
+        so a has its exact law from one complex innovation per step.  a is
+        the transposed view of a time-major array, one row per step, run a
+        slab at a time: the innovations are drawn into a's rows and scaled
+        there, K_t times them is b's drive, and each recursion continues from
+        the row before the slab, so b is carried, never stored.
         """
         n = b0.size
         a = np.empty((n_steps, n), dtype=complex)
         rows = _slab_rows(a[0].nbytes)
         # b's slab after one row that carries the state before it
         b = np.empty((min(rows, n_steps) + 1, n), dtype=complex)
-        tmp = np.empty_like(b[1:])
-        l_step = self.L_q / math.sqrt(2.0)
+        a[0], b[1] = a0, b0
+        gains = self.innovation_gains(n_steps)
         for lo in range(0, n_steps, rows):
             m = min(rows, n_steps - lo)
-            rng.standard_normal(out=b[1:m + 1].view(float))
-            rng.standard_normal(out=a[lo:lo + m].view(float))
-            _mix_rows(l_step, b[1:m + 1], a[lo:lo + m], tmp[:m])
-            if lo == 0:
-                b[1], a[0] = b0, a0
+            first = 1 if lo == 0 else 0          # row 0 holds a0 and b0
+            g = np.array(list(itertools.islice(gains, m - first))).reshape(-1, 2)
+            w = a[lo + first:lo + m]
+            rng.standard_normal(out=w.view(float))
+            w *= g[:, :1].real
+            np.multiply(g[:, 1:], w, out=b[1 + first:m + 1])
             start = max(lo - 1, 0)          # the carried row, or t=0 itself
             b_run = b[start - lo + 1:m + 1]
             _ar1(self.E[0, 0], b_run)
@@ -246,14 +254,6 @@ _SLAB_BYTES = 1 << 20
 def _slab_rows(row_nbytes):
     """Rows of row_nbytes each in a slab of about _SLAB_BYTES, at least one."""
     return max(1, _SLAB_BYTES // row_nbytes)
-
-
-def _mix_rows(l, b, a, tmp):
-    """(b, a) <- l @ (b, a) in place for a lower-triangular l, through the
-    scratch tmp of their shape."""
-    np.multiply(l[1, 1], a, out=a)
-    a += np.multiply(l[1, 0], b, out=tmp)
-    np.multiply(l[0, 0], b, out=b)
 
 
 def _ar1(pole, x, coef=0.0, y=None):

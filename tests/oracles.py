@@ -200,6 +200,25 @@ def nbinom_tail(spec, n, m_max):
     return float(nbinom.sf(m_max, n + 1, 1.0 - spec.x))
 
 
+def riccati_gains(model, m_steps):
+    """The m_steps - 1 gains of model.innovation_gains by the same scalar
+    Riccati recursion run at every step, with no stop at its fixed point."""
+    e_b, e_ab = complex(model.E[0, 0]), complex(model.E[1, 0])
+    q_bb, q_ba, q_aa = model.Q[0, 0].real, complex(model.Q[0, 1]), model.Q[1, 1].real
+    v, gains = 0.0, []
+    for _ in range(m_steps - 1):
+        p_bb = v * abs(e_b) ** 2 + q_bb
+        p_ba = v * e_b * e_ab.conjugate() + q_ba
+        p_aa = v * abs(e_ab) ** 2 + q_aa
+        if p_aa > 0:
+            p_bb -= abs(p_ba) ** 2 / p_aa
+            gains.append((math.sqrt(p_aa / 2.0), p_ba / p_aa))
+        else:
+            gains.append((0.0, 0j))
+        v = max(p_bb, 0.0)
+    return gains
+
+
 def _step_states_allocating(model, b, a, gain, rng):
     """One step of model.dt into new arrays, in the innovations form: a gains
     s zeta, zeta drawn as (gates, 2) real normals, and b its mean given a."""
@@ -250,25 +269,22 @@ def _ar1_allocating(pole, drive):
 
 def evolve_block_allocating(model, b0, a0, n_steps, rng):
     """FieldModel.evolve_block from trace-major arrays, a new one for each
-    draw, drive and recursion, over the whole record at once.  The normals
-    are drawn in the propagator's order: slab by slab of
-    sim._slab_rows(16 n) steps, the b drive and then the a drive, each
-    time-major with real and imaginary parts interleaved.  They are then
-    joined along time and viewed trace-major."""
+    draw, drive and recursion, over the whole record at once, in the
+    innovations form: a gains s_t zeta_t at each step t >= 1 and b its drive
+    K_t s_t zeta_t, with every gain from model.innovation_gains at once.
+    The normals are drawn in the propagator's order: slab by slab of
+    sim._slab_rows(16 n) steps, a's innovations only, time-major with real
+    and imaginary parts interleaved.  They are then joined along time and
+    viewed trace-major."""
     n = b0.size
     rows = sim._slab_rows(16 * n)
-    draws = ([], [])
-    for lo in range(0, n_steps, rows):
-        for d in draws:
-            d.append(rng.standard_normal((min(rows, n_steps - lo), n, 2)))
-    x1, x2 = (np.concatenate(d).view(complex)[..., 0].T for d in draws)
-    l_step = model.L_q / math.sqrt(2.0)
-    wb = l_step[0, 0] * x1
-    if l_step[0, 1] != 0:
-        wb = wb + l_step[0, 1] * x2
-    wa = l_step[1, 1] * x2 + l_step[1, 0] * x1
-    wb[:, 0] = b0
-    wa[:, 0] = a0
+    draws = [rng.standard_normal((min(rows, n_steps - lo) - (lo == 0), n, 2))
+             for lo in range(0, n_steps, rows)]
+    zeta = np.concatenate(draws).view(complex)[..., 0].T
+    gains = np.array(list(model.innovation_gains(n_steps)), dtype=complex).reshape(-1, 2)
+    w = gains[:, 0].real * zeta
+    wb = np.concatenate([b0[:, None], gains[:, 1] * w], axis=1)
+    wa = np.concatenate([a0[:, None], w], axis=1)
     b = _ar1_allocating(model.E[0, 0], wb)
     wa[:, 1:] += model.E[1, 0] * b[:, :-1]
     return b[:, -1].copy(), _ar1_allocating(model.E[1, 1], wa)

@@ -20,7 +20,7 @@ from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
 from oracles import ar1_lfilter, draw_block_stepwise, evolve_block_allocating, \
-    simulate_fields, simulate_chunk_allocating, time_domain_demodulate, \
+    riccati_gains, simulate_fields, simulate_chunk_allocating, time_domain_demodulate, \
     time_domain_impulse_response
 
 
@@ -145,6 +145,71 @@ class TestFieldModel:
         assert b_last.shape == (44,) and a.shape == (44, 2048)
         assert np.array_equal(b_last, b_ref)
         assert np.array_equal(a, a_ref)
+
+    @pytest.mark.parametrize("linewidth,system", [
+        ("bare", {}), ("effective", {}), ("bare", {"nbar_th": 0.0}),
+        ("bare", {"p_in": 0.0})], ids=["bare", "effective", "nbar_th0", "p_in0"])
+    def test_propagator_law_is_exact(self, cfg, linewidth, system, monkeypatch):
+        # evolve_block is linear in its normals.  Run on one trace per
+        # normal, trace k fed normal k alone as 1, it returns each a_t's
+        # coefficients, whose Gram matrix is the record's covariance: its
+        # whole law with nothing drawn, here across slabs of 5 steps
+        c = replace(cfg, mech_linewidth=linewidth,
+                    params=replace(cfg.params, **system))
+        model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
+        n_steps = 64
+        n = 4 + 2 * (n_steps - 1)
+        monkeypatch.setattr(sim, "_SLAB_BYTES", 5 * 16 * n)
+        rng = _ImpulseNormals(n)
+        _, a = model.evolve_block(*model.stationary_sample(n, rng), n_steps, rng)
+        assert rng.drawn == n
+        coef = a.T
+        lags = np.arange(n_steps)
+        toeplitz = model.correlation_a(np.abs(lags[:, None] - lags) * model.dt)
+        atol = 1e-12 * model.var_a
+        assert np.all(np.isfinite(coef))
+        np.testing.assert_allclose(coef @ coef.conj().T, toeplitz, rtol=0, atol=atol)
+        np.testing.assert_allclose(coef @ coef.T, 0.0, rtol=0, atol=atol)
+        if system:          # no thermal drive or no coupling: no field at all
+            assert np.all(coef == 0.0)
+
+    def test_propagator_draws_one_complex_normal_per_step(self, cfg, monkeypatch):
+        # a's innovations are all that evolve_block draws, 2 n (n_steps - 1)
+        # real normals after stationary_sample's 4 n, and nothing for b's
+        # noise.  Neither the count nor the record moves with the slab layout
+        model = sim.FieldModel(cfg, dt=1.0 / cfg.sample_rate)
+        n, n_steps = 44, 300
+        records = []
+        for slab_steps in (1, 7, 300, 1000):
+            monkeypatch.setattr(sim, "_SLAB_BYTES", slab_steps * 16 * n)
+            rng = _CountingRng(np.random.Generator(np.random.Philox(9)))
+            b0, a0 = model.stationary_sample(n, rng)
+            assert rng.counts == {"normals": 4 * n}
+            records.append(model.evolve_block(b0, a0, n_steps, rng))
+            assert rng.counts == {"normals": 4 * n + 2 * n * (n_steps - 1)}
+        for b_last, a in records[1:]:
+            assert np.array_equal(b_last, records[0][0])
+            assert np.array_equal(a, records[0][1])
+
+    @pytest.mark.parametrize("linewidth,system", [
+        ("bare", {}), ("effective", {}), ("bare", {"p_in": 0.0})],
+        ids=["bare", "effective", "p_in0"])
+    def test_innovation_gains_equal_the_plain_riccati_loop(self, cfg, linewidth,
+                                                           system):
+        # the gains stop being computed at the Riccati fixed point; a
+        # simulate record's 12 500 of them, at the click step and the
+        # sample step, are still the plain loop's bit for bit, and that
+        # loop's gains are one value from step 20 on
+        c = replace(cfg, mech_linewidth=linewidth,
+                    params=replace(cfg.params, **system))
+        for dt in (None, 1.0 / c.sample_rate):
+            model = sim.FieldModel(c, dt=dt)
+            gains, ref = (np.array(list(g), dtype=complex).reshape(-1, 2)
+                          for g in (model.innovation_gains(12_500),
+                                    riccati_gains(model, 12_500)))
+            assert gains.shape == (12_499, 2)
+            assert np.array_equal(gains.view(np.int64), ref.view(np.int64))
+            assert np.all(ref[20:] == ref[-1])
 
     def test_zero_coupling_gives_vacuum(self, cfg):
         c = replace(cfg, params=replace(cfg.params, p_in=0.0))
@@ -528,22 +593,24 @@ def _with_spad(cfg, **changes):
 
 
 class _ImpulseNormals:
-    """A Generator stand-in for n gates whose normals are unit impulses:
-    counting one gate's normals in the order drawn, normal k is 1 in gate k
-    and 0 in every other.  A draw of shape (rows, n) gives each gate one
-    normal per row; a draw into a flat out gives each gate a pair in turn."""
+    """A Generator stand-in for n gates (or traces) whose normals are unit
+    impulses: counting one gate's normals in the order drawn, normal k is 1
+    in gate k and 0 in every other.  A draw of shape (rows, n) gives each
+    gate one normal per row; a draw into an out of rows of 2n, the real and
+    imaginary parts of n complex normals, gives each gate a pair per row."""
 
     def __init__(self, n):
         self.n, self.drawn = n, 0
 
     def standard_normal(self, size=None, out=None):
         out = np.empty(size) if out is None else out
-        per_gate = out.reshape(-1, self.n) if out.ndim > 1 else out.reshape(self.n, -1).T
-        per_gate[...] = 0.0
-        for row in per_gate:
-            if self.drawn < self.n:
-                row[self.drawn] = 1.0
-            self.drawn += 1
+        per_row = 1 if out.shape[-1] == self.n else 2
+        out[...] = 0.0
+        for row in out.reshape(-1, self.n, per_row):
+            for part in range(per_row):
+                if self.drawn < self.n:
+                    row[self.drawn, part] = 1.0
+                self.drawn += 1
         return out
 
 
