@@ -11,9 +11,10 @@ the exact one-step discretization x[k+1] = E x[k] + w with E = expm(M dt) and
 noise covariance Q = Sigma - E Sigma E^dag, so there is no step-size bias at
 any dt; heralded ensembles therefore step at the sample rate, and only the
 click stream steps finer, at the SimConfig.dt derived from kappa2.  Only a
-is read, so ensembles and clicks draw it exactly from one complex innovation
-per step, with b carried as its mean given b_0 and a's path so far (the
-Kalman filter's innovations form, Kailath 1968).  The heterodyne voltage is
+is read, so one kernel, FieldModel.step_states, steps it for ensembles and
+clicks alike, exactly, from one complex innovation per step, with b carried
+as its mean given b_0 and a's path so far (the Kalman filter's innovations
+form, Kailath 1968).  The heterodyne voltage is
 
     v(t) = sqrt(2) g Re[a(t) e^(-i w_het t)] + vacuum noise,
 
@@ -178,26 +179,29 @@ class FieldModel:
                 yield from itertools.repeat(gain, left)
                 return
 
-    def step_states(self, b, a, gain, z, rng):
-        """Step the gate states (b, a) in place by self.dt: a by its
-        innovation, b to its mean given a's path so far.
+    def step_states(self, b, a, gains, rng):
+        """Step the time-major slab a in place: row 0 holds the current a and
+        rows 1 ... receive its next values, while b, the mechanics' mean
+        given b_0 and a's path so far, is carried along.  gains holds the
+        steps' (s_t / sqrt(2), K_t) from innovation_gains.  The innovations
+        s_t zeta_t, zeta_t ~ CN(0, 1), are drawn straight into rows 1 ...
+        (real and imaginary parts interleaved) and scaled there, so a has its
+        exact law from one complex normal per step:
 
-        gain is the step's (s / sqrt(2), K) from innovation_gains.  The
-        innovation is s zeta, zeta ~ CN(0, 1), drawn with interleaved real and
-        imaginary parts into the scratch z, which first holds E[1, 0] b.  So
-        a's path has its exact law from one complex normal per step.
+            a_t = (s_t zeta_t + E_ab b_(t-1)) + E_aa a_(t-1),
+            b_t = E_bb b_(t-1) + K_t s_t zeta_t.
         """
-        s, k = gain
         e = self.E
-        np.multiply(e[1, 0], b, out=z)
-        a *= e[1, 1]
-        a += z
-        b *= e[0, 0]
-        rng.standard_normal(out=z.view(float))
-        z *= s
-        a += z
-        z *= k
-        b += z
+        w = a[1:]
+        rng.standard_normal(out=w.view(float))
+        w *= gains[:, :1].real
+        drive = gains[:, 1:] * w
+        tmp = np.empty_like(b)
+        for t in range(1, len(a)):
+            a[t] += np.multiply(e[1, 0], b, out=tmp)
+            a[t] += np.multiply(e[1, 1], a[t - 1], out=tmp)
+            b *= e[0, 0]
+            b += drive[t - 1]
 
     def correlation_a(self, tau):
         """Analytic <a*(0) a(tau)> of this model (real valued)."""
@@ -212,40 +216,21 @@ class FieldModel:
     def evolve_block(self, b0, a0, n_steps, rng):
         """(b_last, a): the optical trajectory a, shape (n_traces, n_steps),
         index 0 holding t=0, and b_last, the (n_traces,) mean of the
-        mechanical state at the last step given b0 and a's path.  With the
-        gains (s_t, K_t) of innovation_gains, as the click gates step,
-
-            b_t = E_bb b_(t-1) + K_t s_t zeta_t,
-            a_t = E_aa a_(t-1) + E_ab b_(t-1) + s_t zeta_t,   zeta_t ~ CN(0, 1),
-
-        so a has its exact law from one complex innovation per step.  a is
-        the transposed view of a time-major array, one row per step, run a
-        slab at a time: the innovations are drawn into a's rows and scaled
-        there, K_t times them is b's drive, and each recursion continues from
-        the row before the slab, so b is carried, never stored.
+        mechanical state at the last step given b0 and a's path, as
+        step_states draws them.  a is the transposed view of a time-major
+        array, one row per step, stepped a slab of about _SLAB_BYTES at a
+        time, each slab from the row before it, so b is carried, never
+        stored.
         """
-        n = b0.size
-        a = np.empty((n_steps, n), dtype=complex)
+        a = np.empty((n_steps, b0.size), dtype=complex)
+        a[0], b = a0, b0.copy()
         rows = _slab_rows(a[0].nbytes)
-        # b's slab after one row that carries the state before it
-        b = np.empty((min(rows, n_steps) + 1, n), dtype=complex)
-        a[0], b[1] = a0, b0
         gains = self.innovation_gains(n_steps)
-        for lo in range(0, n_steps, rows):
-            m = min(rows, n_steps - lo)
-            first = 1 if lo == 0 else 0          # row 0 holds a0 and b0
-            g = np.array(list(itertools.islice(gains, m - first))).reshape(-1, 2)
-            w = a[lo + first:lo + m]
-            rng.standard_normal(out=w.view(float))
-            w *= g[:, :1].real
-            np.multiply(g[:, 1:], w, out=b[1 + first:m + 1])
-            start = max(lo - 1, 0)          # the carried row, or t=0 itself
-            b_run = b[start - lo + 1:m + 1]
-            _ar1(self.E[0, 0], b_run)
-            # drive for a: coupling acts on the previous b sample
-            _ar1(self.E[1, 1], a[start:lo + m], self.E[1, 0], b_run)
-            b[0] = b[m]
-        return b[0].copy(), a.T
+        for lo in range(0, n_steps - 1, rows):
+            hi = min(lo + rows, n_steps - 1)
+            g = np.array(list(itertools.islice(gains, hi - lo)))
+            self.step_states(b, a[lo:hi + 1], g, rng)
+        return b, a.T
 
 
 _SLAB_BYTES = 1 << 20
@@ -254,18 +239,6 @@ _SLAB_BYTES = 1 << 20
 def _slab_rows(row_nbytes):
     """Rows of row_nbytes each in a slab of about _SLAB_BYTES, at least one."""
     return max(1, _SLAB_BYTES // row_nbytes)
-
-
-def _ar1(pole, x, coef=0.0, y=None):
-    """x[t] = pole * x[t-1] + x[t] in place along the first axis, from t = 1:
-    the recursion driven by a time-major drive x, continuing from the row
-    x[0], which it leaves as it is.  Given y, the drive x[t] first gains
-    coef * y[t-1]."""
-    tmp = np.empty_like(x[0])
-    for t in range(1, len(x)):
-        if y is not None:
-            x[t] += np.multiply(coef, y[t - 1], out=tmp)
-        x[t] += np.multiply(pole, x[t - 1], out=tmp)
 
 
 def fast_len(n):
@@ -652,12 +625,14 @@ _CLICK_SEED_BRANCH = 2 ** 32 - 1
 
 
 def _stepped(model, b, a, m_steps, rng):
-    """Yield a at each of a gate's m_steps steps, stepping (b, a) in place."""
-    z = np.empty_like(a)
+    """Yield a at each of a gate's m_steps steps, stepping b in place and a
+    through a scratch slab of two rows, which take turns as the current one."""
+    slab = np.stack([a, a])
     yield a
-    for gain in model.innovation_gains(m_steps):
-        model.step_states(b, a, gain, z, rng)
-        yield a
+    for j, gain in enumerate(model.innovation_gains(m_steps)):
+        rows = slab[::-1] if j % 2 else slab
+        model.step_states(b, rows, np.array([gain]), rng)
+        yield rows[1]
 
 
 def _biased_paths(model, k, m_steps, rng):
@@ -667,22 +642,20 @@ def _biased_paths(model, k, m_steps, rng):
     Every step has variance var_a, so that law picks a uniform step J,
     draws a_J = alpha from its law size-biased by |a_J|^2 (|alpha|^2 / var_a
     ~ Gamma(2), uniform phase), and the rest given a_J = alpha.  That is
-    Matheron's rule: a path stepped by step_states moves by rho(t - t_J)
+    Matheron's rule: a path from evolve_block moves by rho(t - t_J)
     (alpha - a_J), rho = correlation_a / var_a, exact for a circular
     Gaussian path of real covariance.  With no gate nothing is drawn.
     """
-    paths = np.empty((m_steps, k), dtype=complex)
-    if k:
-        b, a = model.stationary_sample(k, rng)
-        for row, a_j in zip(paths, _stepped(model, b, a, m_steps, rng)):
-            row[...] = a_j
-        at = rng.integers(m_steps, size=k)
-        alpha = np.sqrt(model.var_a * rng.standard_gamma(2.0, k)) \
-            * np.exp(2j * np.pi * rng.random(k))
-        shift = alpha - paths[at, np.arange(k)]
-        rho = model.correlation_a(np.arange(m_steps) * model.dt) / model.var_a
-        for j, row in enumerate(paths):
-            row += rho[np.abs(j - at)] * shift
+    if not k:
+        return np.empty((m_steps, 0), dtype=complex)
+    paths = model.evolve_block(*model.stationary_sample(k, rng), m_steps, rng)[1].T
+    at = rng.integers(m_steps, size=k)
+    alpha = np.sqrt(model.var_a * rng.standard_gamma(2.0, k)) \
+        * np.exp(2j * np.pi * rng.random(k))
+    shift = alpha - paths[at, np.arange(k)]
+    rho = model.correlation_a(np.arange(m_steps) * model.dt) / model.var_a
+    for j, row in enumerate(paths):
+        row += rho[np.abs(j - at)] * shift
     return paths
 
 

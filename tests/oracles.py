@@ -273,13 +273,13 @@ def evolve_block_allocating(model, b0, a0, n_steps, rng):
     innovations form: a gains s_t zeta_t at each step t >= 1 and b its drive
     K_t s_t zeta_t, with every gain from model.innovation_gains at once.
     The normals are drawn in the propagator's order: slab by slab of
-    sim._slab_rows(16 n) steps, a's innovations only, time-major with real
-    and imaginary parts interleaved.  They are then joined along time and
-    viewed trace-major."""
+    sim._slab_rows(16 n) steps after t=0, a's innovations only, time-major
+    with real and imaginary parts interleaved.  They are then joined along
+    time and viewed trace-major."""
     n = b0.size
     rows = sim._slab_rows(16 * n)
-    draws = [rng.standard_normal((min(rows, n_steps - lo) - (lo == 0), n, 2))
-             for lo in range(0, n_steps, rows)]
+    draws = [rng.standard_normal((min(rows, n_steps - lo), n, 2))
+             for lo in range(1, n_steps, rows)]
     zeta = np.concatenate(draws).view(complex)[..., 0].T
     gains = np.array(list(model.innovation_gains(n_steps)), dtype=complex).reshape(-1, 2)
     w = gains[:, 0].real * zeta

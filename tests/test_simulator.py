@@ -19,9 +19,9 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import ar1_lfilter, draw_block_stepwise, evolve_block_allocating, \
-    riccati_gains, simulate_fields, simulate_chunk_allocating, time_domain_demodulate, \
-    time_domain_impulse_response
+from oracles import _ar1_allocating, ar1_lfilter, draw_block_stepwise, \
+    evolve_block_allocating, riccati_gains, simulate_fields, simulate_chunk_allocating, \
+    time_domain_demodulate, time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -287,39 +287,13 @@ class TestFrequencyDomainFilter:
     """The NumPy kernels against the time-domain SciPy routes they replace."""
 
     def test_ar1_equals_lfilter_bit_for_bit(self, cfg):
-        # the poles the propagator uses: complex entries of the step matrix
+        # the allocating propagator's recursion, at the poles it uses, the
+        # complex entries of the step matrix, against SciPy's lfilter
         model = sim.FieldModel(cfg)
         rng = np.random.Generator(np.random.Philox(21))
         drive = sim._circular_normal((64, 3125), rng)
         for pole in (model.E[0, 0], model.E[1, 1]):
-            x = drive.T.copy()              # _ar1 runs in place, time-major
-            sim._ar1(pole, x)
-            assert np.array_equal(x.T, ar1_lfilter(pole, drive))
-
-    @pytest.mark.parametrize("rows", [1, 7, 64])
-    def test_ar1_slab_by_slab_equals_the_whole_record(self, cfg, rows):
-        # as the propagator runs it: b's slab sits in a scratch after the
-        # carried row, a's runs in place from the row before the slab
-        model = sim.FieldModel(cfg)
-        pole_b, pole_a, coef = model.E[0, 0], model.E[1, 1], model.E[1, 0]
-        rng = np.random.Generator(np.random.Philox(24))
-        drive_b, drive_a = sim._circular_normal((2, 500, 16), rng)
-        whole_b, whole_a = drive_b.copy(), drive_a.copy()
-        sim._ar1(pole_b, whole_b)
-        sim._ar1(pole_a, whole_a, coef, whole_b)
-        b, a = np.empty_like(drive_b), drive_a.copy()
-        scratch = np.empty((rows + 1, 16), dtype=complex)
-        for lo in range(0, 500, rows):
-            m = min(rows, 500 - lo)
-            scratch[1:m + 1] = drive_b[lo:lo + m]
-            start = max(lo - 1, 0)
-            run = scratch[start - lo + 1:m + 1]
-            sim._ar1(pole_b, run)
-            sim._ar1(pole_a, a[start:lo + m], coef, run)
-            b[lo:lo + m] = scratch[1:m + 1]
-            scratch[0] = scratch[m]
-        assert np.array_equal(b, whole_b)
-        assert np.array_equal(a, whole_a)
+            assert np.array_equal(_ar1_allocating(pole, drive), ar1_lfilter(pole, drive))
 
     @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
     @pytest.mark.parametrize("trace_len", [3125, 12500])
@@ -450,6 +424,31 @@ class TestHeraldedEnsembles:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 16 * n * trace_len
+
+    def test_ensemble_calls_every_traced_layer(self, cfg, monkeypatch):
+        # the traced benchmark times these layers in its ensemble pass, and
+        # reads the field samples off evolve_block's result, and fails when
+        # a layer is never called: an ensemble and its report call each
+        calls = collections.defaultdict(list)
+        for owner, name in ((sim.FieldModel, "stationary_sample"),
+                            (sim.FieldModel, "evolve_block"),
+                            (sim.DemodPlan, "voltage_from_field"),
+                            (sim.DemodPlan, "demodulate"), (sim, "ensemble_variance")):
+            method = getattr(owner, name)
+
+            def counted(*args, _name=name, _method=method):
+                out = _method(*args)
+                calls[_name].append(out)
+                return out
+
+            monkeypatch.setattr(owner, name, counted)
+        c = replace(cfg, chunk_traces=4)
+        sim.variance_ratio_report(sim.run_ensemble(c, sim.HERALD_SINGLE, n_traces=6))
+        assert len(calls["stationary_sample"]) == 2
+        assert [out[1].shape for out in calls["evolve_block"]] == [(4, c.trace_len),
+                                                                   (2, c.trace_len)]
+        assert len(calls["voltage_from_field"]) == len(calls["demodulate"]) == 2
+        assert len(calls["ensemble_variance"]) == 1
 
     def test_deterministic_across_threads(self, cfg):
         a = sim.run_ensemble(cfg, herald_kind="single", n_traces=600, threads=1)
@@ -646,13 +645,9 @@ class _CountingRng:
 
 
 def _gate_paths(model, m_steps, n, rng):
-    """The (m_steps, n) optical paths of n gates, stepped by the click kernel."""
-    b, a = model.stationary_sample(n, rng)
-    path, z = [a.copy()], np.empty(n, dtype=complex)
-    for gain in model.innovation_gains(m_steps):
-        model.step_states(b, a, gain, z, rng)
-        path.append(a.copy())
-    return np.array(path)
+    """The (m_steps, n) optical paths of n gates, stepped on the fly."""
+    stepped = sim._stepped(model, *model.stationary_sample(n, rng), m_steps, rng)
+    return np.array([a.copy() for a in stepped])
 
 
 def _assert_path_covariance(draw, expected):
@@ -896,6 +891,24 @@ class TestClicks:
             lambda n: _gate_paths(model, m_steps, n, rng),
             model.correlation_a(np.abs(lags[:, None] - lags) * model.dt))
 
+    @pytest.mark.parametrize("m_steps", [2, 22, 5000])
+    def test_stored_and_stepped_paths_agree_bit_for_bit(self, cfg, m_steps):
+        # the candidates' stored paths (evolve_block) and the gates stepped
+        # on the fly (_stepped) are one kernel: from one generator state
+        # they draw the same normals and give the same path and final b,
+        # also across the four slabs that 5000 steps of 40 gates take
+        model = sim.FieldModel(cfg, dt=cfg.spad.gate_len / 22)
+        n = 40
+        b0, a0 = model.stationary_sample(n, np.random.Generator(np.random.Philox(31)))
+        rngs = [np.random.Generator(np.random.Philox(32)) for _ in range(2)]
+        b_last, a = model.evolve_block(b0, a0, m_steps, rngs[0])
+        b = b0.copy()
+        rows = [row.copy() for row in sim._stepped(model, b, a0.copy(), m_steps, rngs[1])]
+        assert m_steps < 5000 or m_steps > 3 * sim._slab_rows(16 * n)
+        assert np.array_equal(np.array(rows), a.T)
+        assert np.array_equal(b, b_last)
+        assert rngs[0].random() == rngs[1].random()
+
     @pytest.mark.parametrize("linewidth,system", [
         ("bare", {}), ("effective", {}), ("bare", {"gamma": 2 * math.pi * 300e6})],
         ids=["bare", "effective", "fast"])
@@ -928,9 +941,9 @@ class TestClicks:
         stepped = []
         step_states = sim.FieldModel.step_states
 
-        def counted(self, b, *args):
-            stepped.append(b.size)
-            return step_states(self, b, *args)
+        def counted(self, b, a, *args):
+            stepped.append(b.size * (len(a) - 1))
+            return step_states(self, b, a, *args)
 
         monkeypatch.setattr(sim.FieldModel, "step_states", counted)
         for hit_scale, taken in ((0.0, 0), (1e300, n)):
@@ -946,18 +959,18 @@ class TestClicks:
 
     def test_candidates_draw_their_normals_once(self, cfg, monkeypatch):
         # at 60x the stream's hit_scale about 1 gate in 4 is a candidate.
-        # The candidates are stepped together through every gain in turn,
-        # and each draws its (b_0, a_0), 4 real normals, its 2 (m_steps - 1)
-        # innovation normals, once, and one gamma for its size-biased step:
+        # The candidates are stepped together through every gain in one
+        # slab, and each draws its (b_0, a_0), 4 real normals, its
+        # 2 (m_steps - 1) innovation normals, once, and one gamma for its size-biased step:
         # no chi-square, and no normal read twice, by it or by a child stream
         model, m_steps, hit_scale = _stream_args(cfg, monkeypatch)
         n, gains = 500, [k for _, k in model.innovation_gains(m_steps)]
         stepped = []
         step_states = sim.FieldModel.step_states
 
-        def recorded(self, b, a, gain, z, rng):
-            stepped.append((b.size, gain[1]))
-            return step_states(self, b, a, gain, z, rng)
+        def recorded(self, b, a, step_gains, rng):
+            stepped.append((b.size, step_gains[:, 1].tolist()))
+            return step_states(self, b, a, step_gains, rng)
 
         monkeypatch.setattr(sim.FieldModel, "step_states", recorded)
         rng = _CountingRng(np.random.Generator(np.random.Philox(6)))
@@ -965,7 +978,7 @@ class TestClicks:
                         60 * hit_scale, cfg.spad, 1.0, rng)
         k = stepped[0][0]
         assert 50 < k < n
-        assert stepped == [(k, gain) for gain in gains]
+        assert stepped == [(k, gains)]
         assert rng.counts["normals"] == (4 + 2 * (m_steps - 1)) * k
         assert rng.counts["gammas"] == k and rng.counts["chisquares"] == 0
 
@@ -1046,8 +1059,10 @@ class TestClicks:
             def innovation_gains(self, m_steps):
                 return iter([(0.0, 0j)] * (m_steps - 1))
 
-            def step_states(self, b, a, gain, z, rng):
-                pass
+            def step_states(self, b, a, gains, rng):
+                a[1:] = a[0]
+
+            evolve_block = sim.FieldModel.evolve_block
 
         field_ = ConstantField()
         n_gates = 200_000
@@ -1100,6 +1115,7 @@ class TestClicks:
         # called, so a default 1 s stream must call both.  Its one block of
         # 50 000 gates takes the size-biased route, so the benchmark measures
         # that route: about 220 candidates, drawn and stepped together
+        # through the gate's 21 steps in one slab
         calls = collections.defaultdict(list)
         for owner, name in ((sim.FieldModel, "stationary_sample"),
                             (sim.FieldModel, "step_states"), (sim, "_biased_paths")):
@@ -1107,6 +1123,8 @@ class TestClicks:
 
             def counted(first, second, *args, _name=name, _method=method):
                 calls[_name].append(np.size(second) if np.ndim(second) else second)
+                if _name == "step_states":
+                    calls["slab_rows"].append(len(args[0]))
                 return _method(first, second, *args)
 
             monkeypatch.setattr(owner, name, counted)
@@ -1114,7 +1132,7 @@ class TestClicks:
         (k,) = calls["_biased_paths"]
         assert 0 < k < 0.01 * 50_000
         assert calls["stationary_sample"] == [k]
-        assert calls["step_states"] == [k] * 21
+        assert calls["step_states"] == [k] and calls["slab_rows"] == [22]
 
     @pytest.mark.parametrize("linewidth", ["bare", "effective"])
     def test_path_bound_is_the_path_maps_norms(self, cfg, linewidth, monkeypatch):
