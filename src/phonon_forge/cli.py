@@ -4,8 +4,8 @@ Subcommands: wigner, marginal, variance, simulate, budget, characterize.
 All inputs come from an optional JSON config (strict schema, unknown keys
 rejected) plus per-command flags; defaults reproduce the laboratory
 parameter set, so running any command with no config reproduces the
-headline numbers.  Exit codes: 0 success, 2 configuration error,
-3 numerical-validity error.
+headline numbers.  Exit codes: 0 success, 2 configuration error
+(a request too large for memory included), 3 numerical-validity error.
 """
 
 from __future__ import annotations
@@ -59,16 +59,11 @@ class RunConfig:
                                        seed=self.seed, **sim_doc)
         self.grid = phase_space.GridConfig(**grid_doc)
 
-    def sim_config(self, **overrides):
-        return dataclasses.replace(self.sim, **_given(overrides))
 
-    def grid_config(self, **overrides):
-        return dataclasses.replace(self.grid, **_given(overrides))
-
-
-def _given(overrides):
-    """The command-line overrides that were actually passed."""
-    return {k: v for k, v in overrides.items() if v is not None}
+def _given(config, **overrides):
+    """config with the command-line overrides that were actually passed."""
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items()
+                                          if v is not None})
 
 
 def _reject_unknown(doc, allowed, where):
@@ -93,20 +88,12 @@ def load_config(path) -> RunConfig:
 
 
 def _thread_count(args):
-    threads = args.threads
-    env = os.environ.get("PHONON_FORGE_THREADS")
-    if threads is None and env:
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"PHONON_FORGE_THREADS={env!r} is not an integer") \
-                from exc
-    if threads is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    require_integer("threads", threads, 1)
-    return threads
+    """--threads, or the usable cores when it is not given."""
+    if args.threads is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+    require_integer("threads", args.threads, 1)
+    return args.threads
 
 
 def _outdir(cfg, args):
@@ -129,12 +116,11 @@ def _state_spec(cfg, args):
 # ---------------------------------------------------------------------------
 
 def cmd_wigner(cfg: RunConfig, args):
-    out = _outdir(cfg, args)
     spec = _state_spec(cfg, args)
-    gcfg = cfg.grid_config(npts=args.npts, half_width=args.half_width,
-                           units=args.units)
+    gcfg = _given(cfg.grid, npts=args.npts, half_width=args.half_width,
+                  units=args.units)
     grid = phase_space.wigner_s(spec, gcfg, s_override=args.s)
-    stem = out / f"wigner_n{args.n}"
+    stem = _outdir(cfg, args) / f"wigner_n{args.n}"
     phase_space.write_grid(grid, f"{stem}.csv", f"{stem}.json")
     marg = phase_space.marginal_from_grid(grid)
     phase_space.write_marginal(marg, f"{stem}_marginal.csv")
@@ -144,16 +130,15 @@ def cmd_wigner(cfg: RunConfig, args):
 
 
 def cmd_marginal(cfg: RunConfig, args):
-    out = _outdir(cfg, args)
     spec = _state_spec(cfg, args)
-    # five standard deviations of the order-n marginal, variance 1 + (n+1) eta nbar
-    xmax = 5.0 * math.sqrt(1.0 + (spec.n + 1) * spec.eta_nbar) if args.xmax is None \
+    # the detected marginal is the state smoothed by one vacuum unit
+    xmax = phase_space.state_window(spec.eta_nbar, spec.n, 1.0) if args.xmax is None \
         else args.xmax
     require_positive("xmax", xmax)
     require_integer("npts", args.npts, 2)
     xs = np.linspace(-xmax, xmax, args.npts)
     marg = phase_space.marginal_on_grid(phase_space.measured_marginal(spec), xs)
-    path = out / f"marginal_n{args.n}.csv"
+    path = _outdir(cfg, args) / f"marginal_n{args.n}.csv"
     phase_space.write_marginal(marg, path)
     print(f"wrote {path} (integral={marg.integral():.6f})")
     return 0
@@ -179,7 +164,7 @@ def cmd_variance(cfg: RunConfig, args):
 def cmd_simulate(cfg: RunConfig, args):
     require_positive("click_seconds", args.click_seconds, zero_ok=True)
     threads = _thread_count(args)
-    sim = cfg.sim_config(trace_len=args.trace_len, n_traces=args.n_traces)
+    sim = _given(cfg.sim, trace_len=args.trace_len, n_traces=args.n_traces)
     plan = simulator.DemodPlan(sim)              # refuse before any work
     usable = slice(plan.margin_cols, plan.cols.size - plan.margin_cols)
     if args.herald != simulator.HERALD_NONE:
@@ -187,17 +172,11 @@ def cmd_simulate(cfg: RunConfig, args):
     elif usable.start >= usable.stop:
         raise ConfigError("trace too short: no column is clear of the filter's "
                           "edge transients")
-    out = _outdir(cfg, args)
+    # every result is made before the first write, so a refusal writes nothing
     ens = simulator.run_ensemble(sim, herald_kind=args.herald,
                                  threads=threads)
-    base = out / f"ensemble_{args.herald}"
-    simulator.save_ensemble(ens, base)
     curve = simulator.ensemble_variance(ens)
-    dynamics.write_variance_curve(curve, out / f"empirical_variance_{args.herald}.csv")
     hist = simulator.herald_histogram(ens)
-    stem = out / f"histogram_{args.herald}"
-    phase_space.write_grid(hist, f"{stem}.csv", f"{stem}.json")
-
     report = {"herald_kind": args.herald, "n_traces": ens.n_traces,
               "calibration": {"vacuum_variance_expected": 1.0,
                               "sigma_sq_inf_analytic": plan.sigma_inf}}
@@ -206,10 +185,8 @@ def cmd_simulate(cfg: RunConfig, args):
 
     if args.click_seconds > 0:
         clicks = simulator.gated_click_stream(sim, args.click_seconds)
-        simulator.write_clicks_csv(clicks, out / "clicks.csv")
         heralds = simulator.herald_select(
             clicks, args.herald if ens.order else "single")
-        simulator.write_heralds_csv(heralds, out / f"heralds_{args.herald}.csv")
         budget_pred = budget_mod.build_report(cfg.params, cfg.spad)
         report["click_rates"] = {
             "duration_s": args.click_seconds,
@@ -224,6 +201,14 @@ def cmd_simulate(cfg: RunConfig, args):
             "budget_coincidence_rate": budget_pred.coincidence_rate,
         }
 
+    out = _outdir(cfg, args)
+    simulator.save_ensemble(ens, out / f"ensemble_{args.herald}")
+    dynamics.write_variance_curve(curve, out / f"empirical_variance_{args.herald}.csv")
+    stem = out / f"histogram_{args.herald}"
+    phase_space.write_grid(hist, f"{stem}.csv", f"{stem}.json")
+    if args.click_seconds > 0:
+        simulator.write_clicks_csv(clicks, out / "clicks.csv")
+        simulator.write_heralds_csv(heralds, out / f"heralds_{args.herald}.csv")
     write_json(out / f"report_{args.herald}.json", report)
     if ens.order:
         print(f"peak ratio {report['peak_ratio']:.4f} "
@@ -292,7 +277,7 @@ def build_parser():
     parser.add_argument("--out", help="output directory (default from config)")
     parser.add_argument("--threads", type=int,
                         help="worker threads for simulation "
-                             "(default: PHONON_FORGE_THREADS or all cores)")
+                             "(default: all usable cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wigner", help="phase-space grid and its marginal")
@@ -353,8 +338,9 @@ def main(argv=None):
         # it happens, rather than an inf or NaN carried on towards the output
         with np.errstate(over="raise", invalid="raise"):
             return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        # a request too large for memory is refused like any other bad value
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (NumericsError, ArithmeticError) as exc:
         print(f"numerical validity error: {exc}", file=sys.stderr)

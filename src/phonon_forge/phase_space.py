@@ -236,6 +236,12 @@ def gaussian_kernel(s):
 # grid construction
 # ---------------------------------------------------------------------------
 
+def state_window(occupation, n, var_k):
+    """Five standard deviations of the order-n state smoothed by var_k:
+    5 sqrt((n + 1) occupation + var_k), the default display half width."""
+    return 5.0 * math.sqrt((n + 1) * occupation + var_k)
+
+
 def _grid_geometry(spec, cfg, s_override):
     """Resolve (occupation, kernel variance, tag s, half width) for both unit
     systems."""
@@ -252,9 +258,8 @@ def _grid_geometry(spec, cfg, s_override):
         s_build = -1.0
         s_tag = s_from_eta(spec.eta)
     var_k = (1.0 - s_build) / 2.0
-    # five standard deviations of the order-n state, (n + 1) occupation + var_k
     half_width = cfg.half_width if cfg.half_width is not None \
-        else 5.0 * math.sqrt((spec.n + 1) * occupation + var_k)
+        else state_window(occupation, spec.n, var_k)
     return occupation, var_k, s_tag, half_width
 
 
@@ -373,21 +378,13 @@ GRID_SCHEMA = "phonon-forge/grid-v1"
 MARGINAL_SCHEMA = "phonon-forge/marginal-v1"
 
 
-def grid_header(grid: PhaseSpaceGrid) -> dict:
-    return {
-        "schema": GRID_SCHEMA,
-        "units": grid.units,
-        "s_param": grid.s_param,
-        "npts": grid.npts,
-        "half_width": grid.half_width,
-    }
-
-
 def write_grid(grid: PhaseSpaceGrid, csv_path, json_path):
     ax = grid.axis
     write_csv(csv_path, "X,P,value", [np.repeat(ax, grid.npts),
                                       np.tile(ax, grid.npts), grid.values.ravel()])
-    write_json(json_path, grid_header(grid))
+    write_json(json_path, {"schema": GRID_SCHEMA, "units": grid.units,
+                           "s_param": grid.s_param, "npts": grid.npts,
+                           "half_width": grid.half_width})
 
 
 def write_marginal(marg: Marginal, csv_path):

@@ -77,25 +77,15 @@ def _check_order(n):
 
 
 def thermal_pmf(spec: ThermalSpec, m_max=None) -> NumberPmf:
-    """Geometric number distribution (1-x) x^m, tail x^(m_max+1)."""
-    m_max = default_m_max(spec.nbar, 0) if m_max is None else int(m_max)
-    if m_max < 0:
-        raise ConfigError("m_max must be >= 0")
-    x = spec.x
-    if x == 0.0:
-        probs = np.zeros(m_max + 1)
-        probs[0] = 1.0
-        return NumberPmf(probs, m_max, 0.0)
-    m = np.arange(m_max + 1)
-    logp = np.log1p(-x) + m * np.log(x)
-    tail = math.exp((m_max + 1) * math.log(x))
-    return NumberPmf(np.exp(logp), m_max, tail)
+    """Geometric number distribution (1-x) x^m, tail x^(m_max+1): order 0."""
+    return subtracted_pmf(spec, 0, m_max)
 
 
 def _subtracted_logpmf(x, n, m):
-    lgamma = np.vectorize(math.lgamma, otypes=[float])
-    return ((n + 1) * np.log1p(-x) + m * np.log(x)
-            + lgamma(m + n + 1) - lgamma(m + 1) - math.lgamma(n + 1))
+    # log binom(m + n, n) as the sum of log(1 + m/k), k = 1 ... n: exactly 0
+    # at n = 0, and no large log-gamma difference to lose digits
+    log_binom = sum((np.log1p(m / k) for k in range(1, n + 1)), np.zeros(np.shape(m)))
+    return (n + 1) * np.log1p(-x) + m * np.log(x) + log_binom
 
 
 def _subtracted_tail(spec, n, m_max):
@@ -116,15 +106,19 @@ def _subtracted_tail(spec, n, m_max):
 
 
 def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
-    """Distribution after a heralded n-fold subtraction; mean (n+1)*nbar."""
+    """Distribution after a heralded n-fold subtraction, mean (n+1)*nbar;
+    order 0 is the thermal state."""
     n = _check_order(n)
-    if n == 0:
-        return thermal_pmf(spec, m_max)
-    if spec.nbar == 0.0:
-        raise ConfigError(
-            "subtraction from the ground state is undefined "
-            "(the heralding probability vanishes)")
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
+    if m_max < 0:
+        raise ConfigError("m_max must be >= 0")
+    if spec.nbar == 0.0:
+        if n:
+            raise ConfigError("subtraction from the ground state is undefined "
+                              "(the heralding probability vanishes)")
+        probs = np.zeros(m_max + 1)
+        probs[0] = 1.0
+        return NumberPmf(probs, m_max, 0.0)
     m = np.arange(m_max + 1)
     probs = np.exp(_subtracted_logpmf(spec.x, n, m))
     return NumberPmf(probs, m_max, _subtracted_tail(spec, n, m_max))
@@ -133,8 +127,6 @@ def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
 def added_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
     """Distribution after n-fold addition: the subtracted pmf shifted up by n."""
     n = _check_order(n)
-    if n == 0:
-        return thermal_pmf(spec, m_max)
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
     if m_max < n:
         raise ConfigError("m_max must be >= n for an n-fold added state")

@@ -10,7 +10,7 @@ forms in :mod:`phonon_forge.dynamics` exactly (r = gamma).  Integration uses
 the exact one-step discretization x[k+1] = E x[k] + w with E = expm(M dt) and
 noise covariance Q = Sigma - E Sigma E^dag, so there is no step-size bias at
 any dt; heralded ensembles therefore step at the sample rate, and only the
-click stream steps finer, at the SimConfig.dt derived from kappa2.  Only a
+click stream steps finer, at gate_len / ceil(gate_len / SimConfig.dt).  Only a
 is read, so one kernel, FieldModel.step_states, steps it for ensembles and
 clicks alike, exactly, from one complex innovation per step, with b carried
 as its mean given b_0 and a's path so far (the Kalman filter's innovations
@@ -107,8 +107,9 @@ class SimConfig:
 
     @property
     def dt(self):
-        """The click stream's field step: the largest 1/(k sample_rate) within
-        1/(20 kappa2), fine enough for its Riemann thinning."""
+        """The largest 1/(k sample_rate) within 1/(20 kappa2), a bound on the
+        click step fine enough for its Riemann thinning; the click stream steps
+        at gate_len / ceil(gate_len / dt), 1.591e-10 s to 1.6e-10 s at the defaults."""
         dt_max = 1.0 / (20.0 * self.params.kappa2)
         per_sample = self.sample_rate * dt_max
         if not per_sample > 0.0 or math.isinf(1.0 / per_sample):
@@ -123,14 +124,15 @@ class SimConfig:
 # ---------------------------------------------------------------------------
 
 class FieldModel:
-    """Exact one-step propagator of the driven (mechanics, optics) pair."""
+    """Exact one-step propagator of the driven (mechanics, optics) pair, by
+    default at the record's sample step 1/cfg.sample_rate."""
 
     def __init__(self, cfg: SimConfig, dt=None):
         p = cfg.params
         self.kappa = p.kappa2
         self.coupling = p.pump_enhanced_coupling()
         self.nbar_th = p.nbar_th
-        self.dt = cfg.dt if dt is None else float(dt)
+        self.dt = 1.0 / cfg.sample_rate if dt is None else float(dt)
         self.rate = p.gamma if cfg.mech_linewidth == "bare" \
             else effective_linewidth(p, cooperativity(p, self.coupling))
 
@@ -276,7 +278,7 @@ def _circular_normal(shape, rng):
 # ---------------------------------------------------------------------------
 
 class DemodPlan:
-    """Filter response plus the vacuum and signal calibration constants."""
+    """Filter response, calibration constants and the record's field model."""
 
     def __init__(self, cfg: SimConfig, model: FieldModel | None = None):
         self.cfg = cfg
@@ -446,22 +448,20 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     threads = 1 if threads is None else threads
     require_integer("threads", threads, 1)
 
-    # the propagator is exact at any step, so step at the sample rate
-    model = FieldModel(cfg, dt=1.0 / cfg.sample_rate)
-    plan = DemodPlan(cfg, model)
+    plan = DemodPlan(cfg)
     order = _HERALD_ORDER[herald_kind]
 
     n_chunks = (n_traces + cfg.chunk_traces - 1) // cfg.chunk_traces
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    n_out = plan.cols.size
-    z = np.empty((n_traces, n_out), dtype=complex)
+    z = np.empty((n_traces, plan.cols.size), dtype=complex)
     weights = np.empty(n_traces)
 
     def work(ci):
         lo = ci * cfg.chunk_traces
         hi = min(lo + cfg.chunk_traces, n_traces)
-        rng = np.random.Generator(np.random.Philox(seeds[ci]))
-        zc, wc = _simulate_chunk(cfg, model, plan, hi - lo, order, rng)
+        # node (ci,) of the seed's tree, as SeedSequence.spawn would give it
+        seed = np.random.SeedSequence(cfg.seed, spawn_key=(ci,))
+        rng = np.random.Generator(np.random.Philox(seed))
+        zc, wc = _simulate_chunk(cfg, plan.model, plan, hi - lo, order, rng)
         z[lo:hi] = zc
         weights[lo:hi] = wc
 
@@ -479,7 +479,7 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
         "sigma_inf_expected": plan.sigma_inf,
         "predicted_ratio": plan.predicted_ratio(order),
         "mech_linewidth": cfg.mech_linewidth,
-        "slow_rate": model.rate,
+        "slow_rate": plan.model.rate,
     }
     return TraceEnsemble(z=z, taus=plan.taus, herald_col=plan.herald_col,
                          weights=weights, herald_kind=herald_kind,
@@ -755,14 +755,13 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
                           f"{_CLICK_MAX_STEPS}")
     hit_scale = dt * r_registered / model.var_a if model.var_a > 0 else 0.0
     n_blocks = (n_gates + _CLICK_BLOCK_GATES - 1) // _CLICK_BLOCK_GATES
-    seeds = np.random.SeedSequence(cfg.seed, spawn_key=(_CLICK_SEED_BRANCH,)) \
-        .spawn(n_blocks)
 
     blocks = []
     for bi in range(n_blocks):
         lo = bi * _CLICK_BLOCK_GATES
         starts = np.arange(lo, min(lo + _CLICK_BLOCK_GATES, n_gates)) / spad.gate_rate
-        rng = np.random.Generator(np.random.Philox(seeds[bi]))
+        seed = np.random.SeedSequence(cfg.seed, spawn_key=(_CLICK_SEED_BRANCH, bi))
+        rng = np.random.Generator(np.random.Philox(seed))
         blocks.append(_draw_block(model, starts, m_steps, hit_scale, spad, duration,
                                   rng))
 
@@ -818,7 +817,8 @@ def save_ensemble(ens: TraceEnsemble, path_base):
 
 
 def load_ensemble(path_base) -> TraceEnsemble:
-    """Read what save_ensemble wrote; ConfigError if its parts disagree."""
+    """Read what save_ensemble wrote; ConfigError if its parts disagree or
+    hold a value no ensemble has."""
     with open(str(path_base) + ".json") as fh:
         sidecar = json.load(fh)
     if sidecar.get("schema") != ENSEMBLE_SCHEMA:
@@ -840,6 +840,15 @@ def load_ensemble(path_base) -> TraceEnsemble:
         if sidecar[name] >= taus.size:
             raise ConfigError(f"{name} {sidecar[name]} lies outside the "
                               f"{taus.size} columns")
+    # NaN fails every comparison, and an infinite weight makes the sum infinite
+    if weights.dtype.kind not in "fiu" \
+            or not ((weights >= 0).all() and 0 < weights.sum() < math.inf):
+        raise ConfigError("weights must be finite and >= 0, with a positive sum")
+    # z is read a slab of rows at a time, so no scratch of its size exists
+    rows = _slab_rows(z[0].nbytes)
+    if taus.dtype.kind != "f" or not (np.isfinite(taus).all() and all(
+            np.isfinite(z[lo:lo + rows]).all() for lo in range(0, len(z), rows))):
+        raise ConfigError("z and taus must be finite real and complex numbers")
     if sidecar.get("units") not in _VALID_UNITS:
         raise ConfigError(f"units must be one of {_VALID_UNITS}, "
                           f"got {sidecar.get('units')!r}")

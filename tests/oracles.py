@@ -73,7 +73,7 @@ def wick_oracle(params, n, tau, n_samples, seed):
 
 def simulate_fields(cfg, n_steps, n_traces, seed):
     """Stationary scattered-field trajectories at cfg.dt, shape (n_traces, n_steps)."""
-    model = sim.FieldModel(cfg)
+    model = sim.FieldModel(cfg, cfg.dt)
     rng = np.random.Generator(np.random.Philox(seed))
     return model.evolve_block(*model.stationary_sample(n_traces, rng), n_steps, rng)[1]
 

@@ -40,3 +40,30 @@ def test_the_check_sees_an_unused_import():
               "from .errors import ConfigError as Bad\n"
               "@dataclass\nclass A:\n    x: int = 0\n")
     assert _unused_imports(source) == ["replace", "os", "Bad"]
+
+
+def _environment_reads(source):
+    """The lines on which a module reads the environment through os."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(a.name in _ENV_NAMES for a in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # every setting comes from the config file or a flag
+    assert _environment_reads(path.read_text()) == []
+
+
+def test_the_check_sees_an_environment_read():
+    source = ("import os\nn = os.environ.get('N')\nfrom os import getenv as g\n"
+              "m = os.getenv('M')\nk = os.cpu_count()\n")
+    assert _environment_reads(source) == [2, 3, 4]

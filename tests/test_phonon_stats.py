@@ -31,6 +31,18 @@ class TestThermalPmf:
         pmf = ps.thermal_pmf(spec(453.0), m_max=20 * 453)
         assert pmf.mean() == pytest.approx(453.0, rel=1e-6)
 
+    @pytest.mark.parametrize("nbar", [1e-6, 1.0, 3.0, 453.0, 1e5])
+    def test_order_zero_is_the_geometric_law_bit_for_bit(self, nbar):
+        # the thermal law is order 0 of the subtracted one, whose
+        # log-binomial is exactly 0 there: (1-x) x^m and x^(m_max+1) from logs
+        x = spec(nbar).x
+        for m_max in (0, 7, 200, ps.default_m_max(nbar, 0)):
+            m = np.arange(m_max + 1)
+            for pmf in (ps.thermal_pmf(spec(nbar), m_max),
+                        ps.added_pmf(spec(nbar), 0, m_max)):
+                assert np.array_equal(pmf.probs, np.exp(np.log1p(-x) + m * np.log(x)))
+                assert pmf.tail_mass == math.exp((m_max + 1) * math.log(x))
+
     def test_negative_nbar_rejected(self):
         with pytest.raises(ConfigError):
             spec(-0.1)
@@ -69,6 +81,11 @@ class TestSubtractedPmf:
     def test_negative_order_rejected(self):
         with pytest.raises(ConfigError):
             ps.subtracted_pmf(spec(1.0), -1)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_negative_truncation_rejected(self, n):
+        with pytest.raises(ConfigError, match="m_max"):
+            ps.subtracted_pmf(spec(1.0), n, m_max=-1)
 
 
 class TestSubtractedTail:

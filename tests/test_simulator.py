@@ -63,7 +63,7 @@ class TestConfigValidation:
 
 class TestFieldModel:
     def test_mean_occupation_matches_closed_form(self, cfg):
-        model = sim.FieldModel(cfg)
+        model = sim.FieldModel(cfg, cfg.dt)
         n_steps, n_traces = 200_000, 8
         a = simulate_fields(cfg, n_steps, n_traces=n_traces, seed=3)
         emp = float(np.mean(np.abs(a) ** 2))
@@ -74,7 +74,7 @@ class TestFieldModel:
         assert abs(emp - expected) < 3 * se
 
     def test_two_time_correlation(self, cfg):
-        model = sim.FieldModel(cfg)
+        model = sim.FieldModel(cfg, cfg.dt)
         a = simulate_fields(cfg, 400_000, n_traces=8, seed=4)
         for lag_s in (0.0, 5e-9, 30e-9):
             lag = int(round(lag_s / cfg.dt))
@@ -115,7 +115,7 @@ class TestFieldModel:
                                                          system):
         c = replace(cfg, mech_linewidth=linewidth,
                     params=replace(cfg.params, **system))
-        for dt in (None, 1.0 / c.sample_rate):       # the click and sample steps
+        for dt in (c.dt, 1.0 / c.sample_rate):       # the click and sample steps
             model = sim.FieldModel(c, dt=dt)
             q = model.Sigma - model.E @ model.Sigma @ model.E.conj().T
             for mat in (q, model.Sigma):
@@ -202,7 +202,7 @@ class TestFieldModel:
         # loop's gains are one value from step 20 on
         c = replace(cfg, mech_linewidth=linewidth,
                     params=replace(cfg.params, **system))
-        for dt in (None, 1.0 / c.sample_rate):
+        for dt in (c.dt, 1.0 / c.sample_rate):
             model = sim.FieldModel(c, dt=dt)
             gains, ref = (np.array(list(g), dtype=complex).reshape(-1, 2)
                           for g in (model.innovation_gains(12_500),
@@ -218,7 +218,7 @@ class TestFieldModel:
 
     def test_effective_linewidth_decay(self, cfg):
         c = replace(cfg, mech_linewidth="effective")
-        model = sim.FieldModel(c)
+        model = sim.FieldModel(c, c.dt)
         chain = dyn.characterize(c.params)
         assert model.rate == pytest.approx(chain.gamma_eff)
         a = simulate_fields(c, 400_000, n_traces=12, seed=6)
@@ -289,7 +289,7 @@ class TestFrequencyDomainFilter:
     def test_ar1_equals_lfilter_bit_for_bit(self, cfg):
         # the allocating propagator's recursion, at the poles it uses, the
         # complex entries of the step matrix, against SciPy's lfilter
-        model = sim.FieldModel(cfg)
+        model = sim.FieldModel(cfg, cfg.dt)
         rng = np.random.Generator(np.random.Philox(21))
         drive = sim._circular_normal((64, 3125), rng)
         for pole in (model.E[0, 0], model.E[1, 1]):
@@ -299,8 +299,8 @@ class TestFrequencyDomainFilter:
     @pytest.mark.parametrize("trace_len", [3125, 12500])
     def test_demodulate_matches_time_domain(self, demod_filter, trace_len):
         c = sim.SimConfig(trace_len=trace_len, demod_filter=demod_filter)
-        model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
-        plan = sim.DemodPlan(c, model)
+        plan = sim.DemodPlan(c)
+        model = plan.model
         rng = np.random.Generator(np.random.Philox(22))
         _, a = model.evolve_block(*model.stationary_sample(16, rng), trace_len, rng)
         v = plan.voltage_from_field(a, rng)
@@ -363,6 +363,22 @@ class TestFrequencyDomainFilter:
         assert np.count_nonzero(np.diff(accepted)) == 1 and accepted[-1]
 
 
+class _NoSpawn(np.random.SeedSequence):
+    """A SeedSequence that refuses to spawn, so each stream must be made alone."""
+
+    def spawn(self, n_children):
+        raise AssertionError(f"spawn({n_children}) made every stream up front")
+
+
+def _assert_node_equals_spawned(seed, branch, n):
+    """SeedSequence(seed, spawn_key=branch + (i,)) is the ith of n spawned
+    from node branch, bit for bit."""
+    children = np.random.SeedSequence(seed, spawn_key=branch).spawn(n)
+    for i, child in enumerate(children):
+        alone = np.random.SeedSequence(seed, spawn_key=branch + (i,))
+        assert np.array_equal(alone.generate_state(8), child.generate_state(8))
+
+
 class TestHeraldedEnsembles:
     def test_single_and_coincidence_ratios(self, cfg):
         ens1 = sim.run_ensemble(cfg, herald_kind="single", n_traces=8000,
@@ -414,8 +430,8 @@ class TestHeraldedEnsembles:
         # slab-sized scratch; the voltage and its FFT buffer exist a slab of
         # traces at a time; the allocating oracle chunk holds 5
         c = sim.SimConfig(trace_len=trace_len, chunk_traces=n)
-        model = sim.FieldModel(c, dt=1.0 / c.sample_rate)
-        plan = sim.DemodPlan(c, model)
+        plan = sim.DemodPlan(c)
+        model = plan.model
         rng = np.random.Generator(np.random.Philox(23))
         tracemalloc.start()
         try:
@@ -456,6 +472,18 @@ class TestHeraldedEnsembles:
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_chunk_streams_are_made_one_at_a_time(self, cfg, monkeypatch):
+        # a huge n_traces must not make all its chunks' streams before its
+        # first allocation; chunk i still draws from node (i,), as spawn gives
+        for seed in (0, 101, 4242, 20210):
+            _assert_node_equals_spawned(seed, (), 3)
+        c = replace(cfg, chunk_traces=4)
+        ref = sim.run_ensemble(c, sim.HERALD_SINGLE, n_traces=10)
+        monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
+        ens = sim.run_ensemble(c, sim.HERALD_SINGLE, n_traces=10)
+        assert np.array_equal(ens.z, ref.z)
+        assert np.array_equal(ens.weights, ref.weights)
+
     @pytest.mark.parametrize("n_traces", [1.5, True, 0])
     def test_n_traces_must_be_a_positive_integer(self, cfg, n_traces):
         with pytest.raises(ConfigError):
@@ -472,12 +500,21 @@ class TestHeraldedEnsembles:
                                    ens["coincidence"].weights, rtol=1e-12)
 
     def test_demod_calibration_independent_of_step(self, cfg):
-        coarse = sim.DemodPlan(cfg, sim.FieldModel(cfg, dt=1.0 / cfg.sample_rate))
-        fine = sim.DemodPlan(cfg)
-        assert coarse.gain == fine.gain
-        assert coarse.sigma_vac == fine.sigma_vac
-        for order in (1, 2):
-            assert coarse.predicted_ratio(order) == fine.predicted_ratio(order)
+        # the plan's calibration reads its model's var_a, rate and
+        # correlation_a, none of which depends on the step
+        click, sample = (sim.FieldModel(cfg, dt) for dt in (cfg.dt, 1.0 / cfg.sample_rate))
+        assert click.var_a == sample.var_a
+        assert click.rate == sample.rate
+        lags = np.arange(-2000, 2001) / cfg.sample_rate
+        assert np.array_equal(click.correlation_a(lags), sample.correlation_a(lags))
+
+    def test_plan_model_steps_at_the_sample_rate(self, cfg):
+        # run_ensemble propagates with the plan's own model, one step per sample
+        plan = sim.DemodPlan(cfg)
+        assert plan.model.dt == 1.0 / cfg.sample_rate
+        assert np.array_equal(plan.model.E, sim.FieldModel(cfg, 1.0 / cfg.sample_rate).E)
+        given = sim.DemodPlan(cfg, sim.FieldModel(cfg))
+        assert given.model.dt == plan.model.dt and given.gain == plan.gain
 
     def test_variance_matches_weighted_reference(self):
         rng = np.random.default_rng(5)
@@ -1083,7 +1120,7 @@ class TestClicks:
         # past t_end, which cuts the last gate in half
         c = replace(cfg, params=replace(cfg.params, p_in=0.0))
         spad = replace(c.spad, dark_rate=0.5 / c.spad.gate_len)
-        model, m_steps = sim.FieldModel(c), 22
+        model, m_steps = sim.FieldModel(c, c.dt), 22
         n = sim._CLICK_BLOCK_GATES
         starts = np.arange(n) / spad.gate_rate
         t_end = starts[-1] + 0.5 * spad.gate_len
@@ -1194,6 +1231,18 @@ class TestClicks:
             sim.run_ensemble(c, sim.HERALD_NONE, n_traces=8)
         assert len(firsts["block"]) == len(firsts["chunk"]) == 16
         assert not firsts["block"] & firsts["chunk"]
+
+    def test_block_streams_are_made_one_at_a_time(self, cfg, monkeypatch):
+        # block i still draws from node (_CLICK_SEED_BRANCH, i), as spawn gives
+        for seed in (0, 101, 4242, 20210):
+            _assert_node_equals_spawned(seed, (sim._CLICK_SEED_BRANCH,), 3)
+        duration = (sim._CLICK_BLOCK_GATES + 10) / cfg.spad.gate_rate   # two blocks
+        ref = sim.gated_click_stream(cfg, duration)
+        monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
+        clicks = sim.gated_click_stream(cfg, duration)
+        assert ref.n_events > 0
+        for name in ("times", "detector", "is_dark"):
+            assert np.array_equal(getattr(clicks, name), getattr(ref, name))
 
 
 class TestHeraldSelect:
@@ -1314,6 +1363,31 @@ class TestPersistence:
                                       "sigma_inf_expected", "slow_rate"])
     def test_sidecar_meta_entries_checked(self, cfg, tmp_path, name, value):
         _reject_sidecar(_saved(cfg, tmp_path), lambda doc: _set(doc["meta"], name, value))
+
+    # each case plants values no ensemble holds; a slab of one row makes the
+    # check of z walk every row
+    @pytest.mark.parametrize("name,index,value,slab_bytes", [
+        ("z", (3, 5), complex(math.nan, 0.0), None),
+        ("z", (9, -1), complex(0.0, math.inf), 1),
+        ("z", (0, 0), complex(-math.inf, math.nan), 1),
+        ("taus", (0,), math.nan, None),
+        ("weights", (2,), -1.0, None),
+        ("weights", (4,), math.nan, None),
+        ("weights", (0,), math.inf, None),
+        ("weights", slice(None), 0.0, None),
+    ], ids=["z-nan", "z-inf-last-slab", "z-first", "taus-nan", "weight-negative",
+            "weight-nan", "weight-inf", "weights-zero"])
+    def test_values_checked(self, cfg, tmp_path, monkeypatch, name, index, value,
+                            slab_bytes):
+        base = _saved(cfg, tmp_path)
+        with np.load(tmp_path / "ens.npz") as data:
+            arrays = dict(data)
+        arrays[name][index] = value
+        np.savez(tmp_path / "ens.npz", **arrays)
+        if slab_bytes is not None:
+            monkeypatch.setattr(sim, "_SLAB_BYTES", slab_bytes)
+        with pytest.raises(ConfigError, match="finite"):
+            sim.load_ensemble(base)
 
     def test_unheralded_sidecar_loads(self, cfg, tmp_path):
         ens = sim.load_ensemble(_saved(cfg, tmp_path, "none"))
