@@ -263,6 +263,15 @@ def _chol_psd(mat):
     return np.array([[l00, 0.0], [l10, l11]], dtype=complex)
 
 
+def _stream(seed, key):
+    """The generator of node `key` of `seed`'s spawn-key tree, as
+    SeedSequence(seed).spawn would give it, on SFC64: nodes are independent
+    streams for any bit generator, no draw needs random access, and SFC64
+    draws normals fastest of NumPy's bit generators."""
+    seq = np.random.SeedSequence(seed, spawn_key=key)
+    return np.random.Generator(np.random.SFC64(seq))
+
+
 def _circular_normal(shape, rng):
     """Complex normals with <z z*> = 1, <z z> = 0: the real parts are drawn
     first, then the imaginary parts, each filled in place."""
@@ -437,9 +446,10 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
                  threads=None) -> TraceEnsemble:
     """Simulate an ensemble of herald-aligned traces.
 
-    Work is split into fixed chunks, each with its own counter-based random
-    stream and run on a pool of `threads` workers (one if None), so results
-    are bit-identical for a given (cfg, seed) regardless of the thread count.
+    Work is split into fixed chunks, chunk i drawing from node (i,) of the
+    seed's spawn-key tree (`_stream`), and run on a pool of `threads` workers
+    (one if None), so results are bit-identical for a given (cfg, seed)
+    regardless of the thread count.
     """
     if herald_kind not in _HERALD_KINDS:
         raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}")
@@ -458,10 +468,8 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     def work(ci):
         lo = ci * cfg.chunk_traces
         hi = min(lo + cfg.chunk_traces, n_traces)
-        # node (ci,) of the seed's tree, as SeedSequence.spawn would give it
-        seed = np.random.SeedSequence(cfg.seed, spawn_key=(ci,))
-        rng = np.random.Generator(np.random.Philox(seed))
-        zc, wc = _simulate_chunk(cfg, plan.model, plan, hi - lo, order, rng)
+        zc, wc = _simulate_chunk(cfg, plan.model, plan, hi - lo, order,
+                                 _stream(cfg.seed, (ci,)))
         z[lo:hi] = zc
         weights[lo:hi] = wc
 
@@ -760,10 +768,8 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
     for bi in range(n_blocks):
         lo = bi * _CLICK_BLOCK_GATES
         starts = np.arange(lo, min(lo + _CLICK_BLOCK_GATES, n_gates)) / spad.gate_rate
-        seed = np.random.SeedSequence(cfg.seed, spawn_key=(_CLICK_SEED_BRANCH, bi))
-        rng = np.random.Generator(np.random.Philox(seed))
         blocks.append(_draw_block(model, starts, m_steps, hit_scale, spad, duration,
-                                  rng))
+                                  _stream(cfg.seed, (_CLICK_SEED_BRANCH, bi))))
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
                                         spad.dead_time)

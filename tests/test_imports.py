@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phonon_forge
@@ -67,3 +68,49 @@ def test_the_check_sees_an_environment_read():
     source = ("import os\nn = os.environ.get('N')\nfrom os import getenv as g\n"
               "m = os.getenv('M')\nk = os.cpu_count()\n")
     assert _environment_reads(source) == [2, 3, 4]
+
+
+# every bit generator numpy.random offers, and its two shortcuts to one
+_RNG_MAKERS = {name for name, obj in vars(np.random).items()
+               if isinstance(obj, type) and issubclass(obj, np.random.BitGenerator)}
+_RNG_MAKERS |= {"default_rng", "RandomState"}
+
+
+def _rng_constructions(source):
+    """(enclosing function, line) of each call, or import from numpy.random,
+    of a name in _RNG_MAKERS; the function is None at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else \
+                getattr(callee, "id", None)
+            if name in _RNG_MAKERS:
+                found.append((func, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random" \
+                and any(a.name in _RNG_MAKERS for a in node.names):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_stream_builds_a_bit_generator(path):
+    # every simulation stream is a node of the seed's spawn-key tree on one
+    # bit generator, built in one place: simulator._stream
+    allowed = {"_stream"} if path.name == "simulator.py" else set()
+    assert {func for func, _ in _rng_constructions(path.read_text())} <= allowed
+
+
+def test_the_check_sees_a_bit_generator():
+    source = ("import numpy as np\nfrom numpy.random import PCG64\n"
+              "def f(s):\n    return np.random.Generator(np.random.Philox(s))\n"
+              "def _stream(s):\n    return np.random.default_rng(s)\n"
+              "rng = np.random.RandomState(1)\nx = np.random.SeedSequence(2)\n")
+    assert _rng_constructions(source) == [(None, 2), ("f", 4), ("_stream", 6), (None, 7)]

@@ -372,11 +372,16 @@ class _NoSpawn(np.random.SeedSequence):
 
 def _assert_node_equals_spawned(seed, branch, n):
     """SeedSequence(seed, spawn_key=branch + (i,)) is the ith of n spawned
-    from node branch, bit for bit."""
+    from node branch, bit for bit, and sim._stream of that node draws what
+    an SFC64 generator of the spawned child draws."""
     children = np.random.SeedSequence(seed, spawn_key=branch).spawn(n)
     for i, child in enumerate(children):
         alone = np.random.SeedSequence(seed, spawn_key=branch + (i,))
         assert np.array_equal(alone.generate_state(8), child.generate_state(8))
+        ref = np.random.Generator(np.random.SFC64(child))
+        rng = sim._stream(seed, branch + (i,))
+        assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+        assert np.array_equal(rng.random(64), ref.random(64))
 
 
 class TestHeraldedEnsembles:
@@ -1205,7 +1210,9 @@ class TestClicks:
         model, m_steps, hit_scale = _stream_args(c, monkeypatch)
         assert hit_scale == 0.0
         monkeypatch.setattr(sim.FieldModel, "step_states", never)
-        clicks = sim.gated_click_stream(c, 2.0)
+        # two detectors at 1 dark count/s expect 26 events in 13 s, so a
+        # stream holds none with chance e^-26, about 5e-12
+        clicks = sim.gated_click_stream(c, 13.0)
         assert clicks.n_events > 0 and np.all(clicks.is_dark)
         assert np.all(np.isfinite(clicks.times))
 
