@@ -85,6 +85,10 @@ class SystemParams:
         if not 0.0 < self.kappa1 * HBAR * self.omega_pump < math.inf:
             raise ConfigError(f"wavelength={self.wavelength!r} and kappa1={self.kappa1!r}"
                               " put the pump photon energy outside the double range")
+        # the detected state's s = (eta - 2)/eta overflows for a subnormal eta
+        if not math.isfinite((self.eta_total - 2.0) / self.eta_total):
+            raise ConfigError(f"eta_total={self.eta_total!r} puts s = (eta - 2)/eta"
+                              " outside the double range")
         g = self.pump_enhanced_coupling()
         if 2.0 * g >= self.kappa2 + self.gamma:
             raise ConfigError(

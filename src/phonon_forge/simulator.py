@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -823,18 +824,29 @@ def save_ensemble(ens: TraceEnsemble, path_base):
 
 
 def load_ensemble(path_base) -> TraceEnsemble:
-    """Read what save_ensemble wrote; ConfigError if its parts disagree or
-    hold a value no ensemble has."""
-    with open(str(path_base) + ".json") as fh:
-        sidecar = json.load(fh)
+    """Read what save_ensemble wrote; ConfigError if a part is missing or
+    unreadable, or the parts disagree or hold a value no ensemble has."""
+    base = str(path_base)
+    try:
+        with open(base + ".json") as fh:
+            sidecar = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {base}.json: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ConfigError(f"{base}.json must hold a JSON object")
     if sidecar.get("schema") != ENSEMBLE_SCHEMA:
         raise ConfigError("unrecognized ensemble schema "
                           f"{sidecar.get('schema')!r}")
     if sidecar.get("herald_kind") not in _HERALD_KINDS:
         raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}, "
                           f"got {sidecar.get('herald_kind')!r}")
-    with np.load(str(path_base) + ".npz") as data:
-        z, taus, weights = (data[k] for k in ("z", "taus", "weights"))
+    require_integer("n_traces", sidecar.get("n_traces"), 1)
+    try:
+        # the file is opened here, as np.load leaves it open on a bad archive
+        with open(base + ".npz", "rb") as fh, np.load(fh) as data:
+            z, taus, weights = (data[k] for k in ("z", "taus", "weights"))
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read {base}.npz: {exc}") from exc
     if z.dtype.kind != "c" or z.ndim != 2 or z.shape[0] != sidecar["n_traces"]:
         raise ConfigError(f"z is {z.dtype} of shape {z.shape}, the sidecar says "
                           f"{sidecar['n_traces']!r} traces of complex columns")

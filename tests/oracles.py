@@ -143,12 +143,6 @@ def lossy_marginal_convolution(marg, eta):
     return ps.Marginal(xs=xs_out, density=density)
 
 
-def ar1_lfilter(pole, drive):
-    """x[t] = pole * x[t-1] + drive[t] along the last axis by scipy's lfilter."""
-    from scipy.signal import lfilter
-    return lfilter([1.0], [1.0, -pole], drive, axis=-1)
-
-
 def _time_domain_filter(cfg, arr):
     """The demodulation filter in the time domain: butter + sosfiltfilt, or
     uniform_filter1d with constant edges, along the last axis."""
@@ -256,54 +250,3 @@ def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
         det += [np.full(t_hit.size + t_dark.size, d, dtype=np.int8)]
         dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]
     return np.concatenate(times), np.concatenate(det), np.concatenate(dark)
-
-
-def _ar1_allocating(pole, drive):
-    """x[t] = pole * x[t-1] + drive[t] along the last axis, x[-1] = 0, into a
-    time-major copy returned transposed."""
-    x = drive.T.copy()
-    for t in range(1, x.shape[0]):
-        x[t] += pole * x[t - 1]
-    return x.T
-
-
-def evolve_block_allocating(model, b0, a0, n_steps, rng):
-    """FieldModel.evolve_block from trace-major arrays, a new one for each
-    draw, drive and recursion, over the whole record at once, in the
-    innovations form: a gains s_t zeta_t at each step t >= 1 and b its drive
-    K_t s_t zeta_t, with every gain from model.innovation_gains at once.
-    The normals are drawn in the propagator's order: slab by slab of
-    sim._slab_rows(16 n) steps after t=0, a's innovations only, time-major
-    with real and imaginary parts interleaved.  They are then joined along
-    time and viewed trace-major."""
-    n = b0.size
-    rows = sim._slab_rows(16 * n)
-    draws = [rng.standard_normal((min(rows, n_steps - lo), n, 2))
-             for lo in range(1, n_steps, rows)]
-    zeta = np.concatenate(draws).view(complex)[..., 0].T
-    gains = np.array(list(model.innovation_gains(n_steps)), dtype=complex).reshape(-1, 2)
-    w = gains[:, 0].real * zeta
-    wb = np.concatenate([b0[:, None], gains[:, 1] * w], axis=1)
-    wa = np.concatenate([a0[:, None], w], axis=1)
-    b = _ar1_allocating(model.E[0, 0], wb)
-    wa[:, 1:] += model.E[1, 0] * b[:, :-1]
-    return b[:, -1].copy(), _ar1_allocating(model.E[1, 1], wa)
-
-
-def simulate_chunk_allocating(cfg, model, plan, n, order, rng):
-    """simulator._simulate_chunk by the allocating propagator, one voltage
-    for the whole chunk and a zero-filled demodulation buffer, with the same
-    draws in the same order."""
-    b0, a0 = model.stationary_sample(n, rng)
-    _, a = evolve_block_allocating(model, b0, a0, cfg.trace_len, rng)
-    scale = math.sqrt(2.0) * plan.gain
-    v = plan.sigma_vac * rng.standard_normal(a.shape)
-    v = v + a.real * (scale * plan.phasor.real) + a.imag * (scale * plan.phasor.imag)
-    d = cfg.decimate
-    buf = np.zeros((n, plan.n_fft), dtype=complex)
-    np.multiply(v, plan.phasor, out=buf[:, :plan.n_samp])
-    np.fft.fft(buf, axis=-1, out=buf)
-    buf *= plan._band_response
-    bands = buf.reshape((n, d, plan.n_fft // d)).sum(axis=-2)
-    z = np.fft.ifft(bands, axis=-1)[:, :plan.cols.size]
-    return z, np.abs(a[:, plan.center]) ** (2 * order)

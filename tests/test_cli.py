@@ -296,6 +296,9 @@ _BAD_CONFIGS = [
     ({"system": {"kappa2": 1e308}}, ["budget"]),
     ({"system": {"kappa2": 1e308}}, ["variance", "--n", "1"]),
     ({"sim": {"decimate": 1000000000000}}, _SMALL_SIMULATE),
+    # a subnormal efficiency whose s-parameter (eta - 2)/eta overflows
+    ({"system": {"eta_total": 1e-320}}, _SMALL_SIMULATE),
+    ({"system": {"eta_total": 1e-320}}, ["budget"]),
 ]
 
 

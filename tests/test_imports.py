@@ -1,4 +1,5 @@
-"""Source checks on the package, made with the standard library's ast."""
+"""Source checks on the package and the tests' oracles, made with the
+standard library's ast."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,39 @@ def test_the_check_sees_a_bit_generator():
               "def _stream(s):\n    return np.random.default_rng(s)\n"
               "rng = np.random.RandomState(1)\nx = np.random.SeedSequence(2)\n")
     assert _rng_constructions(source) == [(None, 2), ("f", 4), ("_stream", 6), (None, 7)]
+
+
+def _private_names(source):
+    """(line, name) of each _-prefixed, non-dunder attribute a module reads
+    and each such name it imports from phonon_forge."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").startswith("phonon_forge"):
+            names = node.module.split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names if a.name.startswith("phonon_forge")
+                     for part in a.name.split(".")]
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.endswith("__")]
+    return sorted(found)
+
+
+def test_oracles_use_no_private_name():
+    # an oracle that reads the package's internals follows its route, so it
+    # is a second copy of the code, not an independent check
+    source = (Path(__file__).parent / "oracles.py").read_text()
+    assert _private_names(source) == []
+
+
+def test_the_check_sees_a_private_name():
+    source = ("import phonon_forge._formats\nfrom phonon_forge import _formats\n"
+              "from phonon_forge.simulator import _stream, run_ensemble\n"
+              "from phonon_forge import simulator as sim\n"
+              "n = sim._slab_rows(16)\nh = plan._band_response\nd = sim.__doc__\n"
+              "x = sim.DemodPlan\nfrom os import _exit\n")
+    assert _private_names(source) == [(1, "_formats"), (2, "_formats"), (3, "_stream"),
+                                      (5, "_slab_rows"), (6, "_band_response")]

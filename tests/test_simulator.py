@@ -2,11 +2,11 @@ import collections
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,7 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import _ar1_allocating, ar1_lfilter, draw_block_stepwise, \
-    evolve_block_allocating, riccati_gains, simulate_fields, simulate_chunk_allocating, \
+from oracles import draw_block_stepwise, riccati_gains, simulate_fields, \
     time_domain_demodulate, time_domain_impulse_response
 
 
@@ -133,18 +132,6 @@ class TestFieldModel:
                 except np.linalg.LinAlgError:
                     continue                          # singular: no reference
                 assert np.array_equal(l, ref)
-
-    def test_propagator_equals_the_allocating_oracle(self, cfg):
-        # 44 traces of 2048 steps run as two slabs, the second short
-        model = sim.FieldModel(cfg, dt=1.0 / cfg.sample_rate)
-        out = []
-        for propagate in (model.evolve_block, partial(evolve_block_allocating, model)):
-            rng = np.random.Generator(np.random.Philox(25))
-            out.append(propagate(*model.stationary_sample(44, rng), 2048, rng))
-        (b_last, a), (b_ref, a_ref) = out
-        assert b_last.shape == (44,) and a.shape == (44, 2048)
-        assert np.array_equal(b_last, b_ref)
-        assert np.array_equal(a, a_ref)
 
     @pytest.mark.parametrize("linewidth,system", [
         ("bare", {}), ("effective", {}), ("bare", {"nbar_th": 0.0}),
@@ -275,25 +262,21 @@ class TestHeterodyneAndDemod:
         v = math.sqrt(2.0) * (amp.real * np.cos(cfg.params.omega_het * t)
                               + amp.imag * np.sin(cfg.params.omega_het * t))
         plan = sim.DemodPlan(cfg)
-        z = plan.demodulate(v)
-        x, p = z.real, z.imag
+        # the same tone as a constant field through the noiseless voltage,
+        # which carries the calibration gain
+        plan.sigma_vac = 0.0
+        a = np.full(cfg.trace_len, amp)
+        v_field = plan.voltage_from_field(a, np.random.Generator(np.random.SFC64(0)))
         m = plan.margin_cols
-        # constancy is limited by the filter's rejection of the 2*w_het image
-        np.testing.assert_allclose(x[m:-m], amp.real, rtol=1e-4)
-        np.testing.assert_allclose(p[m:-m], amp.imag, rtol=1e-4)
+        for z, expected in ((plan.demodulate(v), amp),
+                            (plan.demodulate(v_field), plan.gain * amp)):
+            # constancy is limited by the filter's rejection of the 2*w_het image
+            np.testing.assert_allclose(z.real[m:-m], expected.real, rtol=1e-4)
+            np.testing.assert_allclose(z.imag[m:-m], expected.imag, rtol=1e-4)
 
 
 class TestFrequencyDomainFilter:
     """The NumPy kernels against the time-domain SciPy routes they replace."""
-
-    def test_ar1_equals_lfilter_bit_for_bit(self, cfg):
-        # the allocating propagator's recursion, at the poles it uses, the
-        # complex entries of the step matrix, against SciPy's lfilter
-        model = sim.FieldModel(cfg, cfg.dt)
-        rng = np.random.Generator(np.random.Philox(21))
-        drive = sim._circular_normal((64, 3125), rng)
-        for pole in (model.E[0, 0], model.E[1, 1]):
-            assert np.array_equal(_ar1_allocating(pole, drive), ar1_lfilter(pole, drive))
 
     @pytest.mark.parametrize("demod_filter", ["butter4", "boxcar"])
     @pytest.mark.parametrize("trace_len", [3125, 12500])
@@ -407,33 +390,11 @@ class TestHeraldedEnsembles:
         resid = (curve.values[sel] - analytic[sel]) / analytic[sel]
         assert np.max(np.abs(resid)) < 0.10
 
-    @pytest.mark.parametrize("demod_filter,mech_linewidth,slab_bytes", [
-        pytest.param("butter4", "bare", None, id="butter4-bare"),
-        pytest.param("boxcar", "effective", None, id="boxcar-effective"),
-        pytest.param("butter4", "bare", 3 * 16 * 44, id="butter4-bare-short-slabs")])
-    def test_chunk_equals_the_allocating_oracle(self, cfg, monkeypatch, demod_filter,
-                                                mech_linewidth, slab_bytes):
-        # 300 traces in chunks of 128 leave a short last chunk of 44; the
-        # short-slab case steps the full chunks in 1-row slabs and the last
-        # one in 3-row slabs, the last of them 2 rows
-        if slab_bytes is not None:
-            monkeypatch.setattr(sim, "_SLAB_BYTES", slab_bytes)
-        c = replace(cfg, demod_filter=demod_filter, chunk_traces=128,
-                    mech_linewidth=mech_linewidth)
-        runs = {(kind, threads): sim.run_ensemble(c, kind, n_traces=300,
-                                                  threads=threads)
-                for kind in ("none", "single", "coincidence") for threads in (1, 2)}
-        monkeypatch.setattr(sim, "_simulate_chunk", simulate_chunk_allocating)
-        for (kind, _), ens in runs.items():
-            ref = sim.run_ensemble(c, kind, n_traces=300)
-            assert np.array_equal(ens.z, ref.z)
-            assert np.array_equal(ens.weights, ref.weights)
-
     @pytest.mark.parametrize("n,trace_len", [(1024, 3125), (256, 12500)])
     def test_chunk_holds_its_record_about_once(self, n, trace_len):
         # the propagator stores only a, one record, and carries b through a
         # slab-sized scratch; the voltage and its FFT buffer exist a slab of
-        # traces at a time; the allocating oracle chunk holds 5
+        # traces at a time, so the chunk's peak is a quarter above a's
         c = sim.SimConfig(trace_len=trace_len, chunk_traces=n)
         plan = sim.DemodPlan(c)
         model = plan.model
@@ -464,18 +425,32 @@ class TestHeraldedEnsembles:
 
             monkeypatch.setattr(owner, name, counted)
         c = replace(cfg, chunk_traces=4)
-        sim.variance_ratio_report(sim.run_ensemble(c, sim.HERALD_SINGLE, n_traces=6))
+        ens = sim.run_ensemble(c, sim.HERALD_SINGLE, n_traces=6)
+        sim.variance_ratio_report(ens)
         assert len(calls["stationary_sample"]) == 2
         assert [out[1].shape for out in calls["evolve_block"]] == [(4, c.trace_len),
                                                                    (2, c.trace_len)]
         assert len(calls["voltage_from_field"]) == len(calls["demodulate"]) == 2
         assert len(calls["ensemble_variance"]) == 1
+        # the record is those layers' outputs: the demodulated rows in order,
+        # each weighted by |a|^2 at the herald sample
+        center = c.trace_len // 2
+        assert np.array_equal(ens.z, np.concatenate(calls["demodulate"]))
+        assert np.array_equal(ens.weights, np.concatenate(
+            [np.abs(a[:, center]) ** 2 for _, a in calls["evolve_block"]]))
 
-    def test_deterministic_across_threads(self, cfg):
-        a = sim.run_ensemble(cfg, herald_kind="single", n_traces=600, threads=1)
-        b = sim.run_ensemble(cfg, herald_kind="single", n_traces=600, threads=2)
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.weights, b.weights)
+    def test_deterministic_across_threads(self, cfg, monkeypatch):
+        # nor does the slab layout move a bit: the default, and one voltage
+        # row per slab, which also steps the field in slabs of 11 and 32 steps
+        # (chunks of 256 and 88 traces)
+        runs = []
+        for slab_bytes in (sim._SLAB_BYTES, 16 * sim.DemodPlan(cfg).n_fft):
+            monkeypatch.setattr(sim, "_SLAB_BYTES", slab_bytes)
+            runs += [sim.run_ensemble(cfg, herald_kind="single", n_traces=600,
+                                      threads=threads) for threads in (1, 2)]
+        for ens in runs[1:]:
+            assert np.array_equal(ens.z, runs[0].z)
+            assert np.array_equal(ens.weights, runs[0].weights)
 
     def test_chunk_streams_are_made_one_at_a_time(self, cfg, monkeypatch):
         # a huge n_traces must not make all its chunks' streams before its
@@ -1360,7 +1335,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("key,value", [
         ("units", _MISSING), ("units", "volts"), ("units", None),
-        ("meta", _MISSING), ("meta", {}), ("meta", [])], ids=str)
+        ("meta", _MISSING), ("meta", {}), ("meta", []), ("n_traces", _MISSING)],
+        ids=str)
     def test_sidecar_units_and_meta_checked(self, cfg, tmp_path, key, value):
         _reject_sidecar(_saved(cfg, tmp_path), lambda doc: _set(doc, key, value))
 
@@ -1396,6 +1372,22 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="finite"):
             sim.load_ensemble(base)
 
+    @pytest.mark.parametrize("suffix,damage", [
+        (".json", lambda path: path.write_text("[]")),
+        (".json", lambda path: path.write_text("{not json")),
+        (".json", lambda path: path.unlink()),
+        (".npz", lambda path: path.write_bytes(path.read_bytes()[:100])),
+        (".npz", lambda path: path.unlink()),
+        (".npz", lambda path: _resave(path, "weights")),
+    ], ids=["sidecar-list", "sidecar-not-json", "no-sidecar", "npz-truncated",
+            "no-npz", "npz-without-weights"])
+    def test_unreadable_parts_rejected(self, cfg, tmp_path, suffix, damage):
+        base = _saved(cfg, tmp_path)
+        damage(base.with_name(base.name + suffix))
+        # the refusal names the damaged part
+        with pytest.raises(ConfigError, match=re.escape("ens" + suffix)):
+            sim.load_ensemble(base)
+
     def test_unheralded_sidecar_loads(self, cfg, tmp_path):
         ens = sim.load_ensemble(_saved(cfg, tmp_path, "none"))
         assert ens.units == ps.UNITS_HETERODYNE and ens.meta["predicted_ratio"] == 1.0
@@ -1414,6 +1406,13 @@ def _saved(cfg, tmp_path, kind="single"):
     base = tmp_path / "ens"
     sim.save_ensemble(sim.run_ensemble(cfg, herald_kind=kind, n_traces=10), base)
     return base
+
+
+def _resave(path, drop):
+    """Save the .npz at path again without its array drop."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != drop}
+    np.savez(path, **arrays)
 
 
 def _reject_sidecar(base, edit):
