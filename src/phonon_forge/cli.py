@@ -150,7 +150,9 @@ def cmd_variance(cfg: RunConfig, args):
     t_max = 5.0 / chain.gamma_eff
     require_integer("npts", args.npts, 2)
     taus = np.linspace(-t_max, t_max, args.npts)
-    curve = dynamics.variance_curve(cfg.params, args.n, taus)
+    # the relaxation rate is the field model's, so sim.mech_linewidth applies
+    curve = dynamics.variance_curve(cfg.params, args.n, taus,
+                                    simulator.FieldModel(cfg.sim).rate)
     path = out / f"variance_n{args.n}.csv"
     dynamics.write_variance_curve(curve, path)
     peak = curve.values.max()
@@ -169,6 +171,9 @@ def cmd_simulate(cfg: RunConfig, args):
     usable = slice(plan.margin_cols, plan.cols.size - plan.margin_cols)
     if args.herald != simulator.HERALD_NONE:
         simulator.steady_wings(plan.taus, plan.margin_cols, plan.model.rate, ConfigError)
+        if plan.model.var_a == 0:
+            raise ConfigError("no herald signal: the scattered field is empty "
+                              "(p_in or nbar_th is 0)")
     elif usable.start >= usable.stop:
         raise ConfigError("trace too short: no column is clear of the filter's "
                           "edge transients")

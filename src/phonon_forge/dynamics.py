@@ -213,27 +213,29 @@ def correlation_amplitude(params: SystemParams, coupling, rate=None):
     return params.nbar_th * coupling ** 2 / (k * (k + r))
 
 
-def heralded_variance(params: SystemParams, n):
+def heralded_variance(params: SystemParams, n, rate=None):
     """Heterodyne variance about an n-photon herald, in optical vacuum units.
 
     sigma_n(tau)^2 = 1 + eta nbar_th (1 + n bracket(tau)^2) for every order
-    n >= 0.  The mechanical contribution at tau = 0 is exactly (1 + n) times
-    its steady-state value and relaxes symmetrically in |tau|.
+    n >= 0, with the mechanical relaxation rate in the bracket the intrinsic
+    gamma unless given.  The mechanical contribution at tau = 0 is exactly
+    (1 + n) times its steady-state value and relaxes symmetrically in |tau|.
     """
     require_integer("n", n, 0)
-    k, g = params.kappa2, params.gamma
+    k = params.kappa2
+    r = params.gamma if rate is None else rate
     signal = params.eta_total * params.nbar_th
 
     def variance(tau):
-        b = correlation_bracket(k, g, tau)
+        b = correlation_bracket(k, r, tau)
         return 1.0 + signal * (1.0 + n * b * b)
 
     return variance
 
 
-def variance_curve(params: SystemParams, n, taus) -> VarianceCurve:
+def variance_curve(params: SystemParams, n, taus, rate=None) -> VarianceCurve:
     taus = np.asarray(taus, dtype=float)
-    return VarianceCurve(taus, heralded_variance(params, n)(taus), order=n)
+    return VarianceCurve(taus, heralded_variance(params, n, rate)(taus), order=n)
 
 
 def steady_state_variance(params: SystemParams):

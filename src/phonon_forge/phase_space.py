@@ -57,8 +57,7 @@ class StateSpec:
 
     def __post_init__(self):
         require_positive("nbar", self.nbar, zero_ok=True)
-        if int(self.n) != self.n or self.n < 0:
-            raise ConfigError("subtraction order n must be a non-negative integer")
+        require_integer("n", self.n, 0)
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("eta must lie in (0, 1]")
 
@@ -172,13 +171,16 @@ def _smoothed_p(occupation, n, var_k, marginal=False):
         W(X, P) = e^(-w) / (2 pi V) sum_k c_k w^k,   w = (X^2 + P^2) / (2V),
         c_k = binom(n, k) / k! (var_k/V)^(n-k) (occupation/V)^k.
 
-    var_k = 0 is the P-function itself and occupation = 0 the bare kernel.
+    var_k = 0 is the P-function itself and occupation = 0 the bare kernel,
+    every order's limit occupation -> 0; both at once is refused as singular.
     With marginal=True the callable is the exact projection onto X,
     e^(-y) / sqrt(2 pi V) sum_e d_e y^e with y = X^2/(2V) and
     d_e = sum_{k>=e} c_k binom(k, e) Gamma(k-e+1/2) / Gamma(1/2).  Every
     sum runs over logarithms, so no order overflows.
     """
     v = occupation + var_k
+    if v == 0.0:
+        raise ConfigError("occupation 0 has a singular diagonal representation")
     lg = math.lgamma
     with np.errstate(divide="ignore"):
         log_u, log_t = np.log(var_k / v), np.log(occupation / v)
@@ -217,12 +219,7 @@ def p_function(spec: StateSpec):
     effective occupation.  For n >= 1 the density vanishes at the origin and
     peaks on the ring X^2 + P^2 = 2 n N.
     """
-    n_eff = spec.eta_nbar
-    if spec.n >= 1 and n_eff <= 0.0:
-        raise ConfigError("n >= 1 requires a strictly positive occupation")
-    if n_eff == 0.0:
-        raise ConfigError("occupation 0 has a singular diagonal representation")
-    return _smoothed_p(n_eff, spec.n, 0.0)
+    return _smoothed_p(spec.eta_nbar, spec.n, 0.0)
 
 
 def gaussian_kernel(s):
@@ -274,8 +271,6 @@ def wigner_s(spec: StateSpec, cfg: GridConfig | None = None,
     """
     cfg = cfg or GridConfig()
     occupation, var_k, s_tag, half_width = _grid_geometry(spec, cfg, s_override)
-    if spec.n >= 1 and occupation == 0.0:
-        raise ConfigError("n >= 1 requires a strictly positive occupation")
     axis = np.linspace(-half_width, half_width, cfg.npts)
     values = _smoothed_p(occupation, spec.n, var_k)(axis[:, None], axis[None, :])
     grid = PhaseSpaceGrid(half_width, cfg.npts, values, s_tag, cfg.units)
@@ -302,15 +297,12 @@ def quadrature_marginal(nbar, n):
     """Quadrature distribution of the n-subtracted state itself (no detection).
 
     Vacuum contributes 1/2 to the variance in these units; the thermal n = 0
-    case is a Gaussian of variance nbar + 1/2.
+    case is a Gaussian of variance nbar + 1/2, and at nbar = 0 every order is
+    the vacuum's, of variance 1/2.
     """
-    if int(n) != n or n < 0:
-        raise ConfigError("n must be a non-negative integer")
-    if n >= 1 and nbar <= 0:
-        raise ConfigError("n >= 1 requires nbar > 0")
-    if nbar < 0:
-        raise ConfigError("nbar must be >= 0")
-    return _smoothed_p(nbar, int(n), 0.5, marginal=True)
+    require_positive("nbar", nbar, zero_ok=True)
+    require_integer("n", n, 0)
+    return _smoothed_p(nbar, n, 0.5, marginal=True)
 
 
 def measured_marginal(spec: StateSpec):
@@ -332,8 +324,8 @@ def ring_radius(n, eta_nbar) -> RingGeometry:
     the origin and the distribution stays single-peaked.  The phase-space
     ring radius exceeds the marginal maximum by sqrt(2).
     """
-    if eta_nbar < 0:
-        raise ConfigError("eta_nbar must be >= 0")
+    require_integer("n", n, 0)
+    require_positive("eta_nbar", eta_nbar, zero_ok=True)
     m = float(eta_nbar)
     if n == 1:
         threshold = 2.0

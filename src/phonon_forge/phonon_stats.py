@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError, TruncationError
+from .params import require_integer, require_positive
 
 SUBTRACT = "subtract"
 ADD = "add"
@@ -33,8 +34,7 @@ class ThermalSpec:
     nbar: float
 
     def __post_init__(self):
-        if not math.isfinite(self.nbar) or self.nbar < 0:
-            raise ConfigError("nbar must be finite and >= 0")
+        require_positive("nbar", self.nbar, zero_ok=True)
         if self.x == 1.0:
             raise ConfigError(f"nbar={self.nbar!r} is too large: nbar/(1+nbar) "
                               "rounds to 1")
@@ -70,12 +70,6 @@ def default_m_max(nbar, n):
     return int(math.ceil(20.0 * (n + 1) * max(nbar, 1.0)))
 
 
-def _check_order(n):
-    if int(n) != n or n < 0:
-        raise ConfigError("order n must be a non-negative integer")
-    return int(n)
-
-
 def thermal_pmf(spec: ThermalSpec, m_max=None) -> NumberPmf:
     """Geometric number distribution (1-x) x^m, tail x^(m_max+1): order 0."""
     return subtracted_pmf(spec, 0, m_max)
@@ -107,15 +101,13 @@ def _subtracted_tail(spec, n, m_max):
 
 def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
     """Distribution after a heralded n-fold subtraction, mean (n+1)*nbar;
-    order 0 is the thermal state."""
-    n = _check_order(n)
+    order 0 is the thermal state.  At nbar = 0 every order is the ground
+    state, the closed form's limit nbar -> 0."""
+    require_integer("n", n, 0)
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
     if m_max < 0:
         raise ConfigError("m_max must be >= 0")
     if spec.nbar == 0.0:
-        if n:
-            raise ConfigError("subtraction from the ground state is undefined "
-                              "(the heralding probability vanishes)")
         probs = np.zeros(m_max + 1)
         probs[0] = 1.0
         return NumberPmf(probs, m_max, 0.0)
@@ -126,7 +118,7 @@ def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
 
 def added_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
     """Distribution after n-fold addition: the subtracted pmf shifted up by n."""
-    n = _check_order(n)
+    require_integer("n", n, 0)
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
     if m_max < n:
         raise ConfigError("m_max must be >= n for an n-fold added state")
@@ -138,7 +130,7 @@ def added_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
 
 def mean_occupation(spec: ThermalSpec, n, kind=SUBTRACT):
     """(n+1)*nbar after subtraction, (n+1)*nbar + n after addition."""
-    n = _check_order(n)
+    require_integer("n", n, 0)
     if kind == SUBTRACT:
         return (n + 1) * spec.nbar
     if kind == ADD:
@@ -154,9 +146,7 @@ def add_sub_fidelity(spec: ThermalSpec, n, m_max=None):
     from below as nbar grows.  A truncation whose tail mass reaches 1e-9 is
     refused.
     """
-    n = _check_order(n)
-    if n < 1:
-        raise ConfigError("fidelity comparison needs order n >= 1")
+    require_integer("n", n, 1)
     if spec.nbar == 0.0:
         raise ConfigError("fidelity undefined for nbar = 0 (no heralds)")
     m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
@@ -180,7 +170,7 @@ def similarity_threshold(n):
     Returns (-(1+n) + sqrt(4n^3 + 5n^2 + 2n + 1)) / (2(1+n)); the threshold
     grows like sqrt(n) for large n.
     """
-    n = _check_order(n)
+    require_integer("n", n, 0)
     return (-(1.0 + n) + math.sqrt(4.0 * n**3 + 5.0 * n**2 + 2.0 * n + 1.0)) \
         / (2.0 * (1.0 + n))
 

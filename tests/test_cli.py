@@ -96,6 +96,12 @@ class TestCommands:
     def test_wigner_rejects_bad_order(self, outdir):
         assert run(["--out", str(outdir), "wigner", "--n", "-2"]) == 2
 
+    def test_wigner_of_the_ground_state_runs(self, outdir):
+        # zero occupation is every order's ground-state limit, as in marginal
+        assert run(["--out", str(outdir), "wigner", "--n", "1", "--nbar", "0",
+                    "--npts", "129"]) == 0
+        assert (outdir / "wigner_n1.csv").exists()
+
     def test_wigner_numerics_exit_3(self, outdir):
         code = run(["--out", str(outdir), "wigner", "--n", "1",
                     "--npts", "129", "--half-width", "3.0"])
@@ -123,6 +129,19 @@ class TestCommands:
             peak = vals.max()
             sigma_inf = 7.9706      # analytic steady state at the defaults
             assert (peak - 1) / (sigma_inf - 1) == pytest.approx(1 + n, abs=1e-12)
+
+    def test_variance_follows_the_models_rate(self, tmp_path, outdir):
+        # the curve relaxes at the rate the field model picks from
+        # sim.mech_linewidth, so it is 1 + eta nbar_th (1 + n (c_a/var_a)^2)
+        doc = {"sim": {"mech_linewidth": "effective"}}
+        assert run_with(doc, tmp_path, outdir, "variance", "--n", "1") == 0
+        data = np.loadtxt(outdir / "variance_n1.csv", delimiter=",", skiprows=1)
+        cfg = cli.RunConfig(doc)
+        model = simulator.FieldModel(cfg.sim)
+        rho = model.correlation_a(data[:, 0]) / model.var_a
+        signal = cfg.params.eta_total * cfg.params.nbar_th
+        np.testing.assert_allclose(data[:, 1], 1.0 + signal * (1.0 + rho ** 2),
+                                   rtol=0, atol=1e-12)
 
     def test_characterize_cmd(self, outdir, capsys):
         assert run(["--out", str(outdir), "characterize"]) == 0
@@ -195,9 +214,13 @@ class TestCommands:
 
     @pytest.mark.parametrize("herald", ["single", "coincidence"])
     def test_no_herald_signal_exits_2_and_writes_nothing(self, tmp_path, outdir,
-                                                         herald):
-        # with no pump the weights sum to zero, which the variance refuses
-        # after the ensemble is made but before anything is written
+                                                         herald, monkeypatch):
+        # with no pump the scattered field is empty, so every herald weight
+        # is zero: refused before the ensemble is made
+        def evolve_block(*args):
+            raise AssertionError("the ensemble was made")
+
+        monkeypatch.setattr(simulator.FieldModel, "evolve_block", evolve_block)
         assert run_with({"system": {"p_in": 0.0}}, tmp_path, outdir,
                         "simulate", "--herald", herald, "--n-traces", "10") == 2
         assert not outdir.exists()

@@ -44,6 +44,34 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source) == ["replace", "os", "Bad"]
 
 
+def _int_self_comparisons(source):
+    """The lines on which a module compares int(x) with x: an integer check
+    of its own instead of params.require_integer, which refuses NaN, inf and
+    bools cleanly."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [ast.dump(side) for side in (node.left, *node.comparators)]
+        for side in (node.left, *node.comparators):
+            if isinstance(side, ast.Call) and getattr(side.func, "id", None) == "int" \
+                    and len(side.args) == 1 and ast.dump(side.args[0]) in sides:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_integer_check_of_its_own(path):
+    assert _int_self_comparisons(path.read_text()) == []
+
+
+def test_the_check_sees_an_integer_check_of_its_own():
+    source = ("if int(n) != n or n < 0:\n    pass\nok = int(self.n) == self.n\n"
+              "m = int(m_max)\nif n == int(n):\n    pass\nif int(a) != b:\n    pass\n"
+              "bad = 0 <= int(k) != k\n")
+    assert _int_self_comparisons(source) == [1, 3, 5, 9]
+
+
 def _environment_reads(source):
     """The lines on which a module reads the environment through os."""
     lines = set()

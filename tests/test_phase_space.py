@@ -63,8 +63,10 @@ class TestPFunction:
         assert f(0.0, 0.0) == 0.0
 
     def test_needs_positive_occupation(self):
-        with pytest.raises(ConfigError):
-            ps.p_function(ps.StateSpec(nbar=0.0, n=1, eta=1.0))
+        # the bare P-function of the vacuum is singular for every order
+        for n in (0, 1, 3):
+            with pytest.raises(ConfigError, match="singular"):
+                ps.p_function(ps.StateSpec(nbar=0.0, n=n, eta=1.0))
 
 
 class TestGaussianKernel:
@@ -206,6 +208,29 @@ class TestMeasuredMarginal:
         f = ps.measured_marginal(ps.StateSpec(nbar=0.0, n=3))
         np.testing.assert_allclose(f(xs), np.exp(-xs**2 / 2) / math.sqrt(2 * math.pi),
                                    rtol=1e-12)
+
+
+class TestGroundStateLimit:
+    # at zero occupation every order is the ground state, so each smoothed
+    # form is its vacuum form (the bare P-function refuses: TestPFunction)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wigner_s_is_the_vacuum_kernel(self, n):
+        spec = ps.StateSpec(nbar=0.0, n=n, eta=ETA_PAPER)
+        for units in (ps.UNITS_HETERODYNE, ps.UNITS_ZERO_POINT):
+            grid = ps.wigner_s(spec, ps.GridConfig(npts=129, units=units))
+            # kernel variance (1 - s)/2, and one vacuum unit in heterodyne units
+            width = 2.0 if units == ps.UNITS_HETERODYNE else 1.0 - grid.s_param
+            r2 = grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2
+            np.testing.assert_allclose(grid.values, np.exp(-r2 / width)
+                                       / (math.pi * width), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_quadrature_marginal_is_the_vacuums(self, n):
+        xs = np.linspace(-6, 6, 601)
+        np.testing.assert_allclose(ps.quadrature_marginal(0.0, n)(xs),
+                                   np.exp(-xs ** 2) / math.sqrt(math.pi),
+                                   rtol=1e-12, atol=0)
 
 
 class TestRingGeometry:

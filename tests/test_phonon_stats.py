@@ -74,9 +74,18 @@ class TestSubtractedPmf:
         oracle = fock_oracle(s, 1)
         assert np.max(np.abs(closed.probs - oracle.probs)) < 1e-10
 
-    def test_ground_state_subtraction_undefined(self):
-        with pytest.raises(ConfigError):
-            ps.subtracted_pmf(spec(0.0), 1)
+    def test_ground_state_subtraction_is_the_ground_state(self):
+        # nbar = 0 is the limit nbar -> 0 of every order: the subtracted
+        # state is delta_0 and the added one delta_n, whose mean is the
+        # closed form's n
+        for n in (1, 3):
+            sub = ps.subtracted_pmf(spec(0.0), n, m_max=10)
+            assert sub.probs[0] == 1.0 and np.all(sub.probs[1:] == 0.0)
+            assert sub.tail_mass == 0.0
+            add = ps.added_pmf(spec(0.0), n)
+            assert add.probs[n] == 1.0 and np.sum(add.probs) == 1.0
+            assert add.tail_mass == 0.0
+            assert add.mean() == ps.mean_occupation(spec(0.0), n, ps.ADD) == n
 
     def test_negative_order_rejected(self):
         with pytest.raises(ConfigError):

@@ -220,7 +220,9 @@ class TestFieldModel:
 class TestHeterodyneAndDemod:
     def test_vacuum_anchor(self, cfg):
         c = replace(cfg, params=replace(cfg.params, p_in=0.0))
-        a = np.zeros((300, c.trace_len), dtype=complex)
+        # at 1500 traces the sampled variances scatter by about 0.003 from
+        # seed to seed, so rel=0.02 is a gate of at least 5 standard deviations
+        a = np.zeros((1500, c.trace_len), dtype=complex)
         plan = sim.DemodPlan(c)
         v = plan.voltage_from_field(a, np.random.Generator(np.random.Philox(11)))
         z = plan.demodulate(v)
