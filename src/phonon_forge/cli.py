@@ -6,6 +6,8 @@ rejected) plus per-command flags; defaults reproduce the laboratory
 parameter set, so running any command with no config reproduces the
 headline numbers.  Exit codes: 0 success, 2 configuration error
 (a request too large for memory included), 3 numerical-validity error.
+The config schema lives in params; each command imports the modules it
+runs, so a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -20,19 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import budget as budget_mod
-from . import dynamics, phase_space, simulator
 from ._formats import write_csv, write_json
 from .errors import ConfigError, NumericsError
-from .params import SpadConfig, SystemParams, default_params, default_spad, \
+from .params import HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, UNITS, GridConfig, \
+    SimConfig, SpadConfig, SystemParams, default_params, default_spad, \
     require_integer, require_positive
 
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
 _SPAD_KEYS = {f.name for f in dataclasses.fields(SpadConfig)}
 # the system, detector and seed come from their own sections
-_SIM_KEYS = {f.name for f in dataclasses.fields(simulator.SimConfig)} \
-    - {"params", "spad", "seed"}
-_GRID_KEYS = {f.name for f in dataclasses.fields(phase_space.GridConfig)}
+_SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)} - {"params", "spad", "seed"}
+_GRID_KEYS = {f.name for f in dataclasses.fields(GridConfig)}
 _TOP_KEYS = {"system", "spad", "sim", "grid", "output_dir", "seed"}
 
 
@@ -55,9 +55,9 @@ class RunConfig:
         self.output_dir = Path(output_dir)
         self.seed = doc.get("seed", 20210)
         require_integer("seed", self.seed, minimum=0)
-        self.sim = simulator.SimConfig(params=self.params, spad=self.spad,
-                                       seed=self.seed, **sim_doc)
-        self.grid = phase_space.GridConfig(**grid_doc)
+        self.sim = SimConfig(params=self.params, spad=self.spad, seed=self.seed,
+                             **sim_doc)
+        self.grid = GridConfig(**grid_doc)
 
 
 def _given(config, **overrides):
@@ -104,6 +104,7 @@ def _outdir(cfg, args):
 
 def _state_spec(cfg, args):
     """The state of --n, --nbar (default: cooled) and --eta (default: config)."""
+    from . import dynamics, phase_space
     nbar = args.nbar
     if nbar is None:
         nbar = dynamics.characterize(cfg.params).nbar_cooled
@@ -116,6 +117,7 @@ def _state_spec(cfg, args):
 # ---------------------------------------------------------------------------
 
 def cmd_wigner(cfg: RunConfig, args):
+    from . import phase_space
     spec = _state_spec(cfg, args)
     gcfg = _given(cfg.grid, npts=args.npts, half_width=args.half_width,
                   units=args.units)
@@ -130,6 +132,7 @@ def cmd_wigner(cfg: RunConfig, args):
 
 
 def cmd_marginal(cfg: RunConfig, args):
+    from . import phase_space
     spec = _state_spec(cfg, args)
     # the detected marginal is the state smoothed by one vacuum unit
     xmax = phase_space.state_window(spec.eta_nbar, spec.n, 1.0) if args.xmax is None \
@@ -145,6 +148,7 @@ def cmd_marginal(cfg: RunConfig, args):
 
 
 def cmd_variance(cfg: RunConfig, args):
+    from . import dynamics, simulator
     out = _outdir(cfg, args)
     chain = dynamics.characterize(cfg.params)
     t_max = 5.0 / chain.gamma_eff
@@ -164,12 +168,13 @@ def cmd_variance(cfg: RunConfig, args):
 
 
 def cmd_simulate(cfg: RunConfig, args):
+    from . import budget, dynamics, phase_space, simulator
     require_positive("click_seconds", args.click_seconds, zero_ok=True)
     threads = _thread_count(args)
     sim = _given(cfg.sim, trace_len=args.trace_len, n_traces=args.n_traces)
     plan = simulator.DemodPlan(sim)              # refuse before any work
     usable = slice(plan.margin_cols, plan.cols.size - plan.margin_cols)
-    if args.herald != simulator.HERALD_NONE:
+    if args.herald != HERALD_NONE:
         simulator.steady_wings(plan.taus, plan.margin_cols, plan.model.rate, ConfigError)
         if plan.model.var_a == 0:
             raise ConfigError("no herald signal: the scattered field is empty "
@@ -192,7 +197,7 @@ def cmd_simulate(cfg: RunConfig, args):
         clicks = simulator.gated_click_stream(sim, args.click_seconds)
         heralds = simulator.herald_select(
             clicks, args.herald if ens.order else "single")
-        budget_pred = budget_mod.build_report(cfg.params, cfg.spad)
+        budget_pred = budget.build_report(cfg.params, cfg.spad)
         report["click_rates"] = {
             "duration_s": args.click_seconds,
             "singles_per_detector": {
@@ -226,14 +231,16 @@ def cmd_simulate(cfg: RunConfig, args):
 
 
 def cmd_budget(cfg: RunConfig, args):
+    from . import budget
     out = _outdir(cfg, args)
-    report = budget_mod.build_report(cfg.params, cfg.spad)
+    report = budget.build_report(cfg.params, cfg.spad)
     report.to_json(out / "budget.json")
-    print(budget_mod.format_table(report))
+    print(budget.format_table(report))
     return 0
 
 
 def cmd_characterize(cfg: RunConfig, args):
+    from . import dynamics
     out = _outdir(cfg, args)
     try:
         powers = [float(p) for p in args.powers.split(",")] if args.powers \
@@ -294,8 +301,7 @@ def build_parser():
                                            "(zero_point units only)")
     p.add_argument("--npts", type=int, help="grid points per axis (odd)")
     p.add_argument("--half-width", dest="half_width", type=float)
-    p.add_argument("--units", choices=[phase_space.UNITS_ZERO_POINT,
-                                       phase_space.UNITS_HETERODYNE])
+    p.add_argument("--units", choices=UNITS)
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("marginal", help="closed-form detected marginal")
@@ -312,8 +318,7 @@ def build_parser():
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("simulate", help="run the stochastic emulator")
-    p.add_argument("--herald", choices=simulator._HERALD_KINDS,
-                   default=simulator.HERALD_SINGLE)
+    p.add_argument("--herald", choices=HERALD_KINDS, default=HERALD_SINGLE)
     p.add_argument("--n-traces", dest="n_traces", type=int)
     p.add_argument("--trace-len", dest="trace_len", type=int)
     p.add_argument("--click-seconds", dest="click_seconds", type=float,

@@ -1,4 +1,6 @@
-"""Experiment parameter containers and laboratory default values.
+"""Experiment parameter containers, laboratory default values, and the rest of
+the configuration schema: emulator and grid settings, herald kinds and unit
+names.
 
 Conventions: every optical or mechanical rate stored here is an *amplitude*
 decay rate in rad/s.  A laboratory linewidth quoted as a full width at half
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -19,6 +21,15 @@ HBAR = 1.054571817e-34
 K_BOLTZMANN = 1.380649e-23
 C_LIGHT = 299792458.0
 TWO_PI = 2.0 * math.pi
+
+HERALD_NONE = "none"
+HERALD_SINGLE = "single"
+HERALD_COINCIDENCE = "coincidence"
+HERALD_KINDS = (HERALD_NONE, HERALD_SINGLE, HERALD_COINCIDENCE)
+
+UNITS_HETERODYNE = "heterodyne_vacuum"
+UNITS_ZERO_POINT = "zero_point"
+UNITS = (UNITS_HETERODYNE, UNITS_ZERO_POINT)
 
 
 def require_positive(name, value, zero_ok=False):
@@ -184,3 +195,72 @@ def default_params() -> SystemParams:
 
 def default_spad() -> SpadConfig:
     return SpadConfig()
+
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Settings of the stochastic emulator (phonon_forge.simulator)."""
+
+    params: SystemParams = field(default_factory=default_params)
+    spad: SpadConfig = field(default_factory=default_spad)
+    sample_rate: float = 3.125e9
+    trace_len: int = 12500
+    n_traces: int = 1000
+    demod_bandwidth: float = 100e6
+    demod_filter: str = "butter4"        # or "boxcar"
+    decimate: int = 16
+    mech_linewidth: str = "bare"         # or "effective"
+    seed: int = 202104
+    chunk_traces: int = 256
+
+    def __post_init__(self):
+        require_positive("sample_rate", self.sample_rate)
+        require_positive("demod_bandwidth", self.demod_bandwidth)
+        for name, minimum in (("trace_len", 256), ("n_traces", 1),
+                              ("decimate", 1), ("chunk_traces", 1), ("seed", 0)):
+            require_integer(name, getattr(self, name), minimum)
+        if self.decimate > self.trace_len:
+            raise ConfigError(f"decimate {self.decimate} exceeds trace_len "
+                              f"{self.trace_len}: no column would be kept")
+        if self.sample_rate < 4.0 * self.params.omega_het / TWO_PI:
+            raise ConfigError("sample_rate below 4x the heterodyne frequency")
+        if not 0 < self.demod_bandwidth < self.params.omega_het / TWO_PI:
+            raise ConfigError("demod_bandwidth must be positive and below "
+                              "the heterodyne frequency")
+        if self.demod_filter not in ("butter4", "boxcar"):
+            raise ConfigError("demod_filter must be 'butter4' or 'boxcar'")
+        if self.mech_linewidth not in ("bare", "effective"):
+            raise ConfigError("mech_linewidth must be 'bare' or 'effective'")
+        self.dt          # a kappa2 with no finite click step fails every command
+
+    @property
+    def dt(self):
+        """The largest 1/(k sample_rate) within 1/(20 kappa2), a bound on the
+        click step fine enough for its Riemann thinning; the click stream steps
+        at gate_len / ceil(gate_len / dt), 1.591e-10 s to 1.6e-10 s at the defaults."""
+        dt_max = 1.0 / (20.0 * self.params.kappa2)
+        per_sample = self.sample_rate * dt_max
+        if not per_sample > 0.0 or math.isinf(1.0 / per_sample):
+            raise ConfigError(f"kappa2 {self.params.kappa2!r} leaves no finite click "
+                              f"step 1/(20 kappa2) at sample_rate {self.sample_rate!r}")
+        k = max(1, math.ceil(1.0 / per_sample))
+        return 1.0 / (k * self.sample_rate)
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    """Phase-space grid settings (phonon_forge.phase_space.wigner_s)."""
+
+    npts: int = 513
+    half_width: float | None = None
+    units: str = UNITS_ZERO_POINT
+
+    def __post_init__(self):
+        require_integer("npts", self.npts, 3)
+        if self.npts % 2 == 0:
+            raise ConfigError("npts must be odd and >= 3 so the origin is a node")
+        if self.half_width is not None:
+            require_positive("half_width", self.half_width)
+        if self.units not in UNITS:
+            raise ConfigError(f"units must be one of {UNITS}")

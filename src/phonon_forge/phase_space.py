@@ -36,11 +36,7 @@ import numpy as np
 
 from ._formats import write_csv, write_json
 from .errors import ConfigError, GridError
-from .params import require_integer, require_positive
-
-UNITS_HETERODYNE = "heterodyne_vacuum"
-UNITS_ZERO_POINT = "zero_point"
-_VALID_UNITS = (UNITS_HETERODYNE, UNITS_ZERO_POINT)
+from .params import UNITS_ZERO_POINT, GridConfig, require_integer, require_positive
 
 
 # ---------------------------------------------------------------------------
@@ -64,22 +60,6 @@ class StateSpec:
     @property
     def eta_nbar(self):
         return self.eta * self.nbar
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    npts: int = 513
-    half_width: float | None = None
-    units: str = UNITS_ZERO_POINT
-
-    def __post_init__(self):
-        require_integer("npts", self.npts, 3)
-        if self.npts % 2 == 0:
-            raise ConfigError("npts must be odd and >= 3 so the origin is a node")
-        if self.half_width is not None:
-            require_positive("half_width", self.half_width)
-        if self.units not in _VALID_UNITS:
-            raise ConfigError(f"units must be one of {_VALID_UNITS}")
 
 
 @dataclass
@@ -144,17 +124,22 @@ def s_from_eta(eta):
     return (eta - 2.0) / eta
 
 
+def _require_s(s, bound, strict=False):
+    """Refuse any s but a finite number <= bound (< bound if strict)."""
+    if not math.isfinite(s) or s > bound or (strict and s == bound):
+        raise ConfigError(f"s must be finite and {'<' if strict else '<='} {bound:g},"
+                          f" got {s!r}")
+
+
 def eta_from_s(s):
     """Inverse of s_from_eta: eta = 2/(1 - s), valid for s <= -1."""
-    if s > -1.0:
-        raise ConfigError("s must be <= -1 for a physical efficiency")
+    _require_s(s, -1.0)
     return 2.0 / (1.0 - s)
 
 
 def added_noise_quanta(s):
     """Total added measurement noise |s|/2 in mechanical quanta."""
-    if s > -1.0:
-        raise ConfigError("s must be <= -1")
+    _require_s(s, -1.0)
     return abs(s) / 2.0
 
 
@@ -224,8 +209,7 @@ def p_function(spec: StateSpec):
 
 def gaussian_kernel(s):
     """Isotropic smoothing kernel exp(-(X^2+P^2)/(1-s)) / (pi (1-s))."""
-    if s >= 1.0:
-        raise ConfigError("kernel requires s < 1")
+    _require_s(s, 1.0, strict=True)
     return _smoothed_p(0.0, 0, (1.0 - s) / 2.0)
 
 
@@ -245,8 +229,7 @@ def _grid_geometry(spec, cfg, s_override):
     if cfg.units == UNITS_ZERO_POINT:
         occupation = spec.nbar
         s_build = s_from_eta(spec.eta) if s_override is None else float(s_override)
-        if not (math.isfinite(s_build) and s_build < 1.0):
-            raise ConfigError(f"s must be finite and < 1, got {s_build!r}")
+        _require_s(s_build, 1.0, strict=True)
         s_tag = s_build
     else:
         if s_override is not None:

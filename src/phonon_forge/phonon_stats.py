@@ -104,9 +104,8 @@ def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
     order 0 is the thermal state.  At nbar = 0 every order is the ground
     state, the closed form's limit nbar -> 0."""
     require_integer("n", n, 0)
-    m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
-    if m_max < 0:
-        raise ConfigError("m_max must be >= 0")
+    m_max = default_m_max(spec.nbar, n) if m_max is None else m_max
+    require_integer("m_max", m_max, 0)
     if spec.nbar == 0.0:
         probs = np.zeros(m_max + 1)
         probs[0] = 1.0
@@ -119,7 +118,8 @@ def subtracted_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
 def added_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
     """Distribution after n-fold addition: the subtracted pmf shifted up by n."""
     require_integer("n", n, 0)
-    m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
+    m_max = default_m_max(spec.nbar, n) if m_max is None else m_max
+    require_integer("m_max", m_max, 0)
     if m_max < n:
         raise ConfigError("m_max must be >= n for an n-fold added state")
     sub = subtracted_pmf(spec, n, m_max - n)
@@ -149,7 +149,8 @@ def add_sub_fidelity(spec: ThermalSpec, n, m_max=None):
     require_integer("n", n, 1)
     if spec.nbar == 0.0:
         raise ConfigError("fidelity undefined for nbar = 0 (no heralds)")
-    m_max = default_m_max(spec.nbar, n) if m_max is None else int(m_max)
+    m_max = default_m_max(spec.nbar, n) if m_max is None else m_max
+    require_integer("m_max", m_max, 0)
     tail = _subtracted_tail(spec, n, m_max)
     if tail >= 1e-9:
         raise TruncationError(f"tail mass {tail:.3e} >= 1.0e-09; increase m_max")

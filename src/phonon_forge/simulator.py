@@ -53,71 +53,14 @@ from ._formats import write_csv, write_json
 from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket, \
     cooperativity, effective_linewidth, steady_state_variance
 from .errors import ConfigError, NumericsError
-from .params import SpadConfig, SystemParams, TWO_PI, default_params, \
-    default_spad, require_integer, require_positive
-from .phase_space import PhaseSpaceGrid, UNITS_HETERODYNE, _VALID_UNITS, s_from_eta
-
-HERALD_NONE = "none"
-HERALD_SINGLE = "single"
-HERALD_COINCIDENCE = "coincidence"
-_HERALD_KINDS = (HERALD_NONE, HERALD_SINGLE, HERALD_COINCIDENCE)
+from .params import HERALD_COINCIDENCE, HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, \
+    UNITS, UNITS_HETERODYNE, SimConfig, require_integer, require_positive
+from .phase_space import PhaseSpaceGrid, s_from_eta
 
 _HERALD_ORDER = {HERALD_NONE: 0, HERALD_SINGLE: 1, HERALD_COINCIDENCE: 2}
 # the meta entries that variance_ratio_report and herald_histogram read; every
 # ensemble run_ensemble makes has each of them as a positive number
 _META_READ = ("eta_total", "predicted_ratio", "sigma_inf_expected", "slow_rate")
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimConfig:
-    params: SystemParams = field(default_factory=default_params)
-    spad: SpadConfig = field(default_factory=default_spad)
-    sample_rate: float = 3.125e9
-    trace_len: int = 12500
-    n_traces: int = 1000
-    demod_bandwidth: float = 100e6
-    demod_filter: str = "butter4"        # or "boxcar"
-    decimate: int = 16
-    mech_linewidth: str = "bare"         # or "effective"
-    seed: int = 202104
-    chunk_traces: int = 256
-
-    def __post_init__(self):
-        require_positive("sample_rate", self.sample_rate)
-        require_positive("demod_bandwidth", self.demod_bandwidth)
-        for name, minimum in (("trace_len", 256), ("n_traces", 1),
-                              ("decimate", 1), ("chunk_traces", 1), ("seed", 0)):
-            require_integer(name, getattr(self, name), minimum)
-        if self.decimate > self.trace_len:
-            raise ConfigError(f"decimate {self.decimate} exceeds trace_len "
-                              f"{self.trace_len}: no column would be kept")
-        if self.sample_rate < 4.0 * self.params.omega_het / TWO_PI:
-            raise ConfigError("sample_rate below 4x the heterodyne frequency")
-        if not 0 < self.demod_bandwidth < self.params.omega_het / TWO_PI:
-            raise ConfigError("demod_bandwidth must be positive and below "
-                              "the heterodyne frequency")
-        if self.demod_filter not in ("butter4", "boxcar"):
-            raise ConfigError("demod_filter must be 'butter4' or 'boxcar'")
-        if self.mech_linewidth not in ("bare", "effective"):
-            raise ConfigError("mech_linewidth must be 'bare' or 'effective'")
-        self.dt          # a kappa2 with no finite click step fails every command
-
-    @property
-    def dt(self):
-        """The largest 1/(k sample_rate) within 1/(20 kappa2), a bound on the
-        click step fine enough for its Riemann thinning; the click stream steps
-        at gate_len / ceil(gate_len / dt), 1.591e-10 s to 1.6e-10 s at the defaults."""
-        dt_max = 1.0 / (20.0 * self.params.kappa2)
-        per_sample = self.sample_rate * dt_max
-        if not per_sample > 0.0 or math.isinf(1.0 / per_sample):
-            raise ConfigError(f"kappa2 {self.params.kappa2!r} leaves no finite click "
-                              f"step 1/(20 kappa2) at sample_rate {self.sample_rate!r}")
-        k = max(1, math.ceil(1.0 / per_sample))
-        return 1.0 / (k * self.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +395,8 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     (one if None), so results are bit-identical for a given (cfg, seed)
     regardless of the thread count.
     """
-    if herald_kind not in _HERALD_KINDS:
-        raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}")
+    if herald_kind not in HERALD_KINDS:
+        raise ConfigError(f"herald_kind must be one of {HERALD_KINDS}")
     n_traces = cfg.n_traces if n_traces is None else n_traces
     require_integer("n_traces", n_traces, 1)
     threads = 1 if threads is None else threads
@@ -837,8 +780,8 @@ def load_ensemble(path_base) -> TraceEnsemble:
     if sidecar.get("schema") != ENSEMBLE_SCHEMA:
         raise ConfigError("unrecognized ensemble schema "
                           f"{sidecar.get('schema')!r}")
-    if sidecar.get("herald_kind") not in _HERALD_KINDS:
-        raise ConfigError(f"herald_kind must be one of {_HERALD_KINDS}, "
+    if sidecar.get("herald_kind") not in HERALD_KINDS:
+        raise ConfigError(f"herald_kind must be one of {HERALD_KINDS}, "
                           f"got {sidecar.get('herald_kind')!r}")
     require_integer("n_traces", sidecar.get("n_traces"), 1)
     try:
@@ -867,8 +810,8 @@ def load_ensemble(path_base) -> TraceEnsemble:
     if taus.dtype.kind != "f" or not (np.isfinite(taus).all() and all(
             np.isfinite(z[lo:lo + rows]).all() for lo in range(0, len(z), rows))):
         raise ConfigError("z and taus must be finite real and complex numbers")
-    if sidecar.get("units") not in _VALID_UNITS:
-        raise ConfigError(f"units must be one of {_VALID_UNITS}, "
+    if sidecar.get("units") not in UNITS:
+        raise ConfigError(f"units must be one of {UNITS}, "
                           f"got {sidecar.get('units')!r}")
     meta = sidecar.get("meta")
     if not isinstance(meta, dict):

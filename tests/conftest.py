@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from phonon_forge import default_params, default_spad
+from phonon_forge.params import default_params, default_spad
 
 
 @pytest.fixture(scope="session")

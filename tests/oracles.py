@@ -12,6 +12,7 @@ from phonon_forge import phase_space as ps
 from phonon_forge import phonon_stats as stats
 from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError, NumericsError, TruncationError
+from phonon_forge.params import UNITS_HETERODYNE
 
 
 def fock_oracle(spec, n, kind=stats.SUBTRACT, m_max=None):
@@ -116,7 +117,7 @@ def closed_form_marginal(spec):
 def grid_to_heterodyne(grid, eta):
     """Rescale a zero-point grid to heterodyne coordinates (X -> sqrt(eta) X)."""
     return ps.PhaseSpaceGrid(grid.half_width * math.sqrt(eta), grid.npts,
-                             grid.values / eta, grid.s_param, ps.UNITS_HETERODYNE)
+                             grid.values / eta, grid.s_param, UNITS_HETERODYNE)
 
 
 def marginal_to_heterodyne(marg, eta):

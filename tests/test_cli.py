@@ -13,9 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonon_forge import cli, simulator
-from phonon_forge.params import SpadConfig, SystemParams
-from phonon_forge.phase_space import GridConfig
-from phonon_forge.simulator import SimConfig
+from phonon_forge.params import GridConfig, SimConfig, SpadConfig, SystemParams
 
 
 def run(args):
@@ -395,7 +393,7 @@ class TestThreadCount:
 
 
 _IMPORT_PROBE = """
-import json, sys
+import importlib, json, sys
 
 
 class BlockScipy:
@@ -405,40 +403,67 @@ class BlockScipy:
 
 
 sys.meta_path.insert(0, BlockScipy())
-import phonon_forge
+importlib.import_module(sys.argv[1])
 code = 0
-if sys.argv[1:]:
+if sys.argv[2:]:
     from phonon_forge import cli
-    code = cli.main(sys.argv[1:])
+    code = cli.main(sys.argv[2:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "scipy" or m.startswith("scipy."))]))
+                               if m == "scipy" or m.startswith("scipy.")),
+                  sorted(m for m in sys.modules if m.startswith("phonon_forge."))]))
 """
 
 
-def _scipy_loaded_by(tmp_path, command):
-    """(exit code, the scipy modules loaded) of command in a fresh interpreter
-    in which importing scipy raises, so nothing imported by other tests counts."""
+def _probe(tmp_path, command, module="phonon_forge"):
+    """(exit code, the scipy modules loaded, the package's submodules loaded)
+    of importing module and running command in a fresh interpreter in which
+    importing scipy raises, so nothing imported by other tests counts."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    argv = ["--out", str(tmp_path), *command] if command else []
+    argv = [module] + (["--out", str(tmp_path), *command] if command else [])
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
-@pytest.mark.parametrize("command", [
-    [],
-    ["budget"],
-    ["characterize", "--fit"],
-    ["variance", "--n", "2"],
-    ["marginal", "--n", "2"],
-    ["wigner", "--n", "1"],
-    ["simulate", "--n-traces", "8", "--trace-len", "2048", "--click-seconds", "0.01"],
-], ids=["import", "budget", "characterize", "variance", "marginal", "wigner",
-        "simulate"])
+def _scipy_loaded_by(tmp_path, command):
+    return _probe(tmp_path, command)[:2]
+
+
+_COMMANDS = {
+    "budget": ["budget"],
+    "characterize": ["characterize", "--fit"],
+    "variance": ["variance", "--n", "2"],
+    "marginal": ["marginal", "--n", "2"],
+    "wigner": ["wigner", "--n", "1"],
+    "simulate": ["simulate", "--n-traces", "8", "--trace-len", "2048",
+                 "--click-seconds", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", [[], *_COMMANDS.values()],
+                         ids=["import", *_COMMANDS])
 def test_command_runs_without_scipy(tmp_path, command):
     assert _scipy_loaded_by(tmp_path, command) == [0, []]
+
+
+@pytest.mark.parametrize("module,loaded", [
+    ("phonon_forge", []),
+    ("phonon_forge.cli", ["_formats", "cli", "errors", "params"])], ids=["package", "cli"])
+def test_import_loads_only_the_config(tmp_path, module, loaded):
+    # the package root re-exports nothing, and the CLI builds its config
+    # from params alone
+    assert _probe(tmp_path, [], module)[2] == [f"phonon_forge.{m}" for m in loaded]
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_command_loads_only_what_it_runs(tmp_path, name):
+    unused = {"phonon_forge.phonon_stats"}
+    if name not in ("variance", "simulate"):
+        unused.add("phonon_forge.simulator")
+    code, _, loaded = _probe(tmp_path, _COMMANDS[name])
+    assert code == 0 and unused.isdisjoint(loaded)
 
 
 def test_overflowing_budget_exits_3_and_writes_nothing(tmp_path, outdir):

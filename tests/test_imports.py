@@ -10,8 +10,7 @@ import pytest
 import phonon_forge
 
 _PACKAGE = Path(phonon_forge.__file__).parent
-# the package's __init__ imports names to export them, not to use them
-_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_MODULES = sorted(_PACKAGE.glob("*.py"))
 
 
 def _unused_imports(source):
@@ -42,6 +41,43 @@ def test_the_check_sees_an_unused_import():
               "from .errors import ConfigError as Bad\n"
               "@dataclass\nclass A:\n    x: int = 0\n")
     assert _unused_imports(source) == ["replace", "os", "Bad"]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _sibling_private_names(source):
+    """(line, name) of each private name a module imports from a sibling
+    module (from .x import _y) or reads off one it imported (x._y)."""
+    tree = ast.parse(source)
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                siblings |= {a.asname or a.name for a in node.names}
+            else:
+                found += [(node.lineno, a.name) for a in node.names if _is_private(a.name)]
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _is_private(node.attr)
+              and getattr(node.value, "id", None) in siblings]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_sibling_private_names(path):
+    # a name another module needs is public, in the one module that owns it
+    assert _sibling_private_names(path.read_text()) == []
+
+
+def test_the_check_sees_a_sibling_private_name():
+    source = ("from . import simulator as sim, dynamics\n"
+              "from .phase_space import _VALID_UNITS, wigner_s\n"
+              "from ._formats import write_csv\n"
+              "k = sim._HERALD_KINDS\nd = dynamics.__doc__\nr = self._rate\n"
+              "def f():\n    from .params import _hidden\n    return dynamics._fit()\n")
+    assert _sibling_private_names(source) == [(2, "_VALID_UNITS"), (4, "_HERALD_KINDS"),
+                                              (8, "_hidden"), (9, "_fit")]
 
 
 def _int_self_comparisons(source):
@@ -159,8 +195,7 @@ def _private_names(source):
         elif isinstance(node, ast.Import):
             names = [part for a in node.names if a.name.startswith("phonon_forge")
                      for part in a.name.split(".")]
-        found += [(node.lineno, name) for name in names
-                  if name.startswith("_") and not name.endswith("__")]
+        found += [(node.lineno, name) for name in names if _is_private(name)]
     return sorted(found)
 
 

@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 
 from phonon_forge import phase_space as ps
 from phonon_forge.errors import ConfigError, GridError
+from phonon_forge.params import UNITS_HETERODYNE, UNITS_ZERO_POINT
 
 from conftest import exact_smoothed_ring_radius
 from oracles import closed_form_marginal, fock_q_function, grid_to_heterodyne, \
@@ -38,6 +39,15 @@ class TestScalarRelations:
         assert abs(ps.added_noise_quanta(ps.s_from_eta(ETA_PAPER)) - 110) < 1.0
         with pytest.raises(ConfigError):
             ps.added_noise_quanta(-0.5)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [
+        ps.gaussian_kernel, ps.eta_from_s, ps.added_noise_quanta,
+        lambda s: ps.wigner_s(ps.StateSpec(nbar=1.0, n=1, eta=0.5), s_override=s)],
+        ids=["gaussian_kernel", "eta_from_s", "added_noise_quanta", "wigner_s"])
+    def test_non_finite_s_refused(self, entry, s):
+        with pytest.raises(ConfigError, match="s must be finite"):
+            entry(s)
 
 
 class TestPFunction:
@@ -130,7 +140,7 @@ class TestWignerGrid:
         g_zp = ps.wigner_s(spec, ps.GridConfig(npts=129))
         g_het = grid_to_heterodyne(g_zp, eta)
         direct = ps.wigner_s(spec, ps.GridConfig(
-            npts=129, half_width=g_het.half_width, units=ps.UNITS_HETERODYNE))
+            npts=129, half_width=g_het.half_width, units=UNITS_HETERODYNE))
         assert np.max(np.abs(g_het.values - direct.values)) \
             / direct.values.max() < 1e-6
 
@@ -217,10 +227,10 @@ class TestGroundStateLimit:
     @pytest.mark.parametrize("n", [1, 3])
     def test_wigner_s_is_the_vacuum_kernel(self, n):
         spec = ps.StateSpec(nbar=0.0, n=n, eta=ETA_PAPER)
-        for units in (ps.UNITS_HETERODYNE, ps.UNITS_ZERO_POINT):
+        for units in (UNITS_HETERODYNE, UNITS_ZERO_POINT):
             grid = ps.wigner_s(spec, ps.GridConfig(npts=129, units=units))
             # kernel variance (1 - s)/2, and one vacuum unit in heterodyne units
-            width = 2.0 if units == ps.UNITS_HETERODYNE else 1.0 - grid.s_param
+            width = 2.0 if units == UNITS_HETERODYNE else 1.0 - grid.s_param
             r2 = grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2
             np.testing.assert_allclose(grid.values, np.exp(-r2 / width)
                                        / (math.pi * width), rtol=1e-12, atol=0)
@@ -337,7 +347,7 @@ class TestExports:
         import json
         doc = json.loads(hdr.read_text())
         assert doc["npts"] == 65
-        assert doc["units"] == ps.UNITS_ZERO_POINT
+        assert doc["units"] == UNITS_ZERO_POINT
 
     def test_marginal_file(self, tmp_path):
         xs = np.linspace(-3, 3, 11)

@@ -97,6 +97,15 @@ class TestSubtractedPmf:
             ps.subtracted_pmf(spec(1.0), n, m_max=-1)
 
 
+@pytest.mark.parametrize("m_max", [math.nan, math.inf, True, 2.7, -1])
+@pytest.mark.parametrize("func", [ps.subtracted_pmf, ps.added_pmf, ps.add_sub_fidelity],
+                         ids=lambda f: f.__name__)
+def test_truncation_is_an_integer_or_refused(func, m_max):
+    # no truncation to an integer, no raw ValueError or OverflowError
+    with pytest.raises(ConfigError, match="m_max"):
+        func(spec(3.0), 1, m_max)
+
+
 class TestSubtractedTail:
     @pytest.mark.parametrize("nbar", [1e-3, 0.5, 7.0, 453.0])
     @pytest.mark.parametrize("n", [1, 2, 5])

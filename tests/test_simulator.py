@@ -17,6 +17,7 @@ from phonon_forge import dynamics as dyn
 from phonon_forge import phase_space as ps
 from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError
+from phonon_forge.params import UNITS_HETERODYNE
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
 from oracles import draw_block_stepwise, riccati_gains, simulate_fields, \
@@ -564,7 +565,7 @@ class TestHeraldHistogram:
         var_x = np.sum(grid.values * ax[:, None] ** 2) * grid.cell ** 2
         expected = dyn.steady_state_variance(cfg.params)
         assert var_x == pytest.approx(expected, rel=0.08)
-        assert grid.units == ps.UNITS_HETERODYNE
+        assert grid.units == UNITS_HETERODYNE
 
     @pytest.mark.slow
     def test_single_phonon_histogram_converges(self, big_single_ensemble):
@@ -578,7 +579,7 @@ class TestHeraldHistogram:
                             eta=ens.meta["eta_total"])
         fine = ps.wigner_s(spec, ps.GridConfig(
             npts=4 * (npts - 1) + 1, half_width=hw,
-            units=ps.UNITS_HETERODYNE))
+            units=UNITS_HETERODYNE))
         ana_masses = grid_cell_masses(fine.values, hw, npts)
         emp_masses = hist.values * hist.cell ** 2
         l1 = np.abs(emp_masses - ana_masses).sum()
@@ -1392,7 +1393,7 @@ class TestPersistence:
 
     def test_unheralded_sidecar_loads(self, cfg, tmp_path):
         ens = sim.load_ensemble(_saved(cfg, tmp_path, "none"))
-        assert ens.units == ps.UNITS_HETERODYNE and ens.meta["predicted_ratio"] == 1.0
+        assert ens.units == UNITS_HETERODYNE and ens.meta["predicted_ratio"] == 1.0
 
 
 def _set(doc, key, value):
