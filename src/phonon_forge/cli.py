@@ -24,9 +24,9 @@ import numpy as np
 
 from ._formats import write_csv, write_json
 from .errors import ConfigError, NumericsError
-from .params import HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, UNITS, GridConfig, \
-    SimConfig, SpadConfig, SystemParams, default_params, default_spad, \
-    require_integer, require_positive
+from .params import HERALD_COINCIDENCE, HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, \
+    UNITS, GridConfig, SimConfig, SpadConfig, SystemParams, default_params, \
+    default_spad, require_integer, require_positive
 
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
 _SPAD_KEYS = {f.name for f in dataclasses.fields(SpadConfig)}
@@ -53,10 +53,8 @@ class RunConfig:
         self.params = dataclasses.replace(default_params(), **sys_doc)
         self.spad = dataclasses.replace(default_spad(), **spad_doc)
         self.output_dir = Path(output_dir)
-        self.seed = doc.get("seed", 20210)
-        require_integer("seed", self.seed, minimum=0)
-        self.sim = SimConfig(params=self.params, spad=self.spad, seed=self.seed,
-                             **sim_doc)
+        self.sim = SimConfig(params=self.params, spad=self.spad,
+                             seed=doc.get("seed", 20210), **sim_doc)
         self.grid = GridConfig(**grid_doc)
 
 
@@ -92,8 +90,7 @@ def _thread_count(args):
     if args.threads is None:
         return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-    require_integer("threads", args.threads, 1)
-    return args.threads
+    return args.threads      # run_ensemble checks it
 
 
 def _outdir(cfg, args):
@@ -148,15 +145,15 @@ def cmd_marginal(cfg: RunConfig, args):
 
 
 def cmd_variance(cfg: RunConfig, args):
-    from . import dynamics, simulator
+    from . import dynamics
     out = _outdir(cfg, args)
     chain = dynamics.characterize(cfg.params)
     t_max = 5.0 / chain.gamma_eff
     require_integer("npts", args.npts, 2)
     taus = np.linspace(-t_max, t_max, args.npts)
-    # the relaxation rate is the field model's, so sim.mech_linewidth applies
+    # the emulator's relaxation rate, so sim.mech_linewidth applies
     curve = dynamics.variance_curve(cfg.params, args.n, taus,
-                                    simulator.FieldModel(cfg.sim).rate)
+                                    dynamics.relaxation_rate(cfg.sim))
     path = out / f"variance_n{args.n}.csv"
     dynamics.write_variance_curve(curve, path)
     peak = curve.values.max()
@@ -176,9 +173,6 @@ def cmd_simulate(cfg: RunConfig, args):
     usable = slice(plan.margin_cols, plan.cols.size - plan.margin_cols)
     if args.herald != HERALD_NONE:
         simulator.steady_wings(plan.taus, plan.margin_cols, plan.model.rate, ConfigError)
-        if plan.model.var_a == 0:
-            raise ConfigError("no herald signal: the scattered field is empty "
-                              "(p_in or nbar_th is 0)")
     elif usable.start >= usable.stop:
         raise ConfigError("trace too short: no column is clear of the filter's "
                           "edge transients")
@@ -196,7 +190,7 @@ def cmd_simulate(cfg: RunConfig, args):
     if args.click_seconds > 0:
         clicks = simulator.gated_click_stream(sim, args.click_seconds)
         heralds = simulator.herald_select(
-            clicks, args.herald if ens.order else "single")
+            clicks, args.herald if ens.order else HERALD_SINGLE)
         budget_pred = budget.build_report(cfg.params, cfg.spad)
         report["click_rates"] = {
             "duration_s": args.click_seconds,
@@ -204,7 +198,7 @@ def cmd_simulate(cfg: RunConfig, args):
                 "0": float((clicks.detector == 0).sum() / clicks.duration),
                 "1": float((clicks.detector == 1).sum() / clicks.duration)},
             "coincidences": float(
-                simulator.herald_select(clicks, "coincidence").size
+                simulator.herald_select(clicks, HERALD_COINCIDENCE).size
                 / clicks.duration),
             "budget_singles_rate": budget_pred.singles_rate,
             "budget_dark_rate": budget_pred.dark_rate_observed,
@@ -263,7 +257,7 @@ def cmd_characterize(cfg: RunConfig, args):
               f"1/gamma_eff={ch.decay_time * 1e9:.4g} ns")
     if args.fit:
         n_cavs = np.array([ch.n_cav for _, ch in rows])
-        if n_cavs.size < 2:
+        if np.unique(n_cavs).size < 2:
             n_cavs = dynamics.characterize(cfg.params).n_cav \
                 * np.linspace(0.2, 1.0, 5)
         g0_fit, gamma_fit = dynamics.fit_g0_from_spectra(cfg.params, n_cavs)

@@ -21,7 +21,8 @@ import numpy as np
 
 from ._formats import write_csv
 from .errors import ConfigError, NumericsError
-from .params import SystemParams, require_integer
+from .params import UNITS_HETERODYNE, UNITS_ZERO_POINT, SimConfig, SystemParams, \
+    require_integer
 
 
 @dataclass
@@ -31,12 +32,12 @@ class VarianceCurve:
     taus: np.ndarray
     values: np.ndarray
     order: int
-    units: str = "heterodyne_vacuum"
+    units: str = UNITS_HETERODYNE
 
     def to_zero_point(self, eta):
         """Variance in mechanical zero-point units (coordinates / sqrt(eta))."""
         return VarianceCurve(self.taus.copy(), self.values / eta,
-                             self.order, units="zero_point")
+                             self.order, units=UNITS_ZERO_POINT)
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,13 @@ def characterize(params: SystemParams, n_cav=None) -> Characterization:
         nbar_cooled=cooled_occupation(params, c),
         gamma_eff=effective_linewidth(params, c),
     )
+
+
+def relaxation_rate(sim: SimConfig):
+    """The emulator's mechanical relaxation rate: the intrinsic gamma, or the
+    cooling-broadened gamma_eff when sim.mech_linewidth is "effective"."""
+    p = sim.params
+    return characterize(p).gamma_eff if sim.mech_linewidth == "effective" else p.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +177,8 @@ def fit_g0_from_spectra(params: SystemParams, n_cavs):
     N_cav.  Returns (g0_fit, gamma_fit) in rad/s.
     """
     n_cavs = np.asarray(n_cavs, dtype=float)
+    if np.unique(n_cavs).size < 2:
+        raise ConfigError(f"the fit needs two distinct photon numbers, got {n_cavs}")
     widths = []
     for n_cav in n_cavs:
         chain = characterize(params, n_cav)

@@ -25,6 +25,7 @@ TWO_PI = 2.0 * math.pi
 HERALD_NONE = "none"
 HERALD_SINGLE = "single"
 HERALD_COINCIDENCE = "coincidence"
+# in herald order: a kind's index is the number of photons it heralds on
 HERALD_KINDS = (HERALD_NONE, HERALD_SINGLE, HERALD_COINCIDENCE)
 
 UNITS_HETERODYNE = "heterodyne_vacuum"

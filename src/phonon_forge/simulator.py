@@ -51,13 +51,12 @@ import numpy as np
 from . import budget as budget_mod
 from ._formats import write_csv, write_json
 from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket, \
-    cooperativity, effective_linewidth, steady_state_variance
+    relaxation_rate, steady_state_variance
 from .errors import ConfigError, NumericsError
 from .params import HERALD_COINCIDENCE, HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, \
     UNITS, UNITS_HETERODYNE, SimConfig, require_integer, require_positive
 from .phase_space import PhaseSpaceGrid, s_from_eta
 
-_HERALD_ORDER = {HERALD_NONE: 0, HERALD_SINGLE: 1, HERALD_COINCIDENCE: 2}
 # the meta entries that variance_ratio_report and herald_histogram read; every
 # ensemble run_ensemble makes has each of them as a positive number
 _META_READ = ("eta_total", "predicted_ratio", "sigma_inf_expected", "slow_rate")
@@ -77,8 +76,7 @@ class FieldModel:
         self.coupling = p.pump_enhanced_coupling()
         self.nbar_th = p.nbar_th
         self.dt = 1.0 / cfg.sample_rate if dt is None else float(dt)
-        self.rate = p.gamma if cfg.mech_linewidth == "bare" \
-            else effective_linewidth(p, cooperativity(p, self.coupling))
+        self.rate = relaxation_rate(cfg)
 
         r, k, g, dt = self.rate, self.kappa, self.coupling, self.dt
         e_bb = math.exp(-r * dt)
@@ -383,7 +381,7 @@ class TraceEnsemble:
 
     @property
     def order(self):
-        return _HERALD_ORDER[self.herald_kind]
+        return HERALD_KINDS.index(self.herald_kind)
 
 
 def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
@@ -403,7 +401,10 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     require_integer("threads", threads, 1)
 
     plan = DemodPlan(cfg)
-    order = _HERALD_ORDER[herald_kind]
+    order = HERALD_KINDS.index(herald_kind)
+    if herald_kind != HERALD_NONE and plan.model.var_a == 0:
+        raise ConfigError("no herald signal: the scattered field is empty "
+                          "(p_in or nbar_th is 0)")
 
     n_chunks = (n_traces + cfg.chunk_traces - 1) // cfg.chunk_traces
     z = np.empty((n_traces, plan.cols.size), dtype=complex)
@@ -505,11 +506,14 @@ def variance_ratio_report(ens: TraceEnsemble) -> dict:
 
 def herald_histogram(ens: TraceEnsemble, npts=41, half_width=None) -> PhaseSpaceGrid:
     """Weighted 2D histogram of (X, P) at the herald time, as a density grid."""
+    require_integer("npts", npts, 2)
     z0 = ens.z[:, ens.herald_col]
     w = ens.weights
     if half_width is None:
         var = float(np.average(np.abs(z0) ** 2, weights=w)) / 2.0
         half_width = 5.0 * math.sqrt(var)
+    else:
+        require_positive("half_width", half_width)
     d = 2.0 * half_width / (npts - 1)
     edges = np.linspace(-half_width - d / 2, half_width + d / 2, npts + 1)
     counts, _, _ = np.histogram2d(z0.real, z0.imag, bins=(edges, edges),

@@ -148,6 +148,16 @@ class TestCommands:
         assert row[3] == pytest.approx(0.69, abs=0.02)     # cooperativity
         assert row[4] == pytest.approx(453.0, abs=3.0)     # cooled occupation
 
+    @pytest.mark.parametrize("powers", ["0.009,0.009", "0.0,0.0"])
+    def test_fit_of_a_degenerate_sweep_falls_back(self, outdir, capsys, powers):
+        # fewer than two distinct photon numbers fix no line, so the fit
+        # takes the five-point sweep at the configured power, as for one power
+        assert run(["--out", str(outdir), "characterize", "--fit"]) == 0
+        expected = capsys.readouterr().out.splitlines()[-2]
+        assert run(["--out", str(outdir), "characterize", "--fit",
+                    "--powers", powers]) == 0
+        assert capsys.readouterr().out.splitlines()[-2] == expected
+
     def test_characterize_zero_power(self, tmp_path, outdir):
         assert run(["--out", str(outdir), "characterize",
                     "--powers", "0.0"]) == 0
@@ -448,22 +458,32 @@ def test_command_runs_without_scipy(tmp_path, command):
     assert _scipy_loaded_by(tmp_path, command) == [0, []]
 
 
-@pytest.mark.parametrize("module,loaded", [
-    ("phonon_forge", []),
-    ("phonon_forge.cli", ["_formats", "cli", "errors", "params"])], ids=["package", "cli"])
+_CONFIG = {"_formats", "cli", "errors", "params"}
+# the README's table of the package modules each command loads; variance,
+# like characterize, works from dynamics alone
+_LOADS = {
+    "budget": _CONFIG | {"budget", "dynamics"},
+    "characterize": _CONFIG | {"dynamics"},
+    "variance": _CONFIG | {"dynamics"},
+    "marginal": _CONFIG | {"dynamics", "phase_space"},
+    "wigner": _CONFIG | {"dynamics", "phase_space"},
+    "simulate": _CONFIG | {"dynamics", "phase_space", "simulator", "budget"},
+}
+
+
+@pytest.mark.parametrize("module,loaded", [("phonon_forge", set()),
+                                           ("phonon_forge.cli", _CONFIG)],
+                         ids=["package", "cli"])
 def test_import_loads_only_the_config(tmp_path, module, loaded):
     # the package root re-exports nothing, and the CLI builds its config
     # from params alone
-    assert _probe(tmp_path, [], module)[2] == [f"phonon_forge.{m}" for m in loaded]
+    assert _probe(tmp_path, [], module)[2] == sorted(f"phonon_forge.{m}" for m in loaded)
 
 
 @pytest.mark.parametrize("name", _COMMANDS)
 def test_command_loads_only_what_it_runs(tmp_path, name):
-    unused = {"phonon_forge.phonon_stats"}
-    if name not in ("variance", "simulate"):
-        unused.add("phonon_forge.simulator")
     code, _, loaded = _probe(tmp_path, _COMMANDS[name])
-    assert code == 0 and unused.isdisjoint(loaded)
+    assert code == 0 and loaded == sorted(f"phonon_forge.{m}" for m in _LOADS[name])
 
 
 def test_overflowing_budget_exits_3_and_writes_nothing(tmp_path, outdir):

@@ -6,7 +6,7 @@ import pytest
 
 from phonon_forge import dynamics as dyn
 from phonon_forge.errors import ConfigError
-from phonon_forge.params import TWO_PI
+from phonon_forge.params import TWO_PI, SimConfig
 
 from oracles import curve_fit_linewidth, wick_oracle
 
@@ -60,6 +60,13 @@ class TestCharacterizationChain:
         for c in (0.0, 0.1, 1.0, 10.0):
             assert dyn.cooled_occupation(params, c) <= params.nbar_th
 
+    @pytest.mark.parametrize("p_in", [9e-3, 0.0])
+    def test_relaxation_rate_follows_the_linewidth_setting(self, params, p_in):
+        p = replace(params, p_in=p_in)
+        assert dyn.relaxation_rate(SimConfig(params=p)) == p.gamma
+        effective = SimConfig(params=p, mech_linewidth="effective")
+        assert dyn.relaxation_rate(effective) == dyn.characterize(p).gamma_eff
+
 
 class TestSpectrum:
     def test_fwhm_is_twice_gamma_eff(self, params):
@@ -88,6 +95,13 @@ class TestSpectrum:
         g0_fit, gamma_fit = dyn.fit_g0_from_spectra(params, n_cavs)
         assert abs(g0_fit - params.g0) / params.g0 < 0.05
         assert abs(gamma_fit - params.gamma) / params.gamma < 0.05
+
+    @pytest.mark.parametrize("n_cavs", [[], [1.2e9], [1.2e9, 1.2e9], [0.0, 0.0, 0.0]],
+                             ids=["none", "one", "repeated", "unpumped"])
+    def test_fit_needs_two_distinct_photon_numbers(self, params, n_cavs):
+        # a line through fewer than two distinct points is undetermined
+        with pytest.raises(ConfigError, match="two distinct photon numbers"):
+            dyn.fit_g0_from_spectra(params, n_cavs)
 
     def test_linewidth_fit_matches_curve_fit(self, params):
         # the sweep fit_g0_from_spectra makes at the default power; both fits

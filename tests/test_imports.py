@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import phonon_forge
+from phonon_forge.params import HERALD_KINDS, UNITS
 
 _PACKAGE = Path(phonon_forge.__file__).parent
 _MODULES = sorted(_PACKAGE.glob("*.py"))
@@ -78,6 +79,30 @@ def test_the_check_sees_a_sibling_private_name():
               "def f():\n    from .params import _hidden\n    return dynamics._fit()\n")
     assert _sibling_private_names(source) == [(2, "_VALID_UNITS"), (4, "_HERALD_KINDS"),
                                               (8, "_hidden"), (9, "_fit")]
+
+
+def _config_name_literals(source):
+    """(line, value) of each string literal that spells a herald kind or a
+    unit name, which params owns."""
+    names = set(HERALD_KINDS + UNITS)
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and node.value in names)
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "params.py"],
+                         ids=lambda p: p.name)
+def test_no_config_name_literals(path):
+    # the herald kinds and unit names are spelled once, in params
+    assert _config_name_literals(path.read_text()) == []
+
+
+def test_the_check_sees_a_config_name_literal():
+    source = ("units = 'zero_point'\nif kind == \"single\":\n    pass\n"
+              "k = HERALD_SINGLE\nd = {'coincidence': 2, 'none': 0}\n"
+              "s = 'a single herald'\nu = f'heterodyne_vacuum'\n")
+    assert _config_name_literals(source) == [(1, "zero_point"), (2, "single"),
+                                             (5, "coincidence"), (5, "none"),
+                                             (7, "heterodyne_vacuum")]
 
 
 def _int_self_comparisons(source):

@@ -204,6 +204,12 @@ class TestFieldModel:
         a = simulate_fields(c, 2000, n_traces=3, seed=8)
         assert np.all(a == 0.0)
 
+    @pytest.mark.parametrize("linewidth", ["bare", "effective"])
+    @pytest.mark.parametrize("p_in", [9e-3, 0.0])
+    def test_rate_is_the_relaxation_rate(self, cfg, linewidth, p_in):
+        c = replace(cfg, params=replace(cfg.params, p_in=p_in), mech_linewidth=linewidth)
+        assert sim.FieldModel(c).rate == dyn.relaxation_rate(c)
+
     def test_effective_linewidth_decay(self, cfg):
         c = replace(cfg, mech_linewidth="effective")
         model = sim.FieldModel(c, c.dt)
@@ -371,6 +377,25 @@ def _assert_node_equals_spawned(seed, branch, n):
 
 
 class TestHeraldedEnsembles:
+    @pytest.mark.parametrize("empty", ["p_in", "nbar_th"])
+    @pytest.mark.parametrize("kind", ["single", "coincidence"])
+    def test_empty_field_is_refused_before_any_chunk(self, cfg, monkeypatch, kind, empty):
+        # every herald weight |a|^(2n) would be 0, so no heralded ensemble exists
+        def evolve_block(*args):
+            raise AssertionError("a chunk was simulated")
+
+        monkeypatch.setattr(sim.FieldModel, "evolve_block", evolve_block)
+        c = replace(cfg, params=replace(cfg.params, **{empty: 0.0}))
+        with pytest.raises(ConfigError, match="no herald signal"):
+            sim.run_ensemble(c, kind, n_traces=16)
+
+    @pytest.mark.parametrize("empty", ["p_in", "nbar_th"])
+    def test_empty_field_runs_unheralded(self, cfg, empty):
+        # the unheralded ensemble of an empty field is the vacuum calibration
+        c = replace(cfg, params=replace(cfg.params, **{empty: 0.0}))
+        ens = sim.run_ensemble(c, "none", n_traces=16)
+        assert np.all(ens.weights == 1.0) and np.all(np.isfinite(ens.z))
+
     def test_single_and_coincidence_ratios(self, cfg):
         ens1 = sim.run_ensemble(cfg, herald_kind="single", n_traces=8000,
                                 threads=2)
@@ -558,6 +583,14 @@ class TestHeraldedEnsembles:
 
 
 class TestHeraldHistogram:
+    @pytest.mark.parametrize("bad", [{"npts": 1}, {"npts": True}, {"npts": 2.5},
+                                     {"npts": 0}, {"half_width": -1.0},
+                                     {"half_width": math.nan}], ids=str)
+    def test_bad_grid_is_refused(self, cfg, bad):
+        ens = sim.run_ensemble(cfg, "single", n_traces=16)
+        with pytest.raises(ConfigError):
+            sim.herald_histogram(ens, **bad)
+
     def test_unheralded_histogram_is_thermal(self, cfg):
         ens = sim.run_ensemble(cfg, herald_kind="none", n_traces=4000)
         grid = sim.herald_histogram(ens, npts=41)
