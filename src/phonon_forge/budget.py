@@ -16,8 +16,8 @@ from dataclasses import dataclass, asdict
 
 from ._formats import write_json
 from .dynamics import correlation_amplitude
-from .errors import ConfigError
-from .params import SpadConfig, SystemParams, TWO_PI
+from .errors import ConfigError, NumericsError
+from .params import SpadConfig, SystemParams, TWO_PI, require_fraction, require_positive
 
 
 @dataclass(frozen=True)
@@ -37,32 +37,32 @@ class BudgetReport:
 
 
 def cavity_flux(params: SystemParams, coupling=None):
-    """Anti-Stokes photon flux: (2 kappa2_ext/2pi) times the scattered occupation."""
+    """Anti-Stokes photon flux: (2 kappa2_ext/2pi) times the scattered occupation;
+    NumericsError if it overflows."""
     g = params.pump_enhanced_coupling() if coupling is None else coupling
-    if g < 0:
-        raise ConfigError("coupling must be >= 0")
-    return (2.0 * params.kappa2_ext / TWO_PI) * correlation_amplitude(params, g)
+    require_positive("coupling", g, zero_ok=True)
+    f_cav = (2.0 * params.kappa2_ext / TWO_PI) * correlation_amplitude(params, g)
+    if math.isinf(f_cav):
+        raise NumericsError(f"the cavity output flux overflows at coupling {g!r}")
+    return f_cav
 
 
 def detector_rate(f_cav, arm_efficiencies):
     """Arrival rate at one detector: the efficiency chain applied to the flux."""
-    if f_cav < 0:
-        raise ConfigError("f_cav must be >= 0")
+    require_positive("f_cav", f_cav, zero_ok=True)
     rate = float(f_cav)
     for eta in arm_efficiencies:
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError("arm efficiencies must lie in (0, 1]")
+        require_fraction("arm efficiency", eta)
         rate *= eta
     return rate
 
 
 def counts_per_gate(r_det, spad: SpadConfig):
     """Mean registered counts per gate, quantum_eff * r_det * gate_len."""
-    if r_det < 0:
-        raise ConfigError("r_det must be >= 0")
+    require_positive("r_det", r_det, zero_ok=True)
     n_det = spad.quantum_eff * r_det * spad.gate_len
-    # the coincidence rate squares it; an infinite flux is a numerics error
-    if math.isfinite(r_det) and not math.isfinite(n_det * n_det):
+    # the coincidence rate squares it
+    if not math.isfinite(n_det * n_det):
         raise ConfigError(f"gate_len={spad.gate_len!r} gives {n_det:.3g} counts per "
                           "gate, whose square leaves the double range")
     return n_det
@@ -70,8 +70,8 @@ def counts_per_gate(r_det, spad: SpadConfig):
 
 def herald_fidelity(real_rate, dark_rate):
     """Fraction of heralds that are dark events, dark / (dark + real)."""
-    if real_rate < 0 or dark_rate < 0:
-        raise ConfigError("rates must be >= 0")
+    require_positive("real_rate", real_rate, zero_ok=True)
+    require_positive("dark_rate", dark_rate, zero_ok=True)
     total = real_rate + dark_rate
     if total == 0.0:
         return 0.0

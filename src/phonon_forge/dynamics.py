@@ -22,7 +22,7 @@ import numpy as np
 from ._formats import write_csv
 from .errors import ConfigError, NumericsError
 from .params import UNITS_HETERODYNE, UNITS_ZERO_POINT, SimConfig, SystemParams, \
-    require_integer
+    require_integer, require_positive
 
 
 @dataclass
@@ -58,23 +58,23 @@ class Characterization:
 # ---------------------------------------------------------------------------
 
 def cooperativity(params: SystemParams, coupling):
-    """C = G^2 / (kappa2 gamma)."""
-    if coupling < 0:
-        raise ConfigError("coupling must be >= 0")
-    return coupling ** 2 / (params.kappa2 * params.gamma)
+    """C = G^2 / (kappa2 gamma); NumericsError if it overflows."""
+    require_positive("coupling", coupling, zero_ok=True)
+    coop = coupling ** 2 / (params.kappa2 * params.gamma)
+    if math.isinf(coop):
+        raise NumericsError(f"the cooperativity overflows at coupling {coupling!r}")
+    return coop
 
 
 def cooled_occupation(params: SystemParams, coop):
     """Steady-state occupation nbar_th / (1 + C) under the cooling interaction."""
-    if coop < 0:
-        raise ConfigError("cooperativity must be >= 0")
+    require_positive("cooperativity", coop, zero_ok=True)
     return params.nbar_th / (1.0 + coop)
 
 
 def effective_linewidth(params: SystemParams, coop):
     """Broadened mechanical amplitude decay gamma (1 + C) in rad/s."""
-    if coop < 0:
-        raise ConfigError("cooperativity must be >= 0")
+    require_positive("cooperativity", coop, zero_ok=True)
     return params.gamma * (1.0 + coop)
 
 
@@ -220,6 +220,7 @@ def correlation_amplitude(params: SystemParams, coupling, rate=None):
     """
     k = params.kappa2
     r = params.gamma if rate is None else rate
+    require_positive("rate", r)
     return params.nbar_th * coupling ** 2 / (k * (k + r))
 
 
@@ -234,6 +235,7 @@ def heralded_variance(params: SystemParams, n, rate=None):
     require_integer("n", n, 0)
     k = params.kappa2
     r = params.gamma if rate is None else rate
+    require_positive("rate", r)
     signal = params.eta_total * params.nbar_th
 
     def variance(tau):

@@ -48,10 +48,23 @@ def require_integer(name, value, minimum):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_fraction(name, value):
+    """Reject anything but a real number in (0, 1] (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0.0 < value <= 1.0:
+        raise ConfigError(f"{name} must be a number in (0, 1], got {value!r}")
+
+
+def require_choice(name, value, choices):
+    """Reject anything but one of the names in the tuple choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def thermal_occupation(temperature, omega_m):
     """Bath occupation k_B T / (hbar omega_m), valid for k_B T >> hbar omega_m."""
-    if temperature < 0 or omega_m <= 0:
-        raise ConfigError("temperature must be >= 0 and omega_m > 0")
+    require_positive("temperature", temperature, zero_ok=True)
+    require_positive("omega_m", omega_m)
     return K_BOLTZMANN * temperature / (HBAR * omega_m)
 
 
@@ -85,14 +98,14 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            require_positive(f.name, getattr(self, f.name),
-                             zero_ok=f.name in ("nbar_th", "p_in"))
+            if f.name != "eta_total":
+                require_positive(f.name, getattr(self, f.name),
+                                 zero_ok=f.name in ("nbar_th", "p_in"))
+        require_fraction("eta_total", self.eta_total)
         if self.kappa1_ext > self.kappa1:
             raise ConfigError("kappa1_ext must not exceed kappa1")
         if self.kappa2_ext > self.kappa2:
             raise ConfigError("kappa2_ext must not exceed kappa2")
-        if not 0.0 < self.eta_total <= 1.0:
-            raise ConfigError("eta_total must lie in (0, 1]")
         # intracavity_photons divides by the pump photon energy times kappa1
         if not 0.0 < self.kappa1 * HBAR * self.omega_pump < math.inf:
             raise ConfigError(f"wavelength={self.wavelength!r} and kappa1={self.kappa1!r}"
@@ -124,8 +137,7 @@ class SystemParams:
         """G = g0 sqrt(N_cav); N_cav derived from the pump power unless given."""
         if n_cav is None:
             n_cav = self.intracavity_photons()
-        if n_cav < 0:
-            raise ConfigError("n_cav must be >= 0")
+        require_positive("n_cav", n_cav, zero_ok=True)
         return self.g0 * math.sqrt(n_cav)
 
 
@@ -149,22 +161,18 @@ class SpadConfig:
     arm_efficiencies: tuple = (0.67, 0.25, 0.15, 0.5)
 
     def __post_init__(self):
-        for name in ("gate_rate", "gate_len", "dead_time", "dark_rate",
-                     "quantum_eff"):
+        for name in ("gate_rate", "gate_len", "dead_time", "dark_rate"):
             require_positive(name, getattr(self, name),
                              zero_ok=name in ("dead_time", "dark_rate"))
+        require_fraction("quantum_eff", self.quantum_eff)
         try:
             object.__setattr__(self, "arm_efficiencies", tuple(self.arm_efficiencies))
         except TypeError:
             raise ConfigError("arm_efficiencies must be a list") from None
         if self.gate_len * self.gate_rate >= 1.0:
             raise ConfigError("gate duty cycle gate_len*gate_rate must be < 1")
-        if not 0.0 < self.quantum_eff <= 1.0:
-            raise ConfigError("quantum_eff must lie in (0, 1]")
         for e in self.arm_efficiencies:
-            require_positive("arm efficiency", e)
-            if not 0.0 < e <= 1.0:
-                raise ConfigError("arm efficiencies must lie in (0, 1]")
+            require_fraction("arm efficiency", e)
 
     @property
     def duty_cycle(self):
@@ -226,13 +234,10 @@ class SimConfig:
                               f"{self.trace_len}: no column would be kept")
         if self.sample_rate < 4.0 * self.params.omega_het / TWO_PI:
             raise ConfigError("sample_rate below 4x the heterodyne frequency")
-        if not 0 < self.demod_bandwidth < self.params.omega_het / TWO_PI:
-            raise ConfigError("demod_bandwidth must be positive and below "
-                              "the heterodyne frequency")
-        if self.demod_filter not in ("butter4", "boxcar"):
-            raise ConfigError("demod_filter must be 'butter4' or 'boxcar'")
-        if self.mech_linewidth not in ("bare", "effective"):
-            raise ConfigError("mech_linewidth must be 'bare' or 'effective'")
+        if self.demod_bandwidth >= self.params.omega_het / TWO_PI:
+            raise ConfigError("demod_bandwidth must be below the heterodyne frequency")
+        require_choice("demod_filter", self.demod_filter, ("butter4", "boxcar"))
+        require_choice("mech_linewidth", self.mech_linewidth, ("bare", "effective"))
         self.dt          # a kappa2 with no finite click step fails every command
 
     @property
@@ -263,5 +268,4 @@ class GridConfig:
             raise ConfigError("npts must be odd and >= 3 so the origin is a node")
         if self.half_width is not None:
             require_positive("half_width", self.half_width)
-        if self.units not in UNITS:
-            raise ConfigError(f"units must be one of {UNITS}")
+        require_choice("units", self.units, UNITS)

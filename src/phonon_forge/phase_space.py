@@ -36,7 +36,8 @@ import numpy as np
 
 from ._formats import write_csv, write_json
 from .errors import ConfigError, GridError
-from .params import UNITS_ZERO_POINT, GridConfig, require_integer, require_positive
+from .params import UNITS_ZERO_POINT, GridConfig, require_fraction, require_integer, \
+    require_positive
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +55,7 @@ class StateSpec:
     def __post_init__(self):
         require_positive("nbar", self.nbar, zero_ok=True)
         require_integer("n", self.n, 0)
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError("eta must lie in (0, 1]")
+        require_fraction("eta", self.eta)
 
     @property
     def eta_nbar(self):
@@ -119,8 +119,7 @@ class RingGeometry:
 
 def s_from_eta(eta):
     """Smoothing parameter s = (eta - 2)/eta of an efficiency-eta measurement."""
-    if not 0.0 < eta <= 1.0:
-        raise ConfigError("eta must lie in (0, 1]")
+    require_fraction("eta", eta)
     return (eta - 2.0) / eta
 
 
@@ -220,6 +219,9 @@ def gaussian_kernel(s):
 def state_window(occupation, n, var_k):
     """Five standard deviations of the order-n state smoothed by var_k:
     5 sqrt((n + 1) occupation + var_k), the default display half width."""
+    require_positive("occupation", occupation, zero_ok=True)
+    require_integer("n", n, 0)
+    require_positive("var_k", var_k, zero_ok=True)
     return 5.0 * math.sqrt((n + 1) * occupation + var_k)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError, TruncationError
-from .params import require_integer, require_positive
+from .params import require_choice, require_integer, require_positive
 
 SUBTRACT = "subtract"
 ADD = "add"
@@ -131,11 +131,8 @@ def added_pmf(spec: ThermalSpec, n, m_max=None) -> NumberPmf:
 def mean_occupation(spec: ThermalSpec, n, kind=SUBTRACT):
     """(n+1)*nbar after subtraction, (n+1)*nbar + n after addition."""
     require_integer("n", n, 0)
-    if kind == SUBTRACT:
-        return (n + 1) * spec.nbar
-    if kind == ADD:
-        return (n + 1) * spec.nbar + n
-    raise ConfigError(f"unknown kind {kind!r}, expected 'subtract' or 'add'")
+    require_choice("kind", kind, (SUBTRACT, ADD))
+    return (n + 1) * spec.nbar + (n if kind == ADD else 0)
 
 
 def add_sub_fidelity(spec: ThermalSpec, n, m_max=None):

@@ -53,8 +53,8 @@ from ._formats import write_csv, write_json
 from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket, \
     relaxation_rate, steady_state_variance
 from .errors import ConfigError, NumericsError
-from .params import HERALD_COINCIDENCE, HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, \
-    UNITS, UNITS_HETERODYNE, SimConfig, require_integer, require_positive
+from .params import HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, UNITS_HETERODYNE, \
+    SimConfig, SpadConfig, require_choice, require_integer, require_positive
 from .phase_space import PhaseSpaceGrid, s_from_eta
 
 # the meta entries that variance_ratio_report and herald_histogram read; every
@@ -322,6 +322,7 @@ class DemodPlan:
         its filtered copy.  At the defaults this moves 2 to 1.9989: 0.0011 of
         the measured 0.06 gap, so the filter alone does not account for it.
         """
+        require_integer("order", order, 0)
         denom = self.model.var_a * self.var_a_filtered
         if denom <= 0:
             return 1.0
@@ -372,8 +373,9 @@ class TraceEnsemble:
     weights: np.ndarray
     herald_kind: str
     margin_cols: int
-    units: str = UNITS_HETERODYNE
     meta: dict = field(default_factory=dict)
+
+    units = UNITS_HETERODYNE      # not a field: every record is in these units
 
     @property
     def n_traces(self):
@@ -393,8 +395,7 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     (one if None), so results are bit-identical for a given (cfg, seed)
     regardless of the thread count.
     """
-    if herald_kind not in HERALD_KINDS:
-        raise ConfigError(f"herald_kind must be one of {HERALD_KINDS}")
+    require_choice("herald_kind", herald_kind, HERALD_KINDS)
     n_traces = cfg.n_traces if n_traces is None else n_traces
     require_integer("n_traces", n_traces, 1)
     threads = 1 if threads is None else threads
@@ -729,10 +730,9 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
 
 def herald_select(clicks: ClickStream, kind=HERALD_SINGLE):
     """Herald times: every event, or two-detector coincidences within a gate."""
+    require_choice("kind", kind, HERALD_KINDS[1:])
     if kind == HERALD_SINGLE:
         return clicks.times.copy()
-    if kind != HERALD_COINCIDENCE:
-        raise ConfigError("kind must be 'single' or 'coincidence'")
     gate_idx = np.floor(clicks.times * clicks.gate_rate).astype(np.int64)
     both = np.intersect1d(gate_idx[clicks.detector == 0],
                           gate_idx[clicks.detector == 1])
@@ -784,9 +784,8 @@ def load_ensemble(path_base) -> TraceEnsemble:
     if sidecar.get("schema") != ENSEMBLE_SCHEMA:
         raise ConfigError("unrecognized ensemble schema "
                           f"{sidecar.get('schema')!r}")
-    if sidecar.get("herald_kind") not in HERALD_KINDS:
-        raise ConfigError(f"herald_kind must be one of {HERALD_KINDS}, "
-                          f"got {sidecar.get('herald_kind')!r}")
+    require_choice("herald_kind", sidecar.get("herald_kind"), HERALD_KINDS)
+    require_choice("units", sidecar.get("units"), (TraceEnsemble.units,))
     require_integer("n_traces", sidecar.get("n_traces"), 1)
     try:
         # the file is opened here, as np.load leaves it open on a bad archive
@@ -814,9 +813,6 @@ def load_ensemble(path_base) -> TraceEnsemble:
     if taus.dtype.kind != "f" or not (np.isfinite(taus).all() and all(
             np.isfinite(z[lo:lo + rows]).all() for lo in range(0, len(z), rows))):
         raise ConfigError("z and taus must be finite real and complex numbers")
-    if sidecar.get("units") not in UNITS:
-        raise ConfigError(f"units must be one of {UNITS}, "
-                          f"got {sidecar.get('units')!r}")
     meta = sidecar.get("meta")
     if not isinstance(meta, dict):
         raise ConfigError(f"meta must be a JSON object, got {meta!r}")
@@ -824,8 +820,7 @@ def load_ensemble(path_base) -> TraceEnsemble:
         require_positive(f"meta.{name}", meta.get(name))
     return TraceEnsemble(z=z, taus=taus, herald_col=sidecar["herald_col"],
                          weights=weights, herald_kind=sidecar["herald_kind"],
-                         margin_cols=sidecar["margin_cols"],
-                         units=sidecar["units"], meta=meta)
+                         margin_cols=sidecar["margin_cols"], meta=meta)
 
 
 def _jsonable(obj):

@@ -492,6 +492,13 @@ def test_overflowing_budget_exits_3_and_writes_nothing(tmp_path, outdir):
     assert not (outdir / "budget.json").exists()
 
 
+def test_overflowing_characterization_exits_3_and_writes_nothing(tmp_path, outdir):
+    # every number is finite on input, but the cooperativity overflows
+    assert run_with({"system": {"gamma": 5e-324}}, tmp_path, outdir,
+                    "characterize") == 3
+    assert not any(outdir.iterdir())
+
+
 _VALUES = st.one_of(
     st.floats(), st.sampled_from([_NAN, _INF, -_INF, 1e308, -1e308, 5e-324]),
     st.integers(), st.booleans(), st.text(max_size=6),

@@ -103,6 +103,14 @@ class TestSpectrum:
         with pytest.raises(ConfigError, match="two distinct photon numbers"):
             dyn.fit_g0_from_spectra(params, n_cavs)
 
+    @pytest.mark.parametrize("n_cavs", [[math.nan, 1e9], [math.inf, 1e9], [[1e9, 2e9]]],
+                             ids=["nan", "inf", "2d"])
+    def test_fit_refuses_a_photon_number_outside_the_domain(self, params, n_cavs):
+        # each photon number goes through characterize's check, and a row of
+        # a 2-d sweep is no number
+        with pytest.raises(ConfigError, match="n_cav must be a finite number"):
+            dyn.fit_g0_from_spectra(params, n_cavs)
+
     def test_linewidth_fit_matches_curve_fit(self, params):
         # the sweep fit_g0_from_spectra makes at the default power; both fits
         # stop on their own tolerances, curve_fit's being 1.5e-8 in the step

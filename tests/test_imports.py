@@ -2,6 +2,9 @@
 standard library's ast."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +106,89 @@ def test_the_check_sees_a_config_name_literal():
     assert _config_name_literals(source) == [(1, "zero_point"), (2, "single"),
                                              (5, "coincidence"), (5, "none"),
                                              (7, "heterodyne_vacuum")]
+
+
+def _annotated(module):
+    """Every function, class and method that module defines."""
+    found = []
+    for obj in vars(module).values():
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                and obj.__module__ == module.__name__:
+            found.append(obj)
+            if inspect.isclass(obj):      # methods and property getters
+                found += [f for f in (getattr(m, "fget", m) for m in vars(obj).values())
+                          if inspect.isfunction(f)]
+    return found
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_every_annotation_resolves(path):
+    # with postponed annotations a misspelt or unimported name only fails
+    # when something reads the hints
+    for obj in _annotated(importlib.import_module(f"phonon_forge.{path.stem}")):
+        typing.get_type_hints(obj)
+
+
+def test_the_annotation_check_sees_functions_methods_and_properties():
+    from phonon_forge import simulator as sim
+    found = _annotated(sim)
+    for obj in (sim._draw_block, sim.DemodPlan, sim.DemodPlan.predicted_ratio,
+                sim.TraceEnsemble.n_traces.fget):
+        assert any(obj is f for f in found)
+    assert not any(f is sim.write_csv for f in found)      # imported, not defined
+
+
+def _is_number(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _domain_checks(source, exempt=False):
+    """The lines of hand-written domain checks: a chained comparison with a
+    number at both ends (0.0 < x <= 1.0), and an `if x not in ...:` whose
+    body raises ConfigError.  With exempt, the bodies of require_* functions,
+    the validators themselves, are not searched."""
+    lines = set()
+
+    def visit(node):
+        if exempt and isinstance(node, ast.FunctionDef) \
+                and node.name.startswith("require_"):
+            return
+        if isinstance(node, ast.Compare) and len(node.ops) > 1 \
+                and _is_number(node.left) and _is_number(node.comparators[-1]):
+            lines.add(node.lineno)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) \
+                and isinstance(node.test.ops[0], ast.NotIn) \
+                and any(isinstance(sub, ast.Raise) and "ConfigError" in ast.dump(sub)
+                        for stmt in node.body for sub in ast.walk(stmt)):
+            lines.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_hand_written_domain_check(path):
+    # every rate, efficiency, order and choice is checked by a params.require_*
+    assert _domain_checks(path.read_text(), exempt=path.name == "params.py") == []
+
+
+def test_the_check_sees_a_hand_written_domain_check():
+    source = ("if not 0.0 < eta <= 1.0:\n    raise ConfigError('eta')\n"
+              "ok = 0 < x < y\nbad = -1 <= s < 1\n"
+              "if kind not in KINDS:\n    raise ConfigError('kind')\n"
+              "if kind not in KINDS:\n    kind = None\n"
+              "if a in KINDS:\n    raise ConfigError('a')\n"
+              "def require_fraction(name, value):\n"
+              "    if not 0.0 < value <= 1.0:\n        raise ConfigError(name)\n"
+              "    if value not in (1,):\n        raise ConfigError(name)\n"
+              "def f(x):\n    if x not in (1, 2):\n"
+              "        if x:\n            raise ConfigError('x')\n")
+    assert _domain_checks(source) == [1, 4, 5, 12, 14, 17]
+    assert _domain_checks(source, exempt=True) == [1, 4, 5, 17]
 
 
 def _int_self_comparisons(source):

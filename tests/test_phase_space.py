@@ -40,6 +40,13 @@ class TestScalarRelations:
         with pytest.raises(ConfigError):
             ps.added_noise_quanta(-0.5)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1, 1.0), (-5.0, 1, 1.0), (1.0, -3, 1.0), (1.0, 1.5, 1.0),
+        (1.0, True, 1.0), (1.0, 1, math.inf), (1.0, 1, -1.0)], ids=repr)
+    def test_state_window_refuses_values_outside_its_domain(self, args):
+        with pytest.raises(ConfigError):
+            ps.state_window(*args)
+
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [
         ps.gaussian_kernel, ps.eta_from_s, ps.added_noise_quanta,

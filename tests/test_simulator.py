@@ -342,6 +342,11 @@ class TestFrequencyDomainFilter:
                 sim.DemodPlan(replace(cfg, demod_filter=demod_filter,
                                       demod_bandwidth=bandwidth))
 
+    @pytest.mark.parametrize("order", [math.nan, -1, 1.5, True], ids=repr)
+    def test_predicted_ratio_refuses_a_non_integer_order(self, cfg, order):
+        with pytest.raises(ConfigError, match="^order must be an integer"):
+            sim.DemodPlan(cfg).predicted_ratio(order)
+
     def test_too_narrow_refusal_switches_at_one_bandwidth(self, cfg):
         # the wrapped tails of the 8192-point response used to cancel at the
         # grid ends, so acceptance flickered between 6.56 and 7.29 MHz
@@ -1371,6 +1376,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("key,value", [
         ("units", _MISSING), ("units", "volts"), ("units", None),
+        # every record is in heterodyne units, so a sidecar naming others is refused
+        ("units", "zero_point"),
         ("meta", _MISSING), ("meta", {}), ("meta", []), ("n_traces", _MISSING)],
         ids=str)
     def test_sidecar_units_and_meta_checked(self, cfg, tmp_path, key, value):
