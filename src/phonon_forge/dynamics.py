@@ -57,10 +57,19 @@ class Characterization:
 # steady-state characterization chain
 # ---------------------------------------------------------------------------
 
+def _squared(coupling, what):
+    """coupling ** 2; a NumericsError naming what if the square overflows,
+    which a float raises as an OverflowError."""
+    try:
+        return coupling ** 2
+    except OverflowError:
+        raise NumericsError(f"{what} overflows at coupling {coupling!r}") from None
+
+
 def cooperativity(params: SystemParams, coupling):
     """C = G^2 / (kappa2 gamma); NumericsError if it overflows."""
     require_positive("coupling", coupling, zero_ok=True)
-    coop = coupling ** 2 / (params.kappa2 * params.gamma)
+    coop = _squared(coupling, "the cooperativity") / (params.kappa2 * params.gamma)
     if math.isinf(coop):
         raise NumericsError(f"the cooperativity overflows at coupling {coupling!r}")
     return coop
@@ -206,6 +215,8 @@ def correlation_bracket(kappa, rate, tau):
     removable kappa = rate singularity replaced by its analytic limit
     (1 + kappa |tau|) e^(-kappa |tau|).
     """
+    require_positive("kappa", kappa)
+    require_positive("rate", rate)
     at = np.abs(np.asarray(tau, dtype=float))
     if abs(kappa - rate) / max(kappa, rate) < _DEGENERATE_TOL:
         k = 0.5 * (kappa + rate)
@@ -218,10 +229,11 @@ def correlation_amplitude(params: SystemParams, coupling, rate=None):
 
     r is the mechanical relaxation rate, the intrinsic gamma unless given.
     """
+    require_positive("coupling", coupling, zero_ok=True)
     k = params.kappa2
     r = params.gamma if rate is None else rate
     require_positive("rate", r)
-    return params.nbar_th * coupling ** 2 / (k * (k + r))
+    return params.nbar_th * _squared(coupling, "the scattered occupation") / (k * (k + r))
 
 
 def heralded_variance(params: SystemParams, n, rate=None):

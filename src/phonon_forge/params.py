@@ -41,6 +41,14 @@ def require_positive(name, value, zero_ok=False):
                           f" 0, got {value!r}")
 
 
+def require_at_most(name, value, bound, strict=False):
+    """Reject anything but a finite real number <= bound (< bound if strict)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or value > bound or (strict and value == bound):
+        raise ConfigError(f"{name} must be finite and {'<' if strict else '<='} "
+                          f"{bound:g}, got {value!r}")
+
+
 def require_integer(name, value, minimum):
     """Reject anything but an integer >= minimum (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \

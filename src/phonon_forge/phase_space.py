@@ -36,8 +36,8 @@ import numpy as np
 
 from ._formats import write_csv, write_json
 from .errors import ConfigError, GridError
-from .params import UNITS_ZERO_POINT, GridConfig, require_fraction, require_integer, \
-    require_positive
+from .params import UNITS_ZERO_POINT, GridConfig, require_at_most, require_fraction, \
+    require_integer, require_positive
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +123,15 @@ def s_from_eta(eta):
     return (eta - 2.0) / eta
 
 
-def _require_s(s, bound, strict=False):
-    """Refuse any s but a finite number <= bound (< bound if strict)."""
-    if not math.isfinite(s) or s > bound or (strict and s == bound):
-        raise ConfigError(f"s must be finite and {'<' if strict else '<='} {bound:g},"
-                          f" got {s!r}")
-
-
 def eta_from_s(s):
     """Inverse of s_from_eta: eta = 2/(1 - s), valid for s <= -1."""
-    _require_s(s, -1.0)
+    require_at_most("s", s, -1.0)
     return 2.0 / (1.0 - s)
 
 
 def added_noise_quanta(s):
     """Total added measurement noise |s|/2 in mechanical quanta."""
-    _require_s(s, -1.0)
+    require_at_most("s", s, -1.0)
     return abs(s) / 2.0
 
 
@@ -208,7 +201,7 @@ def p_function(spec: StateSpec):
 
 def gaussian_kernel(s):
     """Isotropic smoothing kernel exp(-(X^2+P^2)/(1-s)) / (pi (1-s))."""
-    _require_s(s, 1.0, strict=True)
+    require_at_most("s", s, 1.0, strict=True)
     return _smoothed_p(0.0, 0, (1.0 - s) / 2.0)
 
 
@@ -230,9 +223,9 @@ def _grid_geometry(spec, cfg, s_override):
     systems."""
     if cfg.units == UNITS_ZERO_POINT:
         occupation = spec.nbar
-        s_build = s_from_eta(spec.eta) if s_override is None else float(s_override)
-        _require_s(s_build, 1.0, strict=True)
-        s_tag = s_build
+        s_build = s_from_eta(spec.eta) if s_override is None else s_override
+        require_at_most("s", s_build, 1.0, strict=True)
+        s_tag = s_build = float(s_build)
     else:
         if s_override is not None:
             raise ConfigError("s_override only applies to zero_point grids")

@@ -34,7 +34,10 @@ because gates are spaced by thousands of field correlation times.  A gate
 almost never clicks, so most are never drawn: its chance of a hit is at
 most twice its summed hit probabilities, so candidates are proposed at that
 bound's mean, drawn from their path law size-biased by it, and thinned to
-their exact chance (Lewis & Shedler 1979).
+their exact chance (Lewis & Shedler 1979).  Only the gates that click get a
+start time, and events are kept in time order (per detector for dead time,
+both merged for the stream), so dead time visits only crowded events and
+coincidences are one sorted merge: outside the stepping, cost is per event.
 """
 
 from __future__ import annotations
@@ -531,7 +534,8 @@ def herald_histogram(ens: TraceEnsemble, npts=41, half_width=None) -> PhaseSpace
 
 @dataclass
 class ClickStream:
-    """Registered detector events with dark/real provenance."""
+    """Registered detector events with dark/real provenance; times is in time
+    order, so each detector's gate indices are sorted, as herald_select needs."""
 
     times: np.ndarray
     detector: np.ndarray
@@ -547,13 +551,14 @@ class ClickStream:
 
 
 def _apply_dead_time(times, dead_time):
-    """Keep events separated by at least dead_time; earlier events win."""
-    keep = np.zeros(times.size, dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times):
-        if t - last >= dead_time:
-            keep[i] = True
-            last = t
+    """Keep events separated by at least dead_time; earlier events win.  times
+    is sorted, so an event at least dead_time after its predecessor is kept,
+    and only the crowded ones are checked against the last kept time."""
+    keep = np.ones(times.size, dtype=bool)
+    for i in np.flatnonzero(np.diff(times) < dead_time) + 1:
+        if keep[i - 1]:
+            last = times[i - 1]
+        keep[i] = times[i] - last >= dead_time
     return keep
 
 
@@ -616,9 +621,10 @@ def _biased_paths(model, k, m_steps, rng):
     return paths
 
 
-def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng):
-    """Raw (times, detector, is_dark) of both detectors for the gates opening
-    at starts, unsorted.
+def _draw_block(model, first, n, m_steps, hit_scale, spad: SpadConfig, t_end, rng):
+    """Raw (times, detector, is_dark) of both detectors for the n gates from
+    gate index first on, unsorted; only a gate with an event gets its start
+    time.
 
     At every step each detector has a hit with p_j = min(hit_scale |a_j|^2,
     1), drawn by inversion: detector d hits at the first step where the
@@ -634,7 +640,7 @@ def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng)
     their steps, and its dark counts: a Poisson total over the block, each
     on a uniform gate at a uniform offset.
     """
-    n, dt = starts.size, model.dt
+    dt = model.dt
     q = 2.0 * hit_scale * m_steps * model.var_a
     if q < 1.0 and 16.0 * q * n * m_steps <= _CLICK_PATH_BYTES:
         gates = np.sort(rng.choice(n, rng.binomial(n, q), replace=False, shuffle=False))
@@ -671,9 +677,9 @@ def _draw_block(model, starts, m_steps, hit_scale, spad: SpadConfig, t_end, rng)
     times, det, dark = [], [], []
     for d in range(2):
         steps, rows = np.divmod(np.concatenate(hits[d]), n)
-        t_hit = starts[rows] + (steps + rng.random(rows.size)) * dt
+        t_hit = (first + rows) / spad.gate_rate + (steps + rng.random(rows.size)) * dt
         rows = rng.integers(n, size=rng.poisson(n * spad.dark_rate * spad.gate_len))
-        t_dark = starts[rows] + rng.random(rows.size) * spad.gate_len
+        t_dark = (first + rows) / spad.gate_rate + rng.random(rows.size) * spad.gate_len
         t_dark = t_dark[t_dark < t_end]          # a last gate may overrun t_end
         times += [t_hit, t_dark]
         dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]
@@ -716,8 +722,8 @@ def gated_click_stream(cfg: SimConfig, duration) -> ClickStream:
     blocks = []
     for bi in range(n_blocks):
         lo = bi * _CLICK_BLOCK_GATES
-        starts = np.arange(lo, min(lo + _CLICK_BLOCK_GATES, n_gates)) / spad.gate_rate
-        blocks.append(_draw_block(model, starts, m_steps, hit_scale, spad, duration,
+        blocks.append(_draw_block(model, lo, min(_CLICK_BLOCK_GATES, n_gates - lo),
+                                  m_steps, hit_scale, spad, duration,
                                   _stream(cfg.seed, (_CLICK_SEED_BRANCH, bi))))
 
     times, det, dark = _register_events(*map(np.concatenate, zip(*blocks)),
@@ -734,8 +740,11 @@ def herald_select(clicks: ClickStream, kind=HERALD_SINGLE):
     if kind == HERALD_SINGLE:
         return clicks.times.copy()
     gate_idx = np.floor(clicks.times * clicks.gate_rate).astype(np.int64)
-    both = np.intersect1d(gate_idx[clicks.detector == 0],
-                          gate_idx[clicks.detector == 1])
+    # gates sorted as times are: detector 0's once each, kept where 1 has one too
+    g0, g1 = (gate_idx[clicks.detector == d] for d in range(2))
+    g0 = g0[np.diff(g0, prepend=g0[:1] - 1) != 0]
+    at = np.minimum(np.searchsorted(g1, g0), g1.size - 1)
+    both = g0[g1[at] == g0] if g1.size else g1
     return both / clicks.gate_rate + 0.5 * clicks.gate_len
 
 

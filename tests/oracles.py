@@ -251,3 +251,16 @@ def draw_block_stepwise(model, starts, m_steps, hit_scale, spad, t_end, rng):
         det += [np.full(t_hit.size + t_dark.size, d, dtype=np.int8)]
         dark += [np.zeros(t_hit.size, dtype=bool), np.ones(t_dark.size, dtype=bool)]
     return np.concatenate(times), np.concatenate(det), np.concatenate(dark)
+
+
+def dead_time_greedy(times, dead_time):
+    """The rule simulator._apply_dead_time applies, by a plain loop over every
+    event of the sorted times: an event is kept when it lies at least
+    dead_time after the last kept one, so earlier events win."""
+    keep = np.zeros(times.size, dtype=bool)
+    last = -math.inf
+    for i, t in enumerate(times):
+        if t - last >= dead_time:
+            keep[i] = True
+            last = t
+    return keep

@@ -80,6 +80,9 @@ _RATE_ENTRY_POINTS = {
     "effective_linewidth": lambda x: dynamics.effective_linewidth(_P, x),
     "characterize": lambda x: dynamics.characterize(_P, x),
     "correlation_amplitude": lambda x: dynamics.correlation_amplitude(_P, 1e6, rate=x),
+    "correlation_amplitude-coupling": lambda x: dynamics.correlation_amplitude(_P, x),
+    "correlation_bracket-kappa": lambda x: dynamics.correlation_bracket(x, 1.0, 0.0),
+    "correlation_bracket-rate": lambda x: dynamics.correlation_bracket(1.0, x, 0.0),
     "heralded_variance": lambda x: dynamics.heralded_variance(_P, 1, rate=x),
     "cavity_flux": lambda x: budget.cavity_flux(_P, x),
     "detector_rate": lambda x: budget.detector_rate(x, (0.5,)),
@@ -150,8 +153,12 @@ def test_every_choice_is_one_of_its_names(entry, value, tmp_path):
     lambda: dynamics.cooperativity(dataclasses.replace(_P, gamma=5e-324), 1e6),
     lambda: dynamics.characterize(dataclasses.replace(_P, gamma=5e-324)),
     lambda: budget.cavity_flux(dataclasses.replace(_P, nbar_th=1e308)),
-], ids=["cooperativity", "characterize", "cavity_flux"])
+    lambda: dynamics.cooperativity(_P, 1e160),
+    lambda: budget.cavity_flux(_P, 1e160),
+], ids=["cooperativity", "characterize", "cavity_flux", "cooperativity-square",
+        "cavity_flux-square"])
 def test_an_overflow_from_in_range_inputs_is_a_numerics_error(entry):
-    # raised where the value is made, not by the writer it would reach
+    # raised where the value is made, not by the writer it would reach; a
+    # float coupling past 1.34e154 overflows as it is squared
     with pytest.raises(NumericsError, match="overflows"):
         entry()

@@ -56,6 +56,17 @@ class TestScalarRelations:
         with pytest.raises(ConfigError, match="s must be finite"):
             entry(s)
 
+    @pytest.mark.parametrize("entry,s", [
+        (ps.gaussian_kernel, False), (ps.gaussian_kernel, "0.5"), (ps.eta_from_s, "x"),
+        (ps.eta_from_s, None), (ps.added_noise_quanta, [-2.0])],
+        ids=["gaussian_kernel-False", "gaussian_kernel-str", "eta_from_s-str",
+             "eta_from_s-None", "added_noise_quanta-list"])
+    def test_s_that_is_no_real_number_refused(self, entry, s):
+        # a bool is no number, and anything else but a real number is
+        # refused, not met by a raw TypeError
+        with pytest.raises(ConfigError, match="s must be finite"):
+            entry(s)
+
 
 class TestPFunction:
     def test_thermal_gaussian_variance(self):

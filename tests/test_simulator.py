@@ -20,8 +20,8 @@ from phonon_forge.errors import ConfigError
 from phonon_forge.params import UNITS_HETERODYNE
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
-from oracles import draw_block_stepwise, riccati_gains, simulate_fields, \
-    time_domain_demodulate, time_domain_impulse_response
+from oracles import dead_time_greedy, draw_block_stepwise, riccati_gains, \
+    simulate_fields, time_domain_demodulate, time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -737,7 +737,7 @@ def _stream_args(cfg, monkeypatch):
     _draw_block for cfg."""
     seen = []
 
-    def record(model, starts, m_steps, hit_scale, *args):
+    def record(model, first, n, m_steps, hit_scale, *args):
         seen.append((model, m_steps, hit_scale))
         empty = np.empty(0)
         return empty, empty.astype(np.int8), empty.astype(bool)
@@ -789,7 +789,8 @@ def _assert_same_law(model, m_steps, hit_scale, spad, scale, n_blocks):
 
     def kernel(starts, block):
         rng = np.random.Generator(np.random.Philox([scale, block, 0]))
-        return sim._draw_block(model, starts, *args, spad, 1e9, rng)
+        return sim._draw_block(model, block * starts.size, starts.size, *args, spad,
+                               1e9, rng)
 
     def oracle(starts, block):
         rng = np.random.Generator(np.random.Philox([scale, block, 1]))
@@ -903,7 +904,8 @@ class TestClicks:
 
         def kernel(starts, block):
             rng = np.random.Generator(np.random.Philox([block, 4]))
-            return sim._draw_block(model, starts, m_steps, hit_scale, spad, 1e9, rng)
+            return sim._draw_block(model, block * starts.size, starts.size, m_steps,
+                                   hit_scale, spad, 1e9, rng)
 
         n, s1, s2 = _hit_moments(kernel, 256, m_steps, model.dt, spad.gate_rate)
         mean = s1[-2:] / n
@@ -1007,8 +1009,8 @@ class TestClicks:
         for hit_scale, taken in ((0.0, 0), (1e300, n)):
             stepped.clear()
             rng = _CountingRng(np.random.Generator(np.random.Philox(3)))
-            times, _, _ = sim._draw_block(model, np.arange(n) / spad.gate_rate,
-                                          m_steps, hit_scale, spad, 1.0, rng)
+            times, _, _ = sim._draw_block(model, 0, n, m_steps, hit_scale, spad, 1.0,
+                                          rng)
             assert times.size == 2 * m_steps * taken
             assert sum(stepped) == (m_steps - 1) * taken
             assert rng.counts["normals"] == (4 + 2 * (m_steps - 1)) * taken
@@ -1032,8 +1034,7 @@ class TestClicks:
 
         monkeypatch.setattr(sim.FieldModel, "step_states", recorded)
         rng = _CountingRng(np.random.Generator(np.random.Philox(6)))
-        sim._draw_block(model, np.arange(n) / cfg.spad.gate_rate, m_steps,
-                        60 * hit_scale, cfg.spad, 1.0, rng)
+        sim._draw_block(model, 0, n, m_steps, 60 * hit_scale, cfg.spad, 1.0, rng)
         k = stepped[0][0]
         assert 50 < k < n
         assert stepped == [(k, gains)]
@@ -1069,13 +1070,27 @@ class TestClicks:
             assert peak < 16e6, (scale, peak)
             assert len(stored) == blocks_stored, scale
 
+    def test_click_stream_memory_scales_with_events_not_gates(self):
+        # a default 8 s stream opens 400 000 gates in 7 blocks and registers
+        # about 1 700 events: its peak stays below one block's 2^16 float64
+        # gate starts, so no per-gate array is made.  A short stream first
+        # runs the lazy imports (SeedSequence's), which are no stream's cost
+        sim.gated_click_stream(sim.SimConfig(), 1e-3)
+        tracemalloc.start()
+        try:
+            sim.gated_click_stream(sim.SimConfig(), 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * sim._CLICK_BLOCK_GATES, peak
+
     def test_fine_step_stream_runs_in_budgeted_blocks(self, cfg, monkeypatch):
         shapes = []
         draw_block = sim._draw_block
 
-        def record(model, starts, m_steps, *args):
-            shapes.append((m_steps, starts.size))
-            return draw_block(model, starts, m_steps, *args)
+        def record(model, first, n, m_steps, *args):
+            shapes.append((m_steps, n))
+            return draw_block(model, first, n, m_steps, *args)
 
         monkeypatch.setattr(sim, "_draw_block", record)
         monkeypatch.setattr(sim, "_CLICK_BLOCK_GATES", 119)
@@ -1124,9 +1139,8 @@ class TestClicks:
 
         field_ = ConstantField()
         n_gates = 200_000
-        starts = np.arange(n_gates) / spad.gate_rate
         duration = n_gates / spad.gate_rate
-        _, det, dark = sim._draw_block(field_, starts, m_steps, rate * field_.dt,
+        _, det, dark = sim._draw_block(field_, 0, n_gates, m_steps, rate * field_.dt,
                                        spad, duration,
                                        np.random.Generator(np.random.Philox(2)))
         expected = rate * spad.duty_cycle * duration
@@ -1146,8 +1160,7 @@ class TestClicks:
         starts = np.arange(n) / spad.gate_rate
         t_end = starts[-1] + 0.5 * spad.gate_len
         rng = np.random.Generator(np.random.Philox(8))
-        times, det, dark = sim._draw_block(model, starts, m_steps, 0.0, spad, t_end,
-                                           rng)
+        times, det, dark = sim._draw_block(model, 0, n, m_steps, 0.0, spad, t_end, rng)
         assert np.all(dark) and np.all(times < t_end)
         gate = np.floor(times * spad.gate_rate).astype(np.intp)
         offset = (times - starts[gate]) / spad.gate_len
@@ -1210,8 +1223,7 @@ class TestClicks:
                 return self.rng.binomial(n, q)
 
         rng = ProposalRng(np.random.Generator(np.random.Philox(1)))
-        sim._draw_block(model, np.arange(100) / c.spad.gate_rate, m_steps, hit_scale,
-                        c.spad, 1.0, rng)
+        sim._draw_block(model, 0, 100, m_steps, hit_scale, c.spad, 1.0, rng)
         (q,) = proposed
         assert frobenius_sq > 0
         assert abs(q - 2 * hit_scale * frobenius_sq) <= 1e-12 * q
@@ -1237,7 +1249,7 @@ class TestClicks:
         # generator; now no block's starts like any chunk's, at 8 of each
         firsts = {"block": set(), "chunk": set()}
 
-        def block(model, starts, m_steps, hit_scale, spad, t_end, rng):
+        def block(model, first, n, m_steps, hit_scale, spad, t_end, rng):
             firsts["block"].add(tuple(rng.bit_generator.random_raw(4)))
             empty = np.empty(0)
             return empty, empty.astype(np.int8), empty.astype(bool)
@@ -1268,7 +1280,60 @@ class TestClicks:
             assert np.array_equal(getattr(clicks, name), getattr(ref, name))
 
 
+def _dead_time_streams():
+    """(times, dead_time) pairs: no event, one, two at one time, and sorted
+    streams of gaps in quarters of a dyadic dead time, where repeated times
+    (0), dense bursts (1 and 2) and gaps of exactly the dead time (4) are
+    exact, and of exponential gaps at 1e-3, 1 and 3 dead times, each also
+    at dead time 0."""
+    rng = np.random.Generator(np.random.Philox(34))
+    dead = 2.0 ** -14
+    streams = [np.empty(0), np.array([0.5]), np.array([0.5, 0.5])]
+    for _ in range(100):
+        n = int(rng.integers(2, 300))
+        streams.append(np.cumsum(rng.choice([0, 1, 2, 4, 5, 8, 16], n)) * (dead / 4))
+        scale = rng.choice([1e-3, 1.0, 3.0]) * dead
+        streams.append(np.cumsum(rng.exponential(scale, n)))
+    return [(t, d) for t in streams for d in (dead, 0.0)]
+
+
+class TestDeadTime:
+    def test_dead_time_equals_the_greedy_loop(self):
+        kept = dropped = 0
+        for times, dead in _dead_time_streams():
+            keep = sim._apply_dead_time(times, dead)
+            assert keep.dtype == bool
+            assert np.array_equal(keep, dead_time_greedy(times, dead))
+            kept += np.count_nonzero(keep[1:] & (np.diff(times) == dead))
+            dropped += np.count_nonzero(~keep)
+        # the streams hold kept gaps of exactly the dead time and dropped events
+        assert kept > 100 and dropped > 1000
+
+
 class TestHeraldSelect:
+    def test_coincidences_equal_the_set_intersection(self):
+        # sorted random streams against np.intersect1d of each detector's
+        # gates: no events, one detector empty and repeated same-gate hits
+        # (up to 60 events over 40 gates)
+        rng = np.random.Generator(np.random.Philox(35))
+        gate_rate, gate_len = 5e4, 3.5e-9
+        sizes = collections.Counter()
+        for trial in range(300):
+            n = int(rng.integers(0, 60))
+            times = np.sort(rng.integers(0, 40, n) + rng.random(n) * 0.5) / gate_rate
+            det = rng.integers(0, 2, n, dtype=np.int8) if trial % 3 else \
+                np.full(n, trial % 2, dtype=np.int8)
+            clicks = sim.ClickStream(times, det, np.zeros(n, dtype=bool), 1e-3,
+                                     gate_rate, gate_len)
+            gates = np.floor(times * gate_rate).astype(np.int64)
+            both = np.intersect1d(gates[det == 0], gates[det == 1])
+            expected = both / gate_rate + 0.5 * gate_len
+            heralds = sim.herald_select(clicks, "coincidence")
+            assert heralds.dtype == expected.dtype
+            assert np.array_equal(heralds, expected)
+            sizes[min(n, 1), min(both.size, 1)] += 1
+        assert sizes[0, 0] > 0 and sizes[1, 0] > 50 and sizes[1, 1] > 100
+
     def _stream(self, times, detectors, gate_rate=5e4, gate_len=3.5e-9):
         times = np.asarray(times, dtype=float)
         det = np.asarray(detectors, dtype=np.int8)
