@@ -7,10 +7,11 @@ Neither writes a NaN or an infinity: both refuse before opening the file.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 
 
 def _column_text(col):
@@ -34,15 +35,19 @@ def write_csv(path, header, columns):
         if col.dtype.kind not in "biu" and not np.isfinite(col).all():
             raise NumericsError(f"column {name!r} of {path} is not finite")
     rows = map(",".join, zip(*map(_column_text, columns)))
-    text = "\n".join([header, *rows]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
+
+
+def json_text(path, doc):
+    """write_json's text for path; a NumPy scalar is written as its number."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                          default=np.generic.item) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"{path} would hold a non-finite number") from exc
+    except TypeError as exc:
+        raise ConfigError(f"{path} cannot hold a value: {exc}") from exc
 
 
 def write_json(path, doc):
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericsError(f"{path} would hold a non-finite number") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    Path(path).write_text(json_text(path, doc))

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ._formats import write_csv, write_json
+from ._formats import json_text, write_csv
 from .errors import ConfigError, NumericsError
-from .params import HERALD_COINCIDENCE, HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, \
-    UNITS, GridConfig, SimConfig, SpadConfig, SystemParams, default_params, \
-    default_spad, require_integer, require_positive
+from .params import HERALD_COINCIDENCE, HERALD_KINDS, HERALD_SINGLE, UNITS, \
+    GridConfig, SimConfig, SpadConfig, SystemParams, default_params, default_spad, \
+    require_integer, require_positive
 
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
 _SPAD_KEYS = {f.name for f in dataclasses.fields(SpadConfig)}
@@ -170,27 +170,15 @@ def cmd_simulate(cfg: RunConfig, args):
     threads = _thread_count(args)
     sim = _given(cfg.sim, trace_len=args.trace_len, n_traces=args.n_traces)
     plan = simulator.DemodPlan(sim)              # refuse before any work
-    usable = slice(plan.margin_cols, plan.cols.size - plan.margin_cols)
-    if args.herald != HERALD_NONE:
-        simulator.steady_wings(plan.taus, plan.margin_cols, plan.model.rate, ConfigError)
-    elif usable.start >= usable.stop:
-        raise ConfigError("trace too short: no column is clear of the filter's "
-                          "edge transients")
-    # every result is made before the first write, so a refusal writes nothing
-    ens = simulator.run_ensemble(sim, herald_kind=args.herald,
-                                 threads=threads)
-    curve = simulator.ensemble_variance(ens)
-    hist = simulator.herald_histogram(ens)
-    report = {"herald_kind": args.herald, "n_traces": ens.n_traces,
-              "calibration": {"vacuum_variance_expected": 1.0,
-                              "sigma_sq_inf_analytic": plan.sigma_inf}}
-    report.update(simulator.variance_ratio_report(ens) if ens.order
-                  else {"sigma_sq_inf": float(np.mean(curve.values[usable]))})
-
+    order = HERALD_KINDS.index(args.herald)
+    steady = simulator.steady_columns(plan.taus, plan.margin_cols, plan.model.rate,
+                                      order, ConfigError)
+    # every result is made before the first write, so a refusal writes
+    # nothing; the click stream refuses its own settings before the ensemble
+    report = {"herald_kind": args.herald}
     if args.click_seconds > 0:
         clicks = simulator.gated_click_stream(sim, args.click_seconds)
-        heralds = simulator.herald_select(
-            clicks, args.herald if ens.order else HERALD_SINGLE)
+        heralds = simulator.herald_select(clicks, args.herald if order else HERALD_SINGLE)
         budget_pred = budget.build_report(cfg.params, cfg.spad)
         report["click_rates"] = {
             "duration_s": args.click_seconds,
@@ -204,6 +192,15 @@ def cmd_simulate(cfg: RunConfig, args):
             "budget_dark_rate": budget_pred.dark_rate_observed,
             "budget_coincidence_rate": budget_pred.coincidence_rate,
         }
+    ens = simulator.run_ensemble(sim, herald_kind=args.herald, threads=threads)
+    curve = simulator.ensemble_variance(ens)
+    hist = simulator.herald_histogram(ens)
+    report.update(n_traces=ens.n_traces, calibration={
+        "vacuum_variance_expected": 1.0,
+        "sigma_sq_inf_analytic": ens.meta["sigma_inf_expected"]})
+    report.update(simulator.variance_ratio_report(ens) if order
+                  else {"sigma_sq_inf": float(np.mean(curve.values[steady]))})
+    report_text = json_text(f"report_{args.herald}.json", report)
 
     out = _outdir(cfg, args)
     simulator.save_ensemble(ens, out / f"ensemble_{args.herald}")
@@ -213,8 +210,8 @@ def cmd_simulate(cfg: RunConfig, args):
     if args.click_seconds > 0:
         simulator.write_clicks_csv(clicks, out / "clicks.csv")
         simulator.write_heralds_csv(heralds, out / f"heralds_{args.herald}.csv")
-    write_json(out / f"report_{args.herald}.json", report)
-    if ens.order:
+    (out / f"report_{args.herald}.json").write_text(report_text)
+    if order:
         print(f"peak ratio {report['peak_ratio']:.4f} "
               f"(ideal {report['ideal_ratio']}, filter-adjusted "
               f"{report['predicted_ratio']:.4f})")

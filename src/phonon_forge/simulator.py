@@ -476,11 +476,17 @@ def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     return VarianceCurve(ens.taus.copy(), var, order=ens.order)
 
 
-def steady_wings(taus, margin_cols, slow_rate, error=NumericsError):
-    """The usable columns beyond 0.6 of the usable half-span from the herald
-    and beyond three relaxation times of it; error if fewer than four."""
+def steady_columns(taus, margin_cols, slow_rate, order, error=NumericsError):
+    """The usable columns, clear of the filter's edge transients; heralded
+    (order > 0), those beyond 0.6 of the usable half-span from the herald and
+    beyond three relaxation times of it.  error if none, or under four wings."""
     usable = np.zeros(taus.size, dtype=bool)
     usable[margin_cols:taus.size - margin_cols] = True
+    if not order:
+        if not usable.any():
+            raise error("trace too short: no column is clear of the filter's "
+                        "edge transients")
+        return usable
     tau_wing = 0.6 * np.abs(taus[usable]).max() if usable.any() else 0.0
     tau_wing = max(tau_wing, 3.0 / slow_rate) if slow_rate else tau_wing
     wings = usable & (np.abs(taus) >= tau_wing)
@@ -490,11 +496,12 @@ def steady_wings(taus, margin_cols, slow_rate, error=NumericsError):
 
 
 def variance_ratio_report(ens: TraceEnsemble) -> dict:
-    """Herald-time enhancement relative to the ensemble's own steady_wings,
+    """Herald-time enhancement relative to the ensemble's own steady_columns,
     so the denominator is genuinely the steady state."""
     curve = ensemble_variance(ens)
-    wings = steady_wings(curve.taus, ens.margin_cols, ens.meta.get("slow_rate"))
-    sigma_inf = float(curve.values[wings].mean())
+    steady = steady_columns(curve.taus, ens.margin_cols, ens.meta.get("slow_rate"),
+                            ens.order)
+    sigma_inf = float(curve.values[steady].mean())
     sigma_peak = float(curve.values[ens.herald_col])
     w = ens.weights
     return {
@@ -534,8 +541,8 @@ def herald_histogram(ens: TraceEnsemble, npts=41, half_width=None) -> PhaseSpace
 
 @dataclass
 class ClickStream:
-    """Registered detector events with dark/real provenance; times is in time
-    order, so each detector's gate indices are sorted, as herald_select needs."""
+    """Registered detector events with dark/real provenance; times must be in
+    time order, so each detector's gate indices are sorted for herald_select."""
 
     times: np.ndarray
     detector: np.ndarray
@@ -544,6 +551,10 @@ class ClickStream:
     gate_rate: float
     gate_len: float
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (np.diff(self.times) >= 0).all():
+            raise ConfigError("click times must be in time order")
 
     @property
     def n_events(self):
@@ -765,8 +776,8 @@ ENSEMBLE_SCHEMA = "phonon-forge/ensemble-v2"
 
 
 def save_ensemble(ens: TraceEnsemble, path_base):
-    """Binary columnar store (.npz) plus a JSON sidecar (.json)."""
-    np.savez(str(path_base) + ".npz", z=ens.z, taus=ens.taus, weights=ens.weights)
+    """Binary columnar store (.npz) plus a JSON sidecar (.json); the sidecar
+    is written first, so one that JSON cannot hold leaves no file."""
     sidecar = {
         "schema": ENSEMBLE_SCHEMA,
         "herald_kind": ens.herald_kind,
@@ -774,9 +785,10 @@ def save_ensemble(ens: TraceEnsemble, path_base):
         "margin_cols": ens.margin_cols,
         "units": ens.units,
         "n_traces": int(ens.n_traces),
-        "meta": _jsonable(ens.meta),
+        "meta": ens.meta,
     }
     write_json(str(path_base) + ".json", sidecar)
+    np.savez(str(path_base) + ".npz", z=ens.z, taus=ens.taus, weights=ens.weights)
 
 
 def load_ensemble(path_base) -> TraceEnsemble:
@@ -831,12 +843,3 @@ def load_ensemble(path_base) -> TraceEnsemble:
                          weights=weights, herald_kind=sidecar["herald_kind"],
                          margin_cols=sidecar["margin_cols"], meta=meta)
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)

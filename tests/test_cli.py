@@ -233,6 +233,47 @@ class TestCommands:
                         "simulate", "--herald", herald, "--n-traces", "10") == 2
         assert not outdir.exists()
 
+    def test_non_finite_report_exits_3_and_writes_nothing(self, outdir, monkeypatch):
+        # the report's text is checked before the first file is written
+        real = simulator.variance_ratio_report
+
+        def variance_ratio_report(ens):
+            return {**real(ens), "peak_ratio": _NAN}
+
+        monkeypatch.setattr(simulator, "variance_ratio_report", variance_ratio_report)
+        outdir.mkdir()
+        assert run(["--out", str(outdir), "simulate", "--n-traces", "16",
+                    "--trace-len", "3125", "--click-seconds", "0.2"]) == 3
+        assert not any(outdir.iterdir())
+
+    @pytest.mark.parametrize("herald,trace_len,message", [
+        ("none", "256", "no column is clear of the filter's edge transients"),
+        ("single", "1024", "too short to estimate the steady-state wings"),
+        ("coincidence", "1024", "too short to estimate the steady-state wings")])
+    def test_too_short_a_trace_is_refused_before_any_work(
+            self, outdir, monkeypatch, capsys, herald, trace_len, message):
+        def work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(simulator, "gated_click_stream", work)
+        monkeypatch.setattr(simulator, "run_ensemble", work)
+        assert run(["--out", str(outdir), "simulate", "--herald", herald,
+                    "--n-traces", "20", "--trace-len", trace_len]) == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_click_refusal_comes_before_the_ensemble(self, outdir, monkeypatch, capsys):
+        # the click stream's own refusal, shorter than one gate, fires
+        # before the costly ensemble is made
+        def run_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble was made")
+
+        monkeypatch.setattr(simulator, "run_ensemble", run_ensemble)
+        assert run(["--out", str(outdir), "simulate", "--n-traces", "2048",
+                    "--click-seconds", "1e-9"]) == 2
+        assert "duration shorter than one gate period" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("command", [
         ["marginal", "--n", "1", "--npts", "1000000000000"],
         ["wigner", "--n", "1", "--npts", "10000001"]], ids=["marginal", "wigner"])
@@ -519,5 +560,13 @@ _DOCS = st.fixed_dictionaries({}, optional={
 def test_any_config_document_keeps_the_exit_code_contract(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
-        assert run_with(doc, tmp, outdir, *command) in (0, 2, 3)
+        outdir.mkdir()
+        sentinel = outdir / "sentinel.txt"
+        sentinel.write_text("kept\n")
+        code = run_with(doc, tmp, outdir, *command)
+        assert code in (0, 2, 3)
         _no_non_finite_files(outdir)
+        if code:
+            # a refusal writes nothing
+            assert list(outdir.iterdir()) == [sentinel]
+            assert sentinel.read_text() == "kept\n"

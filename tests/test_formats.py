@@ -1,5 +1,7 @@
 """Every CSV writer round-trips its arrays bit for bit; none writes NaN or inf."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from phonon_forge import dynamics as dyn
 from phonon_forge import phase_space as ps
 from phonon_forge import simulator as sim
 from phonon_forge._formats import write_csv, write_json
-from phonon_forge.errors import NumericsError
+from phonon_forge.errors import ConfigError, NumericsError
 
 
 def _read_columns(path, parsers):
@@ -101,6 +103,25 @@ def test_json_refuses_non_finite_floats(tmp_path, bad):
     with pytest.raises(NumericsError):
         write_json(path, {"ok": 1.0, "nested": {"value": float(bad)}})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.float64, object(), {1: 2, "a": 3}],
+                         ids=["array", "type", "object", "mixed-keys"])
+def test_json_refuses_values_it_cannot_hold(tmp_path, bad):
+    # no value is written as its str(): the refusal names the file, which
+    # is never opened
+    path = tmp_path / "x.json"
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        write_json(path, {"ok": 1.0, "nested": {"value": bad}})
+    assert not path.exists()
+
+
+def test_json_writes_numpy_scalars_as_their_numbers(tmp_path):
+    write_json(tmp_path / "plain.json", {"f": 0.1, "i": 3, "b": True,
+                                         "f32": 0.10000000149011612})
+    write_json(tmp_path / "numpy.json", {"f": np.float64(0.1), "i": np.int64(3),
+                                         "b": np.bool_(True), "f32": np.float32(0.1)})
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_csv_bytes_match_row_by_row_formatting(tmp_path):

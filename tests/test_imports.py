@@ -108,6 +108,39 @@ def test_the_check_sees_a_config_name_literal():
                                              (7, "heterodyne_vacuum")]
 
 
+_RECORD_FACTS = {"margin_cols", "cols", "sigma_inf"}
+
+
+def _record_fact_reads(source):
+    """(line, name) of each use of a record's margin_cols, cols or
+    sigma_inf that is not handed straight to a simulator function, which
+    owns the rules that use them (the steady-state columns, the analytic
+    steady state)."""
+    tree = ast.parse(source)
+    passed = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "simulator"
+              for arg in [*node.args, *(k.value for k in node.keywords)]}
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in _RECORD_FACTS
+                  and id(node) not in passed)
+
+
+def test_cli_keeps_no_copy_of_a_record_rule():
+    # cli asks simulator which columns hold the steady state
+    assert _record_fact_reads((_PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_check_sees_a_record_fact_read():
+    source = ("usable = slice(plan.margin_cols, plan.cols.size - plan.margin_cols)\n"
+              "r = {'analytic': plan.sigma_inf}\n"
+              "w = simulator.steady_columns(plan.taus, plan.margin_cols, order=ens.cols)\n"
+              "m = other.f(ens.margin_cols)\nplan.cols = 1\n")
+    assert _record_fact_reads(source) == [(1, "cols"), (1, "margin_cols"),
+                                          (1, "margin_cols"), (2, "sigma_inf"),
+                                          (4, "margin_cols"), (5, "cols")]
+
+
 def _annotated(module):
     """Every function, class and method that module defines."""
     found = []

@@ -16,7 +16,7 @@ from phonon_forge import budget as bud
 from phonon_forge import dynamics as dyn
 from phonon_forge import phase_space as ps
 from phonon_forge import simulator as sim
-from phonon_forge.errors import ConfigError
+from phonon_forge.errors import ConfigError, NumericsError
 from phonon_forge.params import UNITS_HETERODYNE
 
 from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
@@ -585,6 +585,43 @@ class TestHeraldedEnsembles:
         r_half = plan_half.predicted_ratio(1)
         assert abs(r_full - r_half) < 0.06
         assert 1.9 < r_half <= r_full < 2.0 + 1e-9
+
+
+class TestSteadyColumns:
+    # 21 columns 0.1 apart, 3 at each edge unusable: the usable |tau| <= 0.7,
+    # so the wings lie beyond 0.42, or beyond three relaxation times
+    taus = np.linspace(-1.0, 1.0, 21)
+
+    def test_unheralded_reads_every_usable_column(self):
+        for rate in (None, 100.0):
+            steady = sim.steady_columns(self.taus, 3, rate, 0)
+            assert np.array_equal(np.flatnonzero(steady), np.arange(3, 18))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_heralded_reads_the_wings(self, order):
+        for rate, cols in ((None, [3, 4, 5, 15, 16, 17]), (10.0, [3, 4, 5, 15, 16, 17]),
+                           (5.0, [3, 4, 16, 17])):
+            steady = sim.steady_columns(self.taus, 3, rate, order)
+            assert np.array_equal(np.flatnonzero(steady), cols)
+
+    @pytest.mark.parametrize("order,margin,rate,message", [
+        (0, 11, None, "no column is clear of the filter's edge transients"),
+        (1, 11, None, "too short to estimate the steady-state wings"),
+        (1, 3, 2.0, "too short to estimate the steady-state wings"),
+        (2, 8, None, "too short to estimate the steady-state wings")])
+    def test_too_short_a_trace_is_refused(self, order, margin, rate, message):
+        with pytest.raises(NumericsError, match=message):
+            sim.steady_columns(self.taus, margin, rate, order)
+        with pytest.raises(ConfigError, match=message):
+            sim.steady_columns(self.taus, margin, rate, order, ConfigError)
+
+    def test_unheralded_report_reads_the_usable_columns(self, cfg):
+        ens = sim.run_ensemble(cfg, "none", n_traces=16)
+        values = sim.ensemble_variance(ens).values
+        usable = values[ens.margin_cols:values.size - ens.margin_cols]
+        report = sim.variance_ratio_report(ens)
+        assert report["sigma_sq_inf"] == float(usable.mean())
+        assert report["ideal_ratio"] == 1.0
 
 
 class TestHeraldHistogram:
@@ -1357,6 +1394,14 @@ class TestHeraldSelect:
         assert heralds.size == 1
         assert abs(heralds[0] - (t0 + 0.5 * 3.5e-9)) < gate
 
+    @pytest.mark.parametrize("times", [[1.1, 3.1, 3.2, 1.2], [1.1, math.nan, 3.2, 4.2]])
+    def test_times_out_of_order_are_refused(self, times):
+        # herald_select's merge reads each detector's gates in time order: this
+        # stream has coincidences in gates 1 and 3, which the merge would miss
+        with pytest.raises(ConfigError, match="time order"):
+            sim.ClickStream(np.array(times) / 5e4, np.array([0, 0, 1, 1], dtype=np.int8),
+                            np.zeros(4, dtype=bool), 1e-3, 5e4, 3.5e-9)
+
     def test_cross_gate_events_do_not_coincide(self):
         gate = 1.0 / 5e4
         clicks = self._stream([3 * gate + 1e-9, 4 * gate + 1e-9], [0, 1])
@@ -1495,6 +1540,22 @@ class TestPersistence:
         # the refusal names the damaged part
         with pytest.raises(ConfigError, match=re.escape("ens" + suffix)):
             sim.load_ensemble(base)
+
+    def test_meta_json_cannot_hold_is_refused_before_any_write(self, cfg, tmp_path):
+        # an array was once saved as its str(), '[1. 2.]', and loaded back so
+        ens = sim.run_ensemble(cfg, herald_kind="single", n_traces=10)
+        ens.meta["extra"] = np.array([1.0, 2.0])
+        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "ens.json"))):
+            sim.save_ensemble(ens, tmp_path / "ens")
+        assert not any(tmp_path.iterdir())
+
+    def test_numpy_scalars_in_meta_load_back_as_numbers(self, cfg, tmp_path):
+        ens = sim.run_ensemble(cfg, herald_kind="single", n_traces=10)
+        plain = dict(ens.meta)
+        ens.meta.update(seed=np.int64(ens.meta["seed"]),
+                        eta_total=np.float64(ens.meta["eta_total"]))
+        sim.save_ensemble(ens, tmp_path / "ens")
+        assert sim.load_ensemble(tmp_path / "ens").meta == plain
 
     def test_unheralded_sidecar_loads(self, cfg, tmp_path):
         ens = sim.load_ensemble(_saved(cfg, tmp_path, "none"))
