@@ -14,18 +14,17 @@ import numpy as np
 from .errors import ConfigError, NumericsError
 
 
-def _column_text(col):
-    """The text of each entry of col; when at most half of the entries are
-    distinct, each distinct value (by bit pattern) is formatted once."""
+def _column_text(col, sep):
+    """The text of each entry of col, sep included; when at most half of the
+    entries are distinct, each distinct value (by bit pattern) is formatted once."""
     integral = col.dtype.kind in "biu"
-    fmt = "%d" if integral else "%.17g"
+    fmt = ("%d" if integral else "%.17g") + sep
     key = col if integral else col.view(f"i{col.itemsize}")   # keeps -0.0 apart
-    distinct, first, inverse = np.unique(key, return_index=True,
-                                         return_inverse=True)
+    distinct, inverse = np.unique(key, return_inverse=True)
     if 2 * distinct.size > col.size:
         return [fmt % v for v in col.tolist()]
-    text = np.array([fmt % v for v in col[first].tolist()], dtype=object)
-    return text[inverse].tolist()
+    text = np.array([fmt % v for v in distinct.view(col.dtype).tolist()], dtype=object)
+    return text[inverse]
 
 
 def write_csv(path, header, columns):
@@ -34,20 +33,19 @@ def write_csv(path, header, columns):
     for name, col in zip(header.split(","), columns):
         if col.dtype.kind not in "biu" and not np.isfinite(col).all():
             raise NumericsError(f"column {name!r} of {path} is not finite")
-    rows = map(",".join, zip(*map(_column_text, columns)))
-    Path(path).write_text("\n".join([header, *rows]) + "\n")
+    cells = np.empty((columns[0].size, len(columns)), dtype=object)
+    for j, col in enumerate(columns):
+        cells[:, j] = _column_text(col, "\n" if j == len(columns) - 1 else ",")
+    Path(path).write_text(header + "\n" + "".join(cells.ravel().tolist()))
 
 
-def json_text(path, doc):
-    """write_json's text for path; a NumPy scalar is written as its number."""
+def write_json(path, doc):
+    """Write doc as sorted, indented JSON; a NumPy scalar is written as its number."""
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
                           default=np.generic.item) + "\n"
     except ValueError as exc:
         raise NumericsError(f"{path} would hold a non-finite number") from exc
     except TypeError as exc:
         raise ConfigError(f"{path} cannot hold a value: {exc}") from exc
-
-
-def write_json(path, doc):
-    Path(path).write_text(json_text(path, doc))
+    Path(path).write_text(text)

@@ -13,16 +13,19 @@ runs, so a command loads no module it does not use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from ._formats import json_text, write_csv
+from ._formats import write_csv, write_json
 from .errors import ConfigError, NumericsError
 from .params import HERALD_COINCIDENCE, HERALD_KINDS, HERALD_SINGLE, UNITS, \
     GridConfig, SimConfig, SpadConfig, SystemParams, default_params, default_spad, \
@@ -80,7 +83,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # ValueError: not UTF-8 or JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return RunConfig(doc)
 
@@ -91,12 +94,6 @@ def _thread_count(args):
         return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
     return args.threads      # run_ensemble checks it
-
-
-def _outdir(cfg, args):
-    out = Path(args.out) if args.out else cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _state_spec(cfg, args):
@@ -113,22 +110,22 @@ def _state_spec(cfg, args):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_wigner(cfg: RunConfig, args):
+def cmd_wigner(cfg: RunConfig, args, out, stage):
     from . import phase_space
     spec = _state_spec(cfg, args)
     gcfg = _given(cfg.grid, npts=args.npts, half_width=args.half_width,
                   units=args.units)
     grid = phase_space.wigner_s(spec, gcfg, s_override=args.s)
-    stem = _outdir(cfg, args) / f"wigner_n{args.n}"
-    phase_space.write_grid(grid, f"{stem}.csv", f"{stem}.json")
+    stem = f"wigner_n{args.n}"
+    phase_space.write_grid(grid, stage / f"{stem}.csv", stage / f"{stem}.json")
     marg = phase_space.marginal_from_grid(grid)
-    phase_space.write_marginal(marg, f"{stem}_marginal.csv")
-    print(f"wrote {stem}.csv ({grid.npts}x{grid.npts}, units={grid.units}, "
+    phase_space.write_marginal(marg, stage / f"{stem}_marginal.csv")
+    print(f"wrote {out / stem}.csv ({grid.npts}x{grid.npts}, units={grid.units}, "
           f"s={grid.s_param:.6g}, mass={grid.total_mass():.6f})")
     return 0
 
 
-def cmd_marginal(cfg: RunConfig, args):
+def cmd_marginal(cfg: RunConfig, args, out, stage):
     from . import phase_space
     spec = _state_spec(cfg, args)
     # the detected marginal is the state smoothed by one vacuum unit
@@ -138,15 +135,14 @@ def cmd_marginal(cfg: RunConfig, args):
     require_integer("npts", args.npts, 2)
     xs = np.linspace(-xmax, xmax, args.npts)
     marg = phase_space.marginal_on_grid(phase_space.measured_marginal(spec), xs)
-    path = _outdir(cfg, args) / f"marginal_n{args.n}.csv"
-    phase_space.write_marginal(marg, path)
-    print(f"wrote {path} (integral={marg.integral():.6f})")
+    name = f"marginal_n{args.n}.csv"
+    phase_space.write_marginal(marg, stage / name)
+    print(f"wrote {out / name} (integral={marg.integral():.6f})")
     return 0
 
 
-def cmd_variance(cfg: RunConfig, args):
+def cmd_variance(cfg: RunConfig, args, out, stage):
     from . import dynamics
-    out = _outdir(cfg, args)
     chain = dynamics.characterize(cfg.params)
     t_max = 5.0 / chain.gamma_eff
     require_integer("npts", args.npts, 2)
@@ -154,17 +150,17 @@ def cmd_variance(cfg: RunConfig, args):
     # the emulator's relaxation rate, so sim.mech_linewidth applies
     curve = dynamics.variance_curve(cfg.params, args.n, taus,
                                     dynamics.relaxation_rate(cfg.sim))
-    path = out / f"variance_n{args.n}.csv"
-    dynamics.write_variance_curve(curve, path)
+    name = f"variance_n{args.n}.csv"
+    dynamics.write_variance_curve(curve, stage / name)
     peak = curve.values.max()
     inf = dynamics.steady_state_variance(cfg.params)
     # with no mechanical signal above the vacuum the ratio is 0/0
     ratio = f"{(peak - 1.0) / (inf - 1.0):.6f}" if inf > 1.0 else "undefined"
-    print(f"wrote {path} (peak ratio {ratio}, steady state {inf:.6f})")
+    print(f"wrote {out / name} (peak ratio {ratio}, steady state {inf:.6f})")
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, args):
+def cmd_simulate(cfg: RunConfig, args, out, stage):
     from . import budget, dynamics, phase_space, simulator
     require_positive("click_seconds", args.click_seconds, zero_ok=True)
     threads = _thread_count(args)
@@ -173,8 +169,7 @@ def cmd_simulate(cfg: RunConfig, args):
     order = HERALD_KINDS.index(args.herald)
     steady = simulator.steady_columns(plan.taus, plan.margin_cols, plan.model.rate,
                                       order, ConfigError)
-    # every result is made before the first write, so a refusal writes
-    # nothing; the click stream refuses its own settings before the ensemble
+    # the click stream refuses its own settings before the costly ensemble
     report = {"herald_kind": args.herald}
     if args.click_seconds > 0:
         clicks = simulator.gated_click_stream(sim, args.click_seconds)
@@ -194,23 +189,19 @@ def cmd_simulate(cfg: RunConfig, args):
         }
     ens = simulator.run_ensemble(sim, herald_kind=args.herald, threads=threads)
     curve = simulator.ensemble_variance(ens)
-    hist = simulator.herald_histogram(ens)
     report.update(n_traces=ens.n_traces, calibration={
         "vacuum_variance_expected": 1.0,
         "sigma_sq_inf_analytic": ens.meta["sigma_inf_expected"]})
     report.update(simulator.variance_ratio_report(ens) if order
                   else {"sigma_sq_inf": float(np.mean(curve.values[steady]))})
-    report_text = json_text(f"report_{args.herald}.json", report)
-
-    out = _outdir(cfg, args)
-    simulator.save_ensemble(ens, out / f"ensemble_{args.herald}")
-    dynamics.write_variance_curve(curve, out / f"empirical_variance_{args.herald}.csv")
-    stem = out / f"histogram_{args.herald}"
-    phase_space.write_grid(hist, f"{stem}.csv", f"{stem}.json")
+    write_json(stage / f"report_{args.herald}.json", report)
+    simulator.save_ensemble(ens, stage / f"ensemble_{args.herald}")
+    dynamics.write_variance_curve(curve, stage / f"empirical_variance_{args.herald}.csv")
+    stem = stage / f"histogram_{args.herald}"
+    phase_space.write_grid(simulator.herald_histogram(ens), f"{stem}.csv", f"{stem}.json")
     if args.click_seconds > 0:
-        simulator.write_clicks_csv(clicks, out / "clicks.csv")
-        simulator.write_heralds_csv(heralds, out / f"heralds_{args.herald}.csv")
-    (out / f"report_{args.herald}.json").write_text(report_text)
+        simulator.write_clicks_csv(clicks, stage / "clicks.csv")
+        simulator.write_heralds_csv(heralds, stage / f"heralds_{args.herald}.csv")
     if order:
         print(f"peak ratio {report['peak_ratio']:.4f} "
               f"(ideal {report['ideal_ratio']}, filter-adjusted "
@@ -221,18 +212,16 @@ def cmd_simulate(cfg: RunConfig, args):
     return 0
 
 
-def cmd_budget(cfg: RunConfig, args):
+def cmd_budget(cfg: RunConfig, args, out, stage):
     from . import budget
-    out = _outdir(cfg, args)
     report = budget.build_report(cfg.params, cfg.spad)
-    report.to_json(out / "budget.json")
+    report.to_json(stage / "budget.json")
     print(budget.format_table(report))
     return 0
 
 
-def cmd_characterize(cfg: RunConfig, args):
+def cmd_characterize(cfg: RunConfig, args, out, stage):
     from . import dynamics
-    out = _outdir(cfg, args)
     try:
         powers = [float(p) for p in args.powers.split(",")] if args.powers \
             else [cfg.params.p_in]
@@ -241,11 +230,10 @@ def cmd_characterize(cfg: RunConfig, args):
                           f"got {args.powers!r}") from None
     rows = [(p, dynamics.characterize(dataclasses.replace(cfg.params, p_in=p)))
             for p in powers]
-    path = out / "characterization.csv"
     table = [(p, ch.n_cav, ch.coupling / (2 * math.pi), ch.cooperativity,
               ch.nbar_cooled, ch.gamma_eff / (2 * math.pi), ch.decay_time)
              for p, ch in rows]
-    write_csv(path, "p_in,n_cav,G_over_2pi,cooperativity,nbar,"
+    write_csv(stage / "characterization.csv", "p_in,n_cav,G_over_2pi,cooperativity,nbar,"
               "gamma_eff_over_2pi,decay_time", list(zip(*table)))
     for p, ch in rows:
         print(f"P_in={p * 1e3:.3g} mW: N_cav={ch.n_cav:.4g}, "
@@ -262,7 +250,7 @@ def cmd_characterize(cfg: RunConfig, args):
         print(f"spectrum fit: g0/2pi={g0_fit / 2 / math.pi:.4g} Hz "
               f"(input {cfg.params.g0 / 2 / math.pi:.4g} Hz, "
               f"relative error {rel:.2%})")
-    print(f"wrote {path}")
+    print(f"wrote {out / 'characterization.csv'}")
     return 0
 
 
@@ -330,15 +318,41 @@ def build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _staged(out):
+    """A fresh directory in out, or in its deepest existing ancestor, for a
+    command's files: they move into out when the command returns, and it goes
+    on any exit.  An OSError, or a path the OS cannot take, is a ConfigError."""
+    try:
+        for base in (out, *out.parents):
+            with contextlib.suppress(FileNotFoundError):
+                base.stat()              # unlike exists(), refuses a NUL byte
+                break
+        stage = Path(tempfile.mkdtemp(prefix=".phonon-forge-", dir=base))
+    except (OSError, ValueError) as exc:    # an OSError's str names the stage
+        raise ConfigError(f"cannot write to {out}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        yield stage
+        out.mkdir(parents=True, exist_ok=True)
+        for path in stage.iterdir():
+            path.replace(out / path.name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out}: {exc.strerror or exc}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        out = Path(args.out) if args.out else cfg.output_dir
         # a float that leaves the double range is a numerics error, wherever
         # it happens, rather than an inf or NaN carried on towards the output
-        with np.errstate(over="raise", invalid="raise"):
-            return args.func(cfg, args)
+        with _staged(out) as stage, np.errstate(over="raise", invalid="raise"):
+            return args.func(cfg, args, out, stage)
     except (ConfigError, MemoryError) as exc:
         # a request too large for memory is refused like any other bad value
         print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)

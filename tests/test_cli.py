@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phonon_forge import cli, simulator
+from phonon_forge import cli, dynamics, simulator
+from phonon_forge.errors import NumericsError
 from phonon_forge.params import GridConfig, SimConfig, SpadConfig, SystemParams
 
 
@@ -42,6 +44,14 @@ def _no_non_finite_files(outdir):
 @pytest.fixture()
 def outdir(tmp_path):
     return tmp_path / "out"
+
+
+def _sentinel(outdir):
+    """An existing output directory holding one file of its own."""
+    outdir.mkdir()
+    sentinel = outdir / "sentinel.txt"
+    sentinel.write_text("kept\n")
+    return sentinel
 
 
 class TestParser:
@@ -76,6 +86,17 @@ class TestConfig:
         doc = json.loads((outdir / "budget.json").read_text())
         # flux scales linearly with the bath occupation
         assert doc["f_cav"] == pytest.approx(3.986e8 * 100.0 / 766.0, rel=0.05)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf8", "too-deep"])
+    def test_unreadable_config_exits_2(self, tmp_path, outdir, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert run(["--config", str(cfg), "--out", str(outdir), "budget"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}: ")
+        assert err.count("\n") == 1
+        assert not outdir.exists()
 
 
 class TestCommands:
@@ -273,6 +294,71 @@ class TestCommands:
                     "--click-seconds", "1e-9"]) == 2
         assert "duration shorter than one gate period" in capsys.readouterr().err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["budget"], ["wigner", "--n", "1", "--npts", "11"],
+        ["simulate", "--n-traces", "16", "--trace-len", "3125", "--click-seconds", "0.2"]],
+        ids=["budget", "wigner", "simulate"])
+    def test_output_below_a_file_exits_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, command):
+        def work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(simulator, "run_ensemble", work)
+        monkeypatch.setattr(simulator, "gated_click_stream", work)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        assert run(["--out", str(blocker / "sub"), *command]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: cannot write to {blocker / 'sub'}: ")
+        assert err.count("\n") == 1 and ".phonon-forge-" not in out + err
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [["budget"], ["simulate", "--n-traces", "16"]],
+                             ids=["budget", "simulate"])
+    def test_output_dir_the_os_cannot_take_exits_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, command):
+        def work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(simulator, "run_ensemble", work)
+        monkeypatch.setattr(simulator, "gated_click_stream", work)
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"output_dir": "a\u0000b"}))
+        assert run(["--config", "cfg.json", *command]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write to a")
+        assert os.listdir() == ["cfg.json"]
+
+    def test_refusal_after_the_files_are_staged_leaves_only_the_sentinel(
+            self, outdir, monkeypatch, capsys):
+        # the heralds are the last file simulate writes: the ensemble, the
+        # curves, the histogram, the clicks and the report are staged by then
+        real = simulator.write_heralds_csv
+
+        def write_heralds_csv(times, path):
+            real(times, path)
+            raise NumericsError("refused after the write")
+
+        monkeypatch.setattr(simulator, "write_heralds_csv", write_heralds_csv)
+        sentinel = _sentinel(outdir)
+        assert run(["--out", str(outdir), "simulate", "--n-traces", "16",
+                    "--trace-len", "3125", "--click-seconds", "0.2"]) == 3
+        assert list(outdir.iterdir()) == [sentinel]
+        assert ".phonon-forge-" not in "".join(capsys.readouterr())
+
+    def test_write_that_fails_exits_2_and_leaves_only_the_sentinel(
+            self, outdir, monkeypatch, capsys):
+        def write_variance_curve(curve, path):
+            Path(path).write_text("partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(dynamics, "write_variance_curve", write_variance_curve)
+        sentinel = _sentinel(outdir)
+        assert run(["--out", str(outdir), "variance", "--n", "1", "--npts", "11"]) == 2
+        assert capsys.readouterr().err == (f"config error: cannot write to {outdir}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(outdir.iterdir()) == [sentinel]
 
     @pytest.mark.parametrize("command", [
         ["marginal", "--n", "1", "--npts", "1000000000000"],
@@ -537,7 +623,7 @@ def test_overflowing_characterization_exits_3_and_writes_nothing(tmp_path, outdi
     # every number is finite on input, but the cooperativity overflows
     assert run_with({"system": {"gamma": 5e-324}}, tmp_path, outdir,
                     "characterize") == 3
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 _VALUES = st.one_of(
@@ -560,9 +646,7 @@ _DOCS = st.fixed_dictionaries({}, optional={
 def test_any_config_document_keeps_the_exit_code_contract(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
-        outdir.mkdir()
-        sentinel = outdir / "sentinel.txt"
-        sentinel.write_text("kept\n")
+        sentinel = _sentinel(outdir)
         code = run_with(doc, tmp, outdir, *command)
         assert code in (0, 2, 3)
         _no_non_finite_files(outdir)
@@ -570,3 +654,6 @@ def test_any_config_document_keeps_the_exit_code_contract(doc, command):
             # a refusal writes nothing
             assert list(outdir.iterdir()) == [sentinel]
             assert sentinel.read_text() == "kept\n"
+        else:
+            # no staging directory is left behind
+            assert not any(path.is_dir() for path in outdir.iterdir())
