@@ -93,7 +93,8 @@ def _thread_count(args):
     if args.threads is None:
         return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-    return args.threads      # run_ensemble checks it
+    require_integer("threads", args.threads, 1)
+    return args.threads
 
 
 def _state_spec(cfg, args):
@@ -120,9 +121,8 @@ def cmd_wigner(cfg: RunConfig, args, out, stage):
     phase_space.write_grid(grid, stage / f"{stem}.csv", stage / f"{stem}.json")
     marg = phase_space.marginal_from_grid(grid)
     phase_space.write_marginal(marg, stage / f"{stem}_marginal.csv")
-    print(f"wrote {out / stem}.csv ({grid.npts}x{grid.npts}, units={grid.units}, "
-          f"s={grid.s_param:.6g}, mass={grid.total_mass():.6f})")
-    return 0
+    return (f"wrote {out / stem}.csv ({grid.npts}x{grid.npts}, units={grid.units}, "
+            f"s={grid.s_param:.6g}, mass={grid.total_mass():.6f})")
 
 
 def cmd_marginal(cfg: RunConfig, args, out, stage):
@@ -137,8 +137,7 @@ def cmd_marginal(cfg: RunConfig, args, out, stage):
     marg = phase_space.marginal_on_grid(phase_space.measured_marginal(spec), xs)
     name = f"marginal_n{args.n}.csv"
     phase_space.write_marginal(marg, stage / name)
-    print(f"wrote {out / name} (integral={marg.integral():.6f})")
-    return 0
+    return f"wrote {out / name} (integral={marg.integral():.6f})"
 
 
 def cmd_variance(cfg: RunConfig, args, out, stage):
@@ -156,8 +155,7 @@ def cmd_variance(cfg: RunConfig, args, out, stage):
     inf = dynamics.steady_state_variance(cfg.params)
     # with no mechanical signal above the vacuum the ratio is 0/0
     ratio = f"{(peak - 1.0) / (inf - 1.0):.6f}" if inf > 1.0 else "undefined"
-    print(f"wrote {out / name} (peak ratio {ratio}, steady state {inf:.6f})")
-    return 0
+    return f"wrote {out / name} (peak ratio {ratio}, steady state {inf:.6f})"
 
 
 def cmd_simulate(cfg: RunConfig, args, out, stage):
@@ -177,9 +175,8 @@ def cmd_simulate(cfg: RunConfig, args, out, stage):
         budget_pred = budget.build_report(cfg.params, cfg.spad)
         report["click_rates"] = {
             "duration_s": args.click_seconds,
-            "singles_per_detector": {
-                "0": float((clicks.detector == 0).sum() / clicks.duration),
-                "1": float((clicks.detector == 1).sum() / clicks.duration)},
+            "singles_per_detector": {str(d): float((clicks.detector == d).sum()
+                                                   / clicks.duration) for d in (0, 1)},
             "coincidences": float(
                 simulator.herald_select(clicks, HERALD_COINCIDENCE).size
                 / clicks.duration),
@@ -187,7 +184,7 @@ def cmd_simulate(cfg: RunConfig, args, out, stage):
             "budget_dark_rate": budget_pred.dark_rate_observed,
             "budget_coincidence_rate": budget_pred.coincidence_rate,
         }
-    ens = simulator.run_ensemble(sim, herald_kind=args.herald, threads=threads)
+    ens = simulator.run_ensemble(sim, args.herald, threads=threads, plan=plan)
     curve = simulator.ensemble_variance(ens)
     report.update(n_traces=ens.n_traces, calibration={
         "vacuum_variance_expected": 1.0,
@@ -203,21 +200,17 @@ def cmd_simulate(cfg: RunConfig, args, out, stage):
         simulator.write_clicks_csv(clicks, stage / "clicks.csv")
         simulator.write_heralds_csv(heralds, stage / f"heralds_{args.herald}.csv")
     if order:
-        print(f"peak ratio {report['peak_ratio']:.4f} "
-              f"(ideal {report['ideal_ratio']}, filter-adjusted "
-              f"{report['predicted_ratio']:.4f})")
-    else:
-        print(f"steady-state variance {report['sigma_sq_inf']:.4f} "
-              f"(analytic {report['calibration']['sigma_sq_inf_analytic']:.4f})")
-    return 0
+        return (f"peak ratio {report['peak_ratio']:.4f} (ideal {report['ideal_ratio']}, "
+                f"filter-adjusted {report['predicted_ratio']:.4f})")
+    return (f"steady-state variance {report['sigma_sq_inf']:.4f} "
+            f"(analytic {report['calibration']['sigma_sq_inf_analytic']:.4f})")
 
 
 def cmd_budget(cfg: RunConfig, args, out, stage):
     from . import budget
     report = budget.build_report(cfg.params, cfg.spad)
     report.to_json(stage / "budget.json")
-    print(budget.format_table(report))
-    return 0
+    return budget.format_table(report)
 
 
 def cmd_characterize(cfg: RunConfig, args, out, stage):
@@ -235,11 +228,10 @@ def cmd_characterize(cfg: RunConfig, args, out, stage):
              for p, ch in rows]
     write_csv(stage / "characterization.csv", "p_in,n_cav,G_over_2pi,cooperativity,nbar,"
               "gamma_eff_over_2pi,decay_time", list(zip(*table)))
-    for p, ch in rows:
-        print(f"P_in={p * 1e3:.3g} mW: N_cav={ch.n_cav:.4g}, "
-              f"G/2pi={ch.coupling / 2 / math.pi / 1e6:.4g} MHz, "
-              f"C={ch.cooperativity:.4g}, nbar={ch.nbar_cooled:.4g}, "
-              f"1/gamma_eff={ch.decay_time * 1e9:.4g} ns")
+    lines = [f"P_in={p * 1e3:.3g} mW: N_cav={ch.n_cav:.4g}, "
+             f"G/2pi={ch.coupling / 2 / math.pi / 1e6:.4g} MHz, "
+             f"C={ch.cooperativity:.4g}, nbar={ch.nbar_cooled:.4g}, "
+             f"1/gamma_eff={ch.decay_time * 1e9:.4g} ns" for p, ch in rows]
     if args.fit:
         n_cavs = np.array([ch.n_cav for _, ch in rows])
         if np.unique(n_cavs).size < 2:
@@ -247,11 +239,10 @@ def cmd_characterize(cfg: RunConfig, args, out, stage):
                 * np.linspace(0.2, 1.0, 5)
         g0_fit, gamma_fit = dynamics.fit_g0_from_spectra(cfg.params, n_cavs)
         rel = abs(g0_fit - cfg.params.g0) / cfg.params.g0
-        print(f"spectrum fit: g0/2pi={g0_fit / 2 / math.pi:.4g} Hz "
-              f"(input {cfg.params.g0 / 2 / math.pi:.4g} Hz, "
-              f"relative error {rel:.2%})")
-    print(f"wrote {out / 'characterization.csv'}")
-    return 0
+        lines.append(f"spectrum fit: g0/2pi={g0_fit / 2 / math.pi:.4g} Hz "
+                     f"(input {cfg.params.g0 / 2 / math.pi:.4g} Hz, "
+                     f"relative error {rel:.2%})")
+    return "\n".join([*lines, f"wrote {out / 'characterization.csv'}"])
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +311,10 @@ def build_parser():
 
 @contextlib.contextmanager
 def _staged(out):
-    """A fresh directory in out, or in its deepest existing ancestor, for a
-    command's files: they move into out when the command returns, and it goes
-    on any exit.  An OSError, or a path the OS cannot take, is a ConfigError."""
+    """A fresh directory in out, or its deepest existing ancestor, for a command's
+    files, which move into out when it returns; it goes on any exit.  An OSError,
+    a bad path or a name out holds as a directory is a ConfigError."""
+    shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(out))
     try:
         for base in (out, *out.parents):
             with contextlib.suppress(FileNotFoundError):
@@ -330,15 +322,19 @@ def _staged(out):
                 break
         stage = Path(tempfile.mkdtemp(prefix=".phonon-forge-", dir=base))
     except (OSError, ValueError) as exc:    # an OSError's str names the stage
-        raise ConfigError(f"cannot write to {out}: "
+        raise ConfigError(f"cannot write to {shown}: "
                           f"{getattr(exc, 'strerror', None) or exc}") from exc
     try:
         yield stage
         out.mkdir(parents=True, exist_ok=True)
-        for path in stage.iterdir():
+        paths = list(stage.iterdir())
+        for path in paths:
+            if (out / path.name).is_dir():
+                raise ConfigError(f"cannot write to {shown}: {path.name} is a directory")
+        for path in paths:
             path.replace(out / path.name)
     except OSError as exc:
-        raise ConfigError(f"cannot write to {out}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot write to {shown}: {exc.strerror or exc}") from exc
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -352,7 +348,7 @@ def main(argv=None):
         # a float that leaves the double range is a numerics error, wherever
         # it happens, rather than an inf or NaN carried on towards the output
         with _staged(out) as stage, np.errstate(over="raise", invalid="raise"):
-            return args.func(cfg, args, out, stage)
+            summary = args.func(cfg, args, out, stage)
     except (ConfigError, MemoryError) as exc:
         # a request too large for memory is refused like any other bad value
         print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
@@ -360,6 +356,8 @@ def main(argv=None):
     except (NumericsError, ArithmeticError) as exc:
         print(f"numerical validity error: {exc}", file=sys.stderr)
         return 3
+    print(summary)      # only once every file is in place
+    return 0
 
 
 if __name__ == "__main__":

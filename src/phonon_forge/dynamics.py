@@ -195,7 +195,12 @@ def fit_g0_from_spectra(params: SystemParams, n_cavs):
         omegas = params.omega_het + np.linspace(-half, half, 4001)
         psd = anti_stokes_spectrum(params, chain.coupling)(omegas)
         widths.append(fit_linewidth(omegas - params.omega_het, psd))
-    slope, intercept = np.polyfit(n_cavs, widths, 1)
+    try:
+        with np.errstate(divide="raise"):
+            slope, intercept = np.polyfit(n_cavs, widths, 1)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericsError(f"spectrum fit failed at photon numbers down to "
+                            f"{n_cavs.min():.3g}: {exc}") from None
     if slope <= 0:
         raise NumericsError("spectrum fit produced a non-positive slope")
     return math.sqrt(slope * params.kappa2), float(intercept)

@@ -390,13 +390,13 @@ class TraceEnsemble:
 
 
 def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
-                 threads=None) -> TraceEnsemble:
+                 threads=None, plan=None) -> TraceEnsemble:
     """Simulate an ensemble of herald-aligned traces.
 
     Work is split into fixed chunks, chunk i drawing from node (i,) of the
     seed's spawn-key tree (`_stream`), and run on a pool of `threads` workers
     (one if None), so results are bit-identical for a given (cfg, seed)
-    regardless of the thread count.
+    regardless of the thread count.  plan, cfg's DemodPlan, is built if None.
     """
     require_choice("herald_kind", herald_kind, HERALD_KINDS)
     n_traces = cfg.n_traces if n_traces is None else n_traces
@@ -404,7 +404,7 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     threads = 1 if threads is None else threads
     require_integer("threads", threads, 1)
 
-    plan = DemodPlan(cfg)
+    plan = plan or DemodPlan(cfg)
     order = HERALD_KINDS.index(herald_kind)
     if herald_kind != HERALD_NONE and plan.model.var_a == 0:
         raise ConfigError("no herald signal: the scattered field is empty "

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import os
 import re
@@ -179,6 +181,19 @@ class TestCommands:
                     "--powers", powers]) == 0
         assert capsys.readouterr().out.splitlines()[-2] == expected
 
+    @pytest.mark.parametrize("doc,powers", [
+        ({"system": {"p_in": 1e-300}}, []), ({}, ["--powers", "1e-300,2e-300"])],
+        ids=["config", "powers"])
+    def test_fit_at_a_vanishing_pump_exits_3_and_writes_nothing(
+            self, tmp_path, outdir, capsys, doc, powers):
+        # photon numbers near 1e-290 are too small for the line fit to scale
+        assert run_with(doc, tmp_path, outdir, "characterize", "--fit", *powers) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical validity error: spectrum fit failed")
+        assert err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_characterize_zero_power(self, tmp_path, outdir):
         assert run(["--out", str(outdir), "characterize",
                     "--powers", "0.0"]) == 0
@@ -327,7 +342,10 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({"output_dir": "a\u0000b"}))
         assert run(["--config", "cfg.json", *command]) == 2
-        assert capsys.readouterr().err.startswith("config error: cannot write to a")
+        err = capsys.readouterr().err
+        # the NUL byte is shown escaped, not written to the terminal
+        assert err.startswith("config error: cannot write to a\\x00b: ")
+        assert "\0" not in err
         assert os.listdir() == ["cfg.json"]
 
     def test_refusal_after_the_files_are_staged_leaves_only_the_sentinel(
@@ -359,6 +377,30 @@ class TestCommands:
         assert capsys.readouterr().err == (f"config error: cannot write to {outdir}: "
                                            f"{os.strerror(errno.ENOSPC)}\n")
         assert list(outdir.iterdir()) == [sentinel]
+
+    def test_file_name_held_by_a_directory_exits_2_and_moves_nothing(
+            self, outdir, capsys):
+        # the marginal would land on a directory: the grid and its sidecar,
+        # staged beside it, do not move either, and no summary is printed
+        (outdir / "wigner_n1_marginal.csv").mkdir(parents=True)
+        assert run(["--out", str(outdir), "wigner", "--n", "1", "--npts", "11"]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot write to {outdir}: "
+                                           "wigner_n1_marginal.csv is a directory\n")
+        assert list(outdir.iterdir()) == [outdir / "wigner_n1_marginal.csv"]
+        assert not any((outdir / "wigner_n1_marginal.csv").iterdir())
+
+    def test_simulate_builds_one_plan(self, outdir, monkeypatch):
+        # the plan that refuses the settings is the one the ensemble runs on;
+        # the click stream builds the only other field model
+        built = {simulator.DemodPlan: 0, simulator.FieldModel: 0}
+        for cls in built:
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert run(["--out", str(outdir), "simulate", "--n-traces", "16",
+                    "--trace-len", "3125", "--click-seconds", "0.2"]) == 0
+        assert built == {simulator.DemodPlan: 1, simulator.FieldModel: 2}
 
     @pytest.mark.parametrize("command", [
         ["marginal", "--n", "1", "--npts", "1000000000000"],
@@ -528,6 +570,18 @@ class TestThreadCount:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert cli._thread_count(args) == 64
 
+    def test_zero_threads_is_refused_before_any_work(self, outdir, monkeypatch, capsys):
+        def work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(simulator, "run_ensemble", work)
+        monkeypatch.setattr(simulator, "gated_click_stream", work)
+        assert run(["--threads", "0", "--out", str(outdir), "simulate",
+                    "--click-seconds", "200"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: threads must be an integer >= 1, got 0\n")
+        assert not outdir.exists()
+
 
 _IMPORT_PROBE = """
 import importlib, json, sys
@@ -642,16 +696,19 @@ _DOCS = st.fixed_dictionaries({}, optional={
 @given(doc=_DOCS, command=st.sampled_from(
     [["budget"], ["variance", "--n", "1", "--npts", "11"],
      ["marginal", "--n", "3", "--npts", "11"], ["wigner", "--n", "1", "--npts", "11"],
-     _SMALL_SIMULATE]))
+     ["characterize", "--fit"], _SMALL_SIMULATE]))
 def test_any_config_document_keeps_the_exit_code_contract(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
         sentinel = _sentinel(outdir)
-        code = run_with(doc, tmp, outdir, *command)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run_with(doc, tmp, outdir, *command)
         assert code in (0, 2, 3)
         _no_non_finite_files(outdir)
         if code:
-            # a refusal writes nothing
+            # a refusal prints no summary and writes nothing
+            assert stdout.getvalue() == ""
             assert list(outdir.iterdir()) == [sentinel]
             assert sentinel.read_text() == "kept\n"
         else:
