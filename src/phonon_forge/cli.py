@@ -121,8 +121,8 @@ def cmd_wigner(cfg: RunConfig, args, out, stage):
     phase_space.write_grid(grid, stage / f"{stem}.csv", stage / f"{stem}.json")
     marg = phase_space.marginal_from_grid(grid)
     phase_space.write_marginal(marg, stage / f"{stem}_marginal.csv")
-    return (f"wrote {out / stem}.csv ({grid.npts}x{grid.npts}, units={grid.units}, "
-            f"s={grid.s_param:.6g}, mass={grid.total_mass():.6f})")
+    return (f"wrote {_shown(out / stem)}.csv ({grid.npts}x{grid.npts}, "
+            f"units={grid.units}, s={grid.s_param:.6g}, mass={grid.total_mass():.6f})")
 
 
 def cmd_marginal(cfg: RunConfig, args, out, stage):
@@ -137,7 +137,7 @@ def cmd_marginal(cfg: RunConfig, args, out, stage):
     marg = phase_space.marginal_on_grid(phase_space.measured_marginal(spec), xs)
     name = f"marginal_n{args.n}.csv"
     phase_space.write_marginal(marg, stage / name)
-    return f"wrote {out / name} (integral={marg.integral():.6f})"
+    return f"wrote {_shown(out / name)} (integral={marg.integral():.6f})"
 
 
 def cmd_variance(cfg: RunConfig, args, out, stage):
@@ -155,7 +155,7 @@ def cmd_variance(cfg: RunConfig, args, out, stage):
     inf = dynamics.steady_state_variance(cfg.params)
     # with no mechanical signal above the vacuum the ratio is 0/0
     ratio = f"{(peak - 1.0) / (inf - 1.0):.6f}" if inf > 1.0 else "undefined"
-    return f"wrote {out / name} (peak ratio {ratio}, steady state {inf:.6f})"
+    return f"wrote {_shown(out / name)} (peak ratio {ratio}, steady state {inf:.6f})"
 
 
 def cmd_simulate(cfg: RunConfig, args, out, stage):
@@ -189,7 +189,7 @@ def cmd_simulate(cfg: RunConfig, args, out, stage):
     report.update(n_traces=ens.n_traces, calibration={
         "vacuum_variance_expected": 1.0,
         "sigma_sq_inf_analytic": ens.meta["sigma_inf_expected"]})
-    report.update(simulator.variance_ratio_report(ens) if order
+    report.update(simulator.variance_ratio_report(ens, curve) if order
                   else {"sigma_sq_inf": float(np.mean(curve.values[steady]))})
     write_json(stage / f"report_{args.herald}.json", report)
     simulator.save_ensemble(ens, stage / f"ensemble_{args.herald}")
@@ -242,7 +242,7 @@ def cmd_characterize(cfg: RunConfig, args, out, stage):
         lines.append(f"spectrum fit: g0/2pi={g0_fit / 2 / math.pi:.4g} Hz "
                      f"(input {cfg.params.g0 / 2 / math.pi:.4g} Hz, "
                      f"relative error {rel:.2%})")
-    return "\n".join([*lines, f"wrote {out / 'characterization.csv'}"])
+    return "\n".join([*lines, f"wrote {_shown(out / 'characterization.csv')}"])
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +309,17 @@ def build_parser():
     return parser
 
 
+def _shown(path):
+    """path as printed: each unprintable character escaped as repr escapes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
+
+
 @contextlib.contextmanager
 def _staged(out):
     """A fresh directory in out, or its deepest existing ancestor, for a command's
     files, which move into out when it returns; it goes on any exit.  An OSError,
     a bad path or a name out holds as a directory is a ConfigError."""
-    shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(out))
+    shown = _shown(out)
     try:
         for base in (out, *out.parents):
             with contextlib.suppress(FileNotFoundError):

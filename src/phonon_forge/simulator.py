@@ -232,7 +232,7 @@ def _circular_normal(shape, rng):
 # ---------------------------------------------------------------------------
 
 class DemodPlan:
-    """Filter response, calibration constants and the record's field model."""
+    """Filter response, calibration constants, the record's field model and law."""
 
     def __init__(self, cfg: SimConfig, model: FieldModel | None = None):
         self.cfg = cfg
@@ -259,29 +259,24 @@ class DemodPlan:
         support = _support(h)
         self.h = h[support[0]:support[-1] + 1]
         self.h_center = n_imp // 2 - support[0]
-        self.noise_gain = float(np.sum(self.h ** 2))
-        self.sigma_vac = 1.0 / math.sqrt(self.noise_gain)
-        # edge transients only matter where the response carries real weight
+        # a margin clear of the filter's edge transients, where it carries weight
         core = np.nonzero(np.abs(h) > 1e-4 * np.abs(h).max())[0]
-        self._core_half_width = max(core[-1] - n_imp // 2, n_imp // 2 - core[0])
+        half_width = max(core[-1] - n_imp // 2, n_imp // 2 - core[0])
+        margin_time = (3 * half_width + 16) * self.dt_s
+        self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
 
-        lags = np.arange(-(self.h.size - 1), self.h.size)
-        r_h = np.correlate(self.h, self.h, mode="full")
-        c_a = model.correlation_a(lags * self.dt_s)
-        self.var_a_filtered = float(np.sum(r_h * c_a))
-        offsets = (np.arange(self.h.size) - self.h_center) * self.dt_s
-        self.cross_a_filtered = float(np.sum(self.h * model.correlation_a(offsets)))
-
-        if self.var_a_filtered > 0:
+        # unit vacuum quadratures, and 1 + eta nbar_th from the signal
+        (noise, signal, _), (cross, _) = (x[:, 0].real for x in self._lag_sums([0], [0]))
+        self.sigma_vac = 1.0 / math.sqrt(noise)
+        denom = model.var_a * signal
+        self._herald_rho_sq = float(cross ** 2 / denom) if denom > 0 else 0.0
+        if signal > 0:
             eta_nbar_th = cfg.params.eta_total * cfg.params.nbar_th
-            self.gain = math.sqrt(2.0 * eta_nbar_th / self.var_a_filtered)
+            self.gain = math.sqrt(2.0 * eta_nbar_th / signal)
             self.sigma_inf = steady_state_variance(cfg.params)
         else:
             # no scattered signal: the record is pure vacuum, whatever the pump
             self.gain, self.sigma_inf = 0.0, 1.0
-        # margin wide enough for filter transients at both trace edges
-        margin_time = (3 * self._core_half_width + 16) * self.dt_s
-        self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
 
         # the record zero-padded past the filter support, in whole bands of
         # n_fft/decimate; the response also moves column `offset` to 0
@@ -317,19 +312,42 @@ class DemodPlan:
         q8 = np.divide(lo, hi, out=np.zeros(n), where=hi > 0) ** 8
         return np.where(t <= t_c, 1.0, q8) / (1.0 + q8)
 
-    def predicted_ratio(self, order):
-        """Conditional variance enhancement after demodulation filtering.
+    def _lag_sums(self, auto_lags, cross_lags):
+        """The one home of the record's second moments, direct sums over the filter's
+        support with tau = (k d - w) dt: for each k >= 0 in auto_lags, the noise
+        r_h(k d), signal S_k = sum_w r_h(w) c_a(tau) and image I_k (its terms times
+        e^(-2i w_het tau)); for each k in cross_lags, C_k and J_k, with h for r_h."""
+        h, d = self.h, self.cfg.decimate
 
-        The ideal herald-time factor 1 + n degrades to 1 + n rho^2 where rho
-        is the correlation between the instantaneous detected amplitude and
-        its filtered copy.  At the defaults this moves 2 to 1.9989: 0.0011 of
-        the measured 0.06 gap, so the filter alone does not account for it.
-        """
+        def sums(weights, w, k):
+            tau = (k * d - w) * self.dt_s
+            c = weights * self.model.correlation_a(tau)
+            return np.sum(c), np.sum(c * np.exp(-2j * self.cfg.params.omega_het * tau))
+        r_h, w_r = np.correlate(h, h, mode="full"), np.arange(1 - h.size, h.size)
+        auto = [(np.sum(h[k * d:] * h[:max(h.size - k * d, 0)]), *sums(r_h, w_r, k))
+                for k in auto_lags]
+        cross = [sums(h, np.arange(h.size) - self.h_center, k) for k in cross_lags]
+        return np.array(auto, dtype=complex).T, np.array(cross, dtype=complex).T
+
+    def record_law(self):
+        """(cov, k, l) from _lag_sums: cov[m] = E[z_j z*_(j+m)] = g^2 (S_m + I_m)
+        + 2 sigma_vac^2 r_h(m d), k[j] = E[z_j a0*] = g C_(j - herald_col) and
+        l[j] = E[z_j a0] = g e^(2i w_het t_c) conj(J_(j - herald_col)), a0 being
+        the field at the herald sample t_c.  Exact only where the filter's support
+        lies inside the record, as at every steady_columns column: column 0 reads
+        16.31 against cov[0] = 15.94 at the defaults."""
+        n, g = self.cols.size, self.gain
+        (r, s, i), (c, j) = self._lag_sums(range(n), np.arange(n) - self.herald_col)
+        at_herald = np.exp(2j * self.cfg.params.omega_het * self.center * self.dt_s)
+        return g ** 2 * (s + i) + 2.0 * self.sigma_vac ** 2 * r.real, g * c, \
+            g * at_herald * np.conj(j)
+
+    def predicted_ratio(self, order):
+        """The herald-time factor 1 + n after demodulation filtering, 1 + n rho^2,
+        rho the correlation of the detected amplitude with its filtered copy.  At
+        the defaults 2 becomes 1.9989: 0.0011 of the measured 0.06 gap."""
         require_integer("order", order, 0)
-        denom = self.model.var_a * self.var_a_filtered
-        if denom <= 0:
-            return 1.0
-        return 1.0 + order * self.cross_a_filtered ** 2 / denom
+        return 1.0 + order * self._herald_rho_sq
 
     def voltage_from_field(self, a_sampled, rng):
         """sqrt(2) g Re[a e^(-i w t)] plus calibrated vacuum noise.
@@ -495,10 +513,10 @@ def steady_columns(taus, margin_cols, slow_rate, order, error=NumericsError):
     return wings
 
 
-def variance_ratio_report(ens: TraceEnsemble) -> dict:
-    """Herald-time enhancement relative to the ensemble's own steady_columns,
-    so the denominator is genuinely the steady state."""
-    curve = ensemble_variance(ens)
+def variance_ratio_report(ens: TraceEnsemble, curve=None) -> dict:
+    """Herald-time enhancement over the steady state of ens's own steady_columns,
+    read from curve, ens's ensemble_variance (computed if None)."""
+    curve = ensemble_variance(ens) if curve is None else curve
     steady = steady_columns(curve.taus, ens.margin_cols, ens.meta.get("slow_rate"),
                             ens.order)
     sigma_inf = float(curve.values[steady].mean())

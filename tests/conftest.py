@@ -102,3 +102,15 @@ def radial_peak(samples_r, weights, r_max, nbins=48, window=5):
         if centers[lo] <= vertex <= centers[hi - 1]:
             return float(vertex)
     return float(centers[i])
+
+
+def assert_within_se(reading, expected, se, what, k=4.5):
+    """Assert that a Monte-Carlo reading lies within k standard errors of its
+    expectation.  For a normal reading the gate's two-sided false-alarm
+    chance is erfc(k / sqrt(2)), 6.8e-6 at k = 4.5; a failure prints z, the
+    chance of a |z| that large, and the gate's own chance."""
+    z = (reading - expected) / se
+    assert abs(z) <= k, (
+        f"{what}: {reading:.6g} against {expected:.6g} (se {se:.3g}) is "
+        f"z = {z:+.2f}, two-sided chance {math.erfc(abs(z) / math.sqrt(2.0)):.2g}; "
+        f"the {k} se gate's false-alarm chance is {math.erfc(k / math.sqrt(2.0)):.2g}")

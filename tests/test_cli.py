@@ -273,8 +273,8 @@ class TestCommands:
         # the report's text is checked before the first file is written
         real = simulator.variance_ratio_report
 
-        def variance_ratio_report(ens):
-            return {**real(ens), "peak_ratio": _NAN}
+        def variance_ratio_report(ens, curve=None):
+            return {**real(ens, curve), "peak_ratio": _NAN}
 
         monkeypatch.setattr(simulator, "variance_ratio_report", variance_ratio_report)
         outdir.mkdir()
@@ -401,6 +401,38 @@ class TestCommands:
         assert run(["--out", str(outdir), "simulate", "--n-traces", "16",
                     "--trace-len", "3125", "--click-seconds", "0.2"]) == 0
         assert built == {simulator.DemodPlan: 1, simulator.FieldModel: 2}
+
+    def test_simulate_computes_the_variance_curve_once(self, outdir, monkeypatch):
+        # the heralded report reads the curve simulate writes
+        kinds, real = [], simulator.ensemble_variance
+
+        def ensemble_variance(ens):
+            kinds.append(ens.herald_kind)
+            return real(ens)
+
+        monkeypatch.setattr(simulator, "ensemble_variance", ensemble_variance)
+        assert run(["--out", str(outdir), "simulate", "--herald", "single",
+                    "--n-traces", "16", "--trace-len", "3125",
+                    "--click-seconds", "0"]) == 0
+        assert kinds == ["single"]
+
+    @pytest.mark.parametrize("command,name", [
+        (["marginal", "--n", "1", "--npts", "11"], "marginal_n1.csv"),
+        (["wigner", "--n", "1", "--npts", "11"], "wigner_n1.csv"),
+        (["variance", "--n", "1", "--npts", "11"], "variance_n1.csv"),
+        (["characterize"], "characterization.csv")],
+        ids=["marginal", "wigner", "variance", "characterize"])
+    def test_summary_shows_the_output_path_as_a_refusal_does(
+            self, tmp_path, capsys, command, name):
+        # an unprintable character of --out is escaped on stdout too, and a
+        # printable path is printed as it is
+        assert run(["--out", str(tmp_path / "a\033[31mb"), *command]) == 0
+        printed = capsys.readouterr().out
+        assert all(c.isprintable() for c in printed.replace("\n", ""))
+        assert f"wrote {tmp_path}/a\\x1b[31mb/{name}" in printed
+        assert (tmp_path / "a\033[31mb" / name).is_file()
+        assert run(["--out", str(tmp_path / "plain"), *command]) == 0
+        assert f"wrote {tmp_path / 'plain' / name}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [
         ["marginal", "--n", "1", "--npts", "1000000000000"],

@@ -19,7 +19,8 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError, NumericsError
 from phonon_forge.params import UNITS_HETERODYNE
 
-from conftest import exact_smoothed_ring_radius, grid_cell_masses, radial_peak
+from conftest import assert_within_se, exact_smoothed_ring_radius, grid_cell_masses, \
+    radial_peak
 from oracles import dead_time_greedy, draw_block_stepwise, riccati_gains, \
     simulate_fields, time_domain_demodulate, time_domain_impulse_response
 
@@ -585,6 +586,128 @@ class TestHeraldedEnsembles:
         r_half = plan_half.predicted_ratio(1)
         assert abs(r_full - r_half) < 0.06
         assert 1.9 < r_half <= r_full < 2.0 + 1e-9
+
+
+def _chain_moments(plan):
+    """The sample-rate chain's (cov, pseudo, k, l) by linear algebra, nothing
+    drawn: demodulate is linear in the voltage, so unit impulses pushed through
+    it give its map D, and the voltage's Toeplitz covariance T, with
+    v = sqrt(2) g Re[a e^(-i w t)] + sigma_vac noise, gives E[z z^dag] = D T D^dag
+    and E[z z^T] = D T D^T; E[v a0*] and E[v a0] give k and l."""
+    n, g, w_het = plan.cfg.trace_len, plan.gain, plan.cfg.params.omega_het
+    eye = np.eye(n)
+    d_map = np.concatenate([plan.demodulate(eye[lo:lo + 256])
+                            for lo in range(0, n, 256)]).T
+    t = np.arange(n) * plan.dt_s
+    lag = t[:, None] - t
+    toeplitz = g ** 2 * plan.model.correlation_a(lag) * np.cos(w_het * lag) \
+        + plan.sigma_vac ** 2 * eye
+    c_a = plan.model.correlation_a(t - t[plan.center])
+    with_a0 = g / math.sqrt(2.0) * c_a * np.exp(-1j * w_het * t)
+    return (d_map @ toeplitz @ d_map.conj().T, d_map @ toeplitz @ d_map.T,
+            d_map @ with_a0, d_map @ with_a0.conj())
+
+
+class TestRecordLaw:
+    """DemodPlan.record_law, the demodulated record's second moments, against
+    the chain it describes: by linear algebra, and by Monte-Carlo at its se."""
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"demod_filter": "boxcar"}, {"mech_linewidth": "effective"},
+        {"decimate": 7}], ids=["butter4", "boxcar", "effective", "decimate7"])
+    def test_law_is_the_chains_by_linear_algebra(self, changes):
+        plan = sim.DemodPlan(sim.SimConfig(trace_len=1024, **changes))
+        cov, k, l = plan.record_law()
+        chain_cov, pseudo, chain_k, chain_l = _chain_moments(plan)
+        usable = np.flatnonzero(sim.steady_columns(plan.taus, plan.margin_cols,
+                                                   plan.model.rate, 0))
+        lags = usable[None, :] - usable[:, None]
+        law = np.where(lags >= 0, cov[np.abs(lags)], np.conj(cov[np.abs(lags)]))
+        # the 1e-10 cut of the filter's support (_support) bounds the gap
+        gap = np.abs(chain_cov[np.ix_(usable, usable)] - law).max()
+        assert gap < 1e-10 * cov[0].real
+        hc = plan.herald_col
+        assert np.abs(chain_k - k)[usable].max() < 1e-10 * abs(k[hc])
+        assert np.abs(chain_l - l)[usable].max() < 1e-10 * abs(k[hc])
+        l_share = abs(l[hc]) / abs(k[hc])
+        pseudo_share = np.abs(pseudo[np.ix_(usable, usable)]).max() / cov[0].real
+        print(f"{changes}: gap {gap / cov[0].real:.2g} of cov[0], |l| {l_share:.2g} "
+              f"of |k| at the herald, pseudo-covariance {pseudo_share:.2g} of cov[0]")
+        # a 16-sample boxcar passes much of the 2 w_het image, so only the
+        # Butterworth's record is circular
+        if "demod_filter" not in changes:
+            assert l_share < 1e-3 and pseudo_share < 1e-3
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"demod_filter": "boxcar"}, {"decimate": 7},
+        {"demod_bandwidth": 180e6}, {"demod_bandwidth": 20e6},
+        {"demod_bandwidth": 8e6}], ids=repr)
+    def test_every_steady_column_sees_the_whole_filter(self, changes):
+        # where the report reads, the law is exact: no column's support is cut
+        plan = sim.DemodPlan(sim.SimConfig(**changes))
+        cols = plan.cols[sim.steady_columns(plan.taus, plan.margin_cols,
+                                            plan.model.rate, 0)]
+        assert (cols - (plan.h.size - 1 - plan.h_center)).min() >= 0
+        assert (cols + plan.h_center).max() < plan.cfg.trace_len
+
+    @pytest.mark.parametrize("changes,image,values", [
+        ({}, 1e-4,
+         ("0x1.47e34a2fef667p-1", "0x1.0aed704480af7p+2", "0x1.ffb4adcb98d38p+0")),
+        ({"demod_filter": "boxcar"}, 1e-2,
+         ("0x1.491ef84f12bcbp-1", "0x1.0000000000000p+2", "0x1.ffb45c0262a48p+0")),
+        ({"mech_linewidth": "effective"}, 1e-4,
+         ("0x1.4f64d8d9085a9p-1", "0x1.0aed704480af7p+2", "0x1.ff7bb7d4f31c2p+0"))],
+        ids=["butter4", "boxcar", "effective"])
+    def test_calibration_reads_the_law_unchanged(self, changes, image, values):
+        # gain, sigma_vac and predicted_ratio are the values the ad hoc sums
+        # gave, bit for bit, and they are entries of the law: the calibration
+        # leaves out only the image term, under 1e-4 of the variance for the
+        # Butterworth and 0.65% for the 16-sample boxcar
+        plan = sim.DemodPlan(sim.SimConfig(**changes))
+        assert (plan.gain.hex(), plan.sigma_vac.hex(),
+                plan.predicted_ratio(1).hex()) == values
+        cov, k, _ = plan.record_law()
+        assert cov[0].real == pytest.approx(2.0 * plan.sigma_inf, rel=image)
+        rho_sq = abs(k[plan.herald_col]) ** 2 / (plan.model.var_a * (cov[0].real - 2.0))
+        assert plan.predicted_ratio(1) == pytest.approx(1.0 + rho_sq, rel=image)
+
+    @pytest.fixture(scope="class")
+    def unheralded(self, cfg):
+        """8192 unheralded traces of cfg, with a0, the field at each one's
+        herald sample, read from the chain as run_ensemble runs it."""
+        plan = sim.DemodPlan(cfg)
+        a0, evolve = [], plan.model.evolve_block
+
+        def evolve_block(*args):
+            b, a = evolve(*args)
+            a0.append(a[:, plan.center].copy())
+            return b, a
+
+        plan.model.evolve_block = evolve_block
+        ens = sim.run_ensemble(cfg, "none", n_traces=8192, plan=plan)
+        return plan, ens, np.concatenate(a0)
+
+    @pytest.mark.parametrize("lag", [0, 1, 2, 5])
+    def test_lag_covariance_matches_the_law(self, unheralded, lag):
+        plan, ens, _ = unheralded
+        cov = plan.record_law()[0]
+        usable = np.flatnonzero(sim.steady_columns(plan.taus, plan.margin_cols,
+                                                   plan.model.rate, 0))
+        j = usable[usable + lag <= usable[-1]]
+        per_trace = np.mean(ens.z[:, j] * ens.z[:, j + lag].conj(), axis=1).real
+        assert_within_se(per_trace.mean(), cov[lag].real,
+                         per_trace.std(ddof=1) / math.sqrt(per_trace.size),
+                         f"E[z_j z*_(j+{lag})]")
+
+    def test_herald_column_regresses_on_a0_as_the_law_says(self, unheralded):
+        plan, ens, a0 = unheralded
+        z = ens.z[:, plan.herald_col]
+        norm = np.sum(np.abs(a0) ** 2)
+        beta = np.sum(z * a0.conj()) / norm
+        resid = (z - beta * a0) * a0.conj()
+        assert_within_se(beta.real, plan.record_law()[1][plan.herald_col].real
+                         / plan.model.var_a, math.sqrt(np.sum(resid.real ** 2)) / norm,
+                         "herald column's coefficient on a0")
 
 
 class TestSteadyColumns:
