@@ -23,11 +23,10 @@ the signal gain g calibrated so the unconditional demodulated variance equals
 1 + eta nbar_th, mirroring how the lumped efficiency is defined against the
 measured steady state.
 
-Heralded ensembles use click-conditioned (Palm) statistics: conditioning on a
-photon detection at t0 weights each realization by the instantaneous detected
-intensity, |a(t0)|^2 for single heralds and |a(t0)|^4 for two-detector
-coincidences within one gate.  This is statistically identical to triggering
-on the rare thinned click process but needs no rejection sampling.  The
+Heralded ensembles are conditioned exactly, with unit weights: a detection at
+t0 size-biases the field a0 there by |a0|^(2n) (n = 1 singles, 2 same-gate
+coincidences), so each unheralded trace moves to its record given a0 = alpha,
+|alpha|^2 / var_a ~ Gamma(n + 1) (_condition), the law of a triggered one.  The
 explicit gated click machinery (Poisson thinning, dark counts, dead time) is
 exercised separately at realistic rates via per-gate field snapshots, valid
 because gates are spaced by thousands of field correlation times.  A gate
@@ -56,7 +55,7 @@ from ._formats import write_csv, write_json
 from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket, \
     relaxation_rate, steady_state_variance
 from .errors import ConfigError, NumericsError
-from .params import HERALD_KINDS, HERALD_NONE, HERALD_SINGLE, UNITS_HETERODYNE, \
+from .params import HERALD_KINDS, HERALD_SINGLE, UNITS_HETERODYNE, \
     SimConfig, SpadConfig, require_choice, require_integer, require_positive
 from .phase_space import PhaseSpaceGrid, s_from_eta
 
@@ -265,18 +264,16 @@ class DemodPlan:
         margin_time = (3 * half_width + 16) * self.dt_s
         self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
 
-        # unit vacuum quadratures, and 1 + eta nbar_th from the signal
-        (noise, signal, _), (cross, _) = (x[:, 0].real for x in self._lag_sums([0], [0]))
+        # unit vacuum, then 1 + eta nbar_th from signal and image (no signal: pure vacuum)
+        noise, signal = self._auto_sums([0])[:, 0].real
         self.sigma_vac = 1.0 / math.sqrt(noise)
-        denom = model.var_a * signal
-        self._herald_rho_sq = float(cross ** 2 / denom) if denom > 0 else 0.0
+        self.gain, self.sigma_inf, self._herald_rho_sq = 0.0, 1.0, 0.0
         if signal > 0:
             eta_nbar_th = cfg.params.eta_total * cfg.params.nbar_th
             self.gain = math.sqrt(2.0 * eta_nbar_th / signal)
             self.sigma_inf = steady_state_variance(cfg.params)
-        else:
-            # no scattered signal: the record is pure vacuum, whatever the pump
-            self.gain, self.sigma_inf = 0.0, 1.0
+            cross_sq = np.sum(np.abs(self._cross_sums(range(1))) ** 2)
+            self._herald_rho_sq = float(cross_sq / model.var_a / signal)
 
         # the record zero-padded past the filter support, in whole bands of
         # n_fft/decimate; the response also moves column `offset` to 0
@@ -312,40 +309,50 @@ class DemodPlan:
         q8 = np.divide(lo, hi, out=np.zeros(n), where=hi > 0) ** 8
         return np.where(t <= t_c, 1.0, q8) / (1.0 + q8)
 
-    def _lag_sums(self, auto_lags, cross_lags):
-        """The one home of the record's second moments, direct sums over the filter's
-        support with tau = (k d - w) dt: for each k >= 0 in auto_lags, the noise
-        r_h(k d), signal S_k = sum_w r_h(w) c_a(tau) and image I_k (its terms times
-        e^(-2i w_het tau)); for each k in cross_lags, C_k and J_k, with h for r_h."""
+    def _auto_sums(self, lags):
+        """With _cross_sums, the one home of the record's second moments: for k >= 0 in
+        lags, direct sums over the filter's support, tau = (k d - w) dt, of the noise
+        r_h(k d) and signal S_k + I_k, S_k = sum_w r_h(w) c_a(tau), I_k its image."""
         h, d = self.h, self.cfg.decimate
+        r_h, w = np.correlate(h, h, mode="full"), np.arange(1 - h.size, h.size)
 
-        def sums(weights, w, k):
+        def sums(k):
             tau = (k * d - w) * self.dt_s
-            c = weights * self.model.correlation_a(tau)
-            return np.sum(c), np.sum(c * np.exp(-2j * self.cfg.params.omega_het * tau))
-        r_h, w_r = np.correlate(h, h, mode="full"), np.arange(1 - h.size, h.size)
-        auto = [(np.sum(h[k * d:] * h[:max(h.size - k * d, 0)]), *sums(r_h, w_r, k))
-                for k in auto_lags]
-        cross = [sums(h, np.arange(h.size) - self.h_center, k) for k in cross_lags]
-        return np.array(auto, dtype=complex).T, np.array(cross, dtype=complex).T
+            c = r_h * self.model.correlation_a(tau)
+            return (np.sum(h[k * d:] * h[:max(h.size - k * d, 0)]),
+                    np.sum(c) + np.sum(c * np.exp(-2j * self.cfg.params.omega_het * tau)))
+        return np.array([sums(k) for k in lags], dtype=complex).T
+
+    def _cross_sums(self, lags):
+        """C_k and J_k, S_k and I_k with h for r_h, for k in the range lags: every d-th
+        point of h's convolutions with c_a and with its image on the sample grid."""
+        h, d = self.h, self.cfg.decimate
+        tau = np.arange(lags[0] * d - (h.size - 1 - self.h_center),
+                        lags[-1] * d + self.h_center + 1) * self.dt_s
+        c = self.model.correlation_a(tau)
+        image = c * np.exp(-2j * self.cfg.params.omega_het * tau)
+        return np.array([np.convolve(x, h, "valid")[::d] for x in (c, image)])
 
     def record_law(self):
-        """(cov, k, l) from _lag_sums: cov[m] = E[z_j z*_(j+m)] = g^2 (S_m + I_m)
-        + 2 sigma_vac^2 r_h(m d), k[j] = E[z_j a0*] = g C_(j - herald_col) and
-        l[j] = E[z_j a0] = g e^(2i w_het t_c) conj(J_(j - herald_col)), a0 being
-        the field at the herald sample t_c.  Exact only where the filter's support
+        """(cov, k, l): cov[m] = E[z_j z*_(j+m)] = g^2 (S_m + I_m) + 2 sigma_vac^2
+        r_h(m d), and herald_cross's k and l.  Exact only where the filter's support
         lies inside the record, as at every steady_columns column: column 0 reads
         16.31 against cov[0] = 15.94 at the defaults."""
-        n, g = self.cols.size, self.gain
-        (r, s, i), (c, j) = self._lag_sums(range(n), np.arange(n) - self.herald_col)
+        r, signal = self._auto_sums(range(self.cols.size))
+        return (self.gain ** 2 * signal + 2.0 * self.sigma_vac ** 2 * r.real,
+                *self.herald_cross())
+
+    def herald_cross(self):
+        """(k, l) at every column: k[j] = E[z_j a0*] = g C_(j - herald_col) and l[j] =
+        E[z_j a0] = g e^(2i w_het t_c) conj(J_(j - herald_col)), a0 the field at t_c."""
+        c, j = self._cross_sums(range(-self.herald_col, self.cols.size - self.herald_col))
         at_herald = np.exp(2j * self.cfg.params.omega_het * self.center * self.dt_s)
-        return g ** 2 * (s + i) + 2.0 * self.sigma_vac ** 2 * r.real, g * c, \
-            g * at_herald * np.conj(j)
+        return np.array([self.gain * c, self.gain * at_herald * np.conj(j)])
 
     def predicted_ratio(self, order):
-        """The herald-time factor 1 + n after demodulation filtering, 1 + n rho^2,
-        rho the correlation of the detected amplitude with its filtered copy.  At
-        the defaults 2 becomes 1.9989: 0.0011 of the measured 0.06 gap."""
+        """The herald-time factor 1 + n after demodulation filtering, the law's
+        1 + n (|C_0|^2 + |J_0|^2) / (var_a (S_0 + I_0)).  At the defaults 2 becomes
+        1.9988: 0.0012 of the measured 0.06 gap."""
         require_integer("order", order, 0)
         return 1.0 + order * self._herald_rho_sq
 
@@ -384,8 +391,8 @@ class DemodPlan:
 class TraceEnsemble:
     """Herald-aligned demodulated quadrature records.
 
-    z[i, j] = X + iP of trace i at taus[j] relative to the herald; weights
-    carry the click-conditioning (uniform for an unheralded ensemble).
+    z[i, j] = X + iP of trace i at taus[j] relative to the herald; a herald
+    conditions z itself, so run_ensemble's weights are all 1 (readers apply any).
     """
 
     z: np.ndarray
@@ -411,10 +418,10 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
                  threads=None, plan=None) -> TraceEnsemble:
     """Simulate an ensemble of herald-aligned traces.
 
-    Work is split into fixed chunks, chunk i drawing from node (i,) of the
-    seed's spawn-key tree (`_stream`), and run on a pool of `threads` workers
-    (one if None), so results are bit-identical for a given (cfg, seed)
-    regardless of the thread count.  plan, cfg's DemodPlan, is built if None.
+    Work is split into fixed chunks, chunk i drawing from node (i,) of the seed's
+    spawn-key tree (`_stream`) and, if heralded, from node (i, order) (`_condition`),
+    on a pool of `threads` workers (one if None), so results are bit-identical for a
+    given (cfg, seed) whatever the thread count.  plan, cfg's DemodPlan, is built if None.
     """
     require_choice("herald_kind", herald_kind, HERALD_KINDS)
     n_traces = cfg.n_traces if n_traces is None else n_traces
@@ -423,22 +430,21 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     require_integer("threads", threads, 1)
 
     plan = plan or DemodPlan(cfg)
-    order = HERALD_KINDS.index(herald_kind)
-    if herald_kind != HERALD_NONE and plan.model.var_a == 0:
+    order, var_a = HERALD_KINDS.index(herald_kind), plan.model.var_a
+    if order and var_a == 0:
         raise ConfigError("no herald signal: the scattered field is empty "
                           "(p_in or nbar_th is 0)")
+    gains = plan.herald_cross() / var_a if order else None
 
     n_chunks = (n_traces + cfg.chunk_traces - 1) // cfg.chunk_traces
     z = np.empty((n_traces, plan.cols.size), dtype=complex)
-    weights = np.empty(n_traces)
 
     def work(ci):
         lo = ci * cfg.chunk_traces
         hi = min(lo + cfg.chunk_traces, n_traces)
-        zc, wc = _simulate_chunk(cfg, plan.model, plan, hi - lo, order,
-                                 _stream(cfg.seed, (ci,)))
-        z[lo:hi] = zc
-        weights[lo:hi] = wc
+        z[lo:hi], a0 = _simulate_chunk(plan, hi - lo, _stream(cfg.seed, (ci,)))
+        if order:
+            _condition(z[lo:hi], a0, order, var_a, gains, _stream(cfg.seed, (ci, order)))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, range(n_chunks)))
@@ -457,22 +463,32 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
         "slow_rate": plan.model.rate,
     }
     return TraceEnsemble(z=z, taus=plan.taus, herald_col=plan.herald_col,
-                         weights=weights, herald_kind=herald_kind,
+                         weights=np.ones(n_traces), herald_kind=herald_kind,
                          margin_cols=plan.margin_cols, meta=meta)
 
 
-def _simulate_chunk(cfg, model, plan, n, order, rng):
-    b0, a0 = model.stationary_sample(n, rng)
+def _simulate_chunk(plan, n, rng):
+    b0, a0 = plan.model.stationary_sample(n, rng)
     # b is carried through the propagation, so a is the one record held
-    a = model.evolve_block(b0, a0, cfg.trace_len, rng)[1]
+    a = plan.model.evolve_block(b0, a0, plan.n_samp, rng)[1]
     # the voltage and its demodulation buffer exist a slab of traces at a
     # time; the voltage noise is still drawn trace-major, slab after slab
     rows = _slab_rows(16 * plan.n_fft)
     z = np.empty((n, plan.cols.size), dtype=complex)
     for lo in range(0, n, rows):
         z[lo:lo + rows] = plan.demodulate(plan.voltage_from_field(a[lo:lo + rows], rng))
-    # |a|^0 is exactly 1, so an unheralded ensemble carries uniform weights
-    return z, np.abs(a[:, plan.center]) ** (2 * order)
+    return z, a[:, plan.center].copy()          # and a0, the field at the herald
+
+
+def _condition(z, a0, order, var_a, gains, rng):
+    """Move records z, of fields a0 at the herald sample, in place to z given
+    a0 = alpha, |alpha|^2 / var_a ~ Gamma(order + 1) with a0's phase, by Matheron's
+    rule: z += K (alpha - a0) + L (alpha - a0)*, (K, L) = gains, the law's; so not
+    exact at the edge columns, where the chain's filter is cut and no statistic reads."""
+    size = np.sqrt(var_a * rng.standard_gamma(order + 1.0, a0.size))
+    delta = (size * np.exp(1j * np.angle(a0)) - a0)[:, None]
+    z += delta * gains[0]
+    z += delta.conj() * gains[1]
 
 
 def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
@@ -521,7 +537,6 @@ def variance_ratio_report(ens: TraceEnsemble, curve=None) -> dict:
                             ens.order)
     sigma_inf = float(curve.values[steady].mean())
     sigma_peak = float(curve.values[ens.herald_col])
-    w = ens.weights
     return {
         "sigma_sq_peak": sigma_peak,
         "sigma_sq_inf": sigma_inf,
@@ -529,7 +544,7 @@ def variance_ratio_report(ens: TraceEnsemble, curve=None) -> dict:
         "ideal_ratio": 1.0 + ens.order,
         "predicted_ratio": ens.meta.get("predicted_ratio"),
         "sigma_sq_inf_expected": ens.meta.get("sigma_inf_expected"),
-        "effective_samples": float(w.sum() ** 2 / np.sum(w ** 2)),
+        "effective_samples": float(ens.weights.sum() ** 2 / np.sum(ens.weights ** 2)),
     }
 
 

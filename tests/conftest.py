@@ -114,3 +114,20 @@ def assert_within_se(reading, expected, se, what, k=4.5):
         f"{what}: {reading:.6g} against {expected:.6g} (se {se:.3g}) is "
         f"z = {z:+.2f}, two-sided chance {math.erfc(abs(z) / math.sqrt(2.0)):.2g}; "
         f"the {k} se gate's false-alarm chance is {math.erfc(k / math.sqrt(2.0)):.2g}")
+
+
+def assert_uniform(u, what, alpha=1e-3):
+    """Assert that the probability integral transforms u of independent draws
+    are uniform on [0, 1]: the Kolmogorov-Smirnov distance D of their empirical
+    CDF, gated at sqrt(N) D <= sqrt(ln(2 / alpha) / 2).  By the DKW inequality
+    with Massart's constant, P(sqrt(N) D > t) <= 2 e^(-2 t^2) for every N, so
+    the gate's false-alarm chance is at most alpha; a failure prints sqrt(N) D,
+    the bound on the chance of a reading that large, and alpha."""
+    u = np.sort(np.asarray(u, dtype=float))
+    n = u.size
+    d = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
+    t, gate = math.sqrt(n) * d, math.sqrt(math.log(2.0 / alpha) / 2.0)
+    assert t <= gate, (
+        f"{what}: sqrt(N) D = {t:.3f} over {n} draws, chance at most "
+        f"{min(1.0, 2.0 * math.exp(-2.0 * t * t)):.2g}; the {gate:.3f} gate's "
+        f"false-alarm chance is at most {alpha:g}")

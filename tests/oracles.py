@@ -72,6 +72,37 @@ def wick_oracle(params, n, tau, n_samples, seed):
     return float(ratios.mean()), float(ratios.std(ddof=1)) / math.sqrt(n_batches)
 
 
+def herald_column_cdf(x, order, c, sigma_sq, var_a):
+    """The CDF at x of |z_j|^2 for a column z_j = c a0 + e_j of an order-n
+    heralded record, |a0|^2 / var_a ~ Gamma(n + 1) with a uniform phase and
+    e_j ~ CN(0, sigma_sq) apart from a0.  |z_j|^2 / M, M = |c|^2 var_a + sigma_sq,
+    is the Binomial(n, p) mixture of Gamma(k + 1) laws, p = |c|^2 var_a / M:
+
+        F(x) = 1 - e^(-x/M) sum_k C(n, k) p^k (1 - p)^(n - k) sum_(i <= k) (x/M)^i / i!
+    """
+    m = abs(c) ** 2 * var_a + sigma_sq
+    p = abs(c) ** 2 * var_a / m
+    u = np.asarray(x, dtype=float) / m
+    tail = sum(math.comb(order, k) * p ** k * (1.0 - p) ** (order - k)
+               * sum(u ** i / math.factorial(i) for i in range(k + 1))
+               for k in range(order + 1))
+    return 1.0 - np.exp(-u) * tail
+
+
+def direct_cross_sums(plan, lags):
+    """(C_k, J_k) for k in lags by direct sums over the filter's support, lag by
+    lag: C_k = sum_w h(w) c_a(tau), tau = (k d - w) dt, and J_k the same sum with
+    each term times e^(-2i w_het tau), the reference for DemodPlan._cross_sums."""
+    h, d = plan.h, plan.cfg.decimate
+    w = np.arange(h.size) - plan.h_center
+    sums = []
+    for k in lags:
+        tau = (k * d - w) * plan.dt_s
+        c = h * plan.model.correlation_a(tau)
+        sums.append((np.sum(c), np.sum(c * np.exp(-2j * plan.cfg.params.omega_het * tau))))
+    return np.array(sums).T
+
+
 def simulate_fields(cfg, n_steps, n_traces, seed):
     """Stationary scattered-field trajectories at cfg.dt, shape (n_traces, n_steps)."""
     model = sim.FieldModel(cfg, cfg.dt)

@@ -19,10 +19,11 @@ from phonon_forge import simulator as sim
 from phonon_forge.errors import ConfigError, NumericsError
 from phonon_forge.params import UNITS_HETERODYNE
 
-from conftest import assert_within_se, exact_smoothed_ring_radius, grid_cell_masses, \
-    radial_peak
-from oracles import dead_time_greedy, draw_block_stepwise, riccati_gains, \
-    simulate_fields, time_domain_demodulate, time_domain_impulse_response
+from conftest import assert_uniform, assert_within_se, exact_smoothed_ring_radius, \
+    grid_cell_masses, radial_peak
+from oracles import dead_time_greedy, direct_cross_sums, draw_block_stepwise, \
+    herald_column_cdf, riccati_gains, simulate_fields, time_domain_demodulate, \
+    time_domain_impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -382,11 +383,38 @@ def _assert_node_equals_spawned(seed, branch, n):
         assert np.array_equal(rng.random(64), ref.random(64))
 
 
+def _herald_fields(plan):
+    """A list that receives a0, the field at the herald sample, of each chunk
+    that plan's model propagates, in chunk order on one thread."""
+    a0, evolve = [], plan.model.evolve_block
+
+    def evolve_block(*args):
+        b, a = evolve(*args)
+        a0.append(a[:, plan.center].copy())
+        return b, a
+
+    plan.model.evolve_block = evolve_block
+    return a0
+
+
+def _assert_conditioned(z, z0, a0, plan):
+    """z - z0 = K delta + L delta* within 1e-12 and delta / a0 real, with (K, L)
+    the law's gains on a0, the field at the herald sample: delta is read off the
+    herald column, so an update that turns a0's phase, or reads a0 at another
+    sample, fails."""
+    _, k, l = plan.record_law()
+    k, l, hc = k / plan.model.var_a, l / plan.model.var_a, plan.herald_col
+    ratio = (z - z0)[:, hc] / (a0 * k[hc] + a0.conj() * l[hc])
+    assert np.all(np.abs(ratio.imag) <= 1e-12 * (1.0 + np.abs(ratio.real)))
+    delta = ratio.real * a0
+    assert np.abs(z - z0 - np.outer(delta, k) - np.outer(delta.conj(), l)).max() < 1e-12
+
+
 class TestHeraldedEnsembles:
     @pytest.mark.parametrize("empty", ["p_in", "nbar_th"])
     @pytest.mark.parametrize("kind", ["single", "coincidence"])
     def test_empty_field_is_refused_before_any_chunk(self, cfg, monkeypatch, kind, empty):
-        # every herald weight |a|^(2n) would be 0, so no heralded ensemble exists
+        # a0 would be 0, so no herald could condition it
         def evolve_block(*args):
             raise AssertionError("a chunk was simulated")
 
@@ -431,11 +459,10 @@ class TestHeraldedEnsembles:
         # traces at a time, so the chunk's peak is a quarter above a's
         c = sim.SimConfig(trace_len=trace_len, chunk_traces=n)
         plan = sim.DemodPlan(c)
-        model = plan.model
         rng = np.random.Generator(np.random.Philox(23))
         tracemalloc.start()
         try:
-            sim._simulate_chunk(c, model, plan, n, 1, rng)
+            sim._simulate_chunk(plan, n, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,11 +494,10 @@ class TestHeraldedEnsembles:
         assert len(calls["voltage_from_field"]) == len(calls["demodulate"]) == 2
         assert len(calls["ensemble_variance"]) == 1
         # the record is those layers' outputs: the demodulated rows in order,
-        # each weighted by |a|^2 at the herald sample
-        center = c.trace_len // 2
-        assert np.array_equal(ens.z, np.concatenate(calls["demodulate"]))
-        assert np.array_equal(ens.weights, np.concatenate(
-            [np.abs(a[:, center]) ** 2 for _, a in calls["evolve_block"]]))
+        # each conditioned on its a at the herald sample
+        a0 = [a[:, c.trace_len // 2] for _, a in calls["evolve_block"]]
+        _assert_conditioned(ens.z, np.concatenate(calls["demodulate"]),
+                            np.concatenate(a0), sim.DemodPlan(c))
 
     def test_deterministic_across_threads(self, cfg, monkeypatch):
         # nor does the slab layout move a bit: the default, and one voltage
@@ -504,14 +530,18 @@ class TestHeraldedEnsembles:
             sim.run_ensemble(cfg, n_traces=n_traces)
 
     def test_herald_kinds_share_the_quadratures(self, cfg):
-        # only the weights depend on the herald kind, so one simulation
-        # could serve all three kinds
-        ens = {kind: sim.run_ensemble(cfg, herald_kind=kind, n_traces=300)
-               for kind in ("none", "single", "coincidence")}
-        assert np.array_equal(ens["none"].z, ens["single"].z)
-        assert np.array_equal(ens["none"].z, ens["coincidence"].z)
-        np.testing.assert_allclose(ens["single"].weights ** 2,
-                                   ens["coincidence"].weights, rtol=1e-12)
+        # every order conditions the same unheralded records by a rank-two
+        # update along a0, and weighs each trace alike
+        plan = sim.DemodPlan(cfg)
+        a0 = _herald_fields(plan)
+        ens = [sim.run_ensemble(cfg, kind, n_traces=300, plan=plan)
+               for kind in sim.HERALD_KINDS]
+        a0 = np.concatenate(a0[:len(a0) // 3])
+        for order, e in enumerate(ens):
+            _assert_conditioned(e.z, ens[0].z, a0, plan)
+            assert np.array_equal(e.weights, np.ones(300))
+            if order:
+                assert sim.variance_ratio_report(e)["effective_samples"] == 300
 
     def test_demod_calibration_independent_of_step(self, cfg):
         # the plan's calibration reads its model's var_a, rate and
@@ -639,6 +669,20 @@ class TestRecordLaw:
             assert l_share < 1e-3 and pseudo_share < 1e-3
 
     @pytest.mark.parametrize("changes", [
+        {}, {"demod_filter": "boxcar"}, {"mech_linewidth": "effective"},
+        {"decimate": 7}], ids=["butter4", "boxcar", "effective", "decimate7"])
+    def test_cross_sums_equal_the_direct_sums(self, changes):
+        # the convolutions add the same terms as the per-lag sums, in another
+        # order: within the rounding of an h.size-term sum
+        plan = sim.DemodPlan(sim.SimConfig(trace_len=3125, **changes))
+        lags = range(-plan.herald_col, plan.cols.size - plan.herald_col)
+        fast, direct = plan._cross_sums(lags), direct_cross_sums(plan, lags)
+        scale = np.abs(direct[0]).max()
+        gap = np.abs(fast - direct).max()
+        print(f"{changes}: gap {gap / scale:.2g} of max|C| over {plan.h.size} terms")
+        assert gap <= plan.h.size * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("changes", [
         {}, {"demod_filter": "boxcar"}, {"decimate": 7},
         {"demod_bandwidth": 180e6}, {"demod_bandwidth": 20e6},
         {"demod_bandwidth": 8e6}], ids=repr)
@@ -650,40 +694,34 @@ class TestRecordLaw:
         assert (cols - (plan.h.size - 1 - plan.h_center)).min() >= 0
         assert (cols + plan.h_center).max() < plan.cfg.trace_len
 
-    @pytest.mark.parametrize("changes,image,values", [
-        ({}, 1e-4,
-         ("0x1.47e34a2fef667p-1", "0x1.0aed704480af7p+2", "0x1.ffb4adcb98d38p+0")),
-        ({"demod_filter": "boxcar"}, 1e-2,
-         ("0x1.491ef84f12bcbp-1", "0x1.0000000000000p+2", "0x1.ffb45c0262a48p+0")),
-        ({"mech_linewidth": "effective"}, 1e-4,
-         ("0x1.4f64d8d9085a9p-1", "0x1.0aed704480af7p+2", "0x1.ff7bb7d4f31c2p+0"))],
+    @pytest.mark.parametrize("changes,values", [
+        ({}, ("0x1.47e2a66520e1fp-1", "0x1.0aed704480af7p+2", "0x1.ffb3ae564d90fp+0")),
+        ({"demod_filter": "boxcar"},
+         ("0x1.47e9c4c576f9bp-1", "0x1.0000000000000p+2", "0x1.ff99bbbbfa570p+0")),
+        ({"mech_linewidth": "effective"},
+         ("0x1.4f63b1bbbbb8cp-1", "0x1.0aed704480af7p+2", "0x1.ff79f642357d2p+0"))],
         ids=["butter4", "boxcar", "effective"])
-    def test_calibration_reads_the_law_unchanged(self, changes, image, values):
-        # gain, sigma_vac and predicted_ratio are the values the ad hoc sums
-        # gave, bit for bit, and they are entries of the law: the calibration
-        # leaves out only the image term, under 1e-4 of the variance for the
-        # Butterworth and 0.65% for the 16-sample boxcar
+    def test_calibration_reads_the_law_unchanged(self, changes, values):
+        # gain, sigma_vac and predicted_ratio are pinned bit for bit, and they
+        # are entries of the law: the calibration counts the image term, 0.65%
+        # of the variance for the 16-sample boxcar, so an unheralded record
+        # reads 1 + eta nbar_th for every filter
         plan = sim.DemodPlan(sim.SimConfig(**changes))
         assert (plan.gain.hex(), plan.sigma_vac.hex(),
                 plan.predicted_ratio(1).hex()) == values
-        cov, k, _ = plan.record_law()
-        assert cov[0].real == pytest.approx(2.0 * plan.sigma_inf, rel=image)
-        rho_sq = abs(k[plan.herald_col]) ** 2 / (plan.model.var_a * (cov[0].real - 2.0))
-        assert plan.predicted_ratio(1) == pytest.approx(1.0 + rho_sq, rel=image)
+        cov, k, l = plan.record_law()
+        assert cov[0].real == pytest.approx(2.0 * plan.sigma_inf, rel=1e-12)
+        hc = plan.herald_col
+        rho_sq = (abs(k[hc]) ** 2 + abs(l[hc]) ** 2) \
+            / (plan.model.var_a * (cov[0].real - 2.0))
+        assert plan.predicted_ratio(1) == pytest.approx(1.0 + rho_sq, rel=1e-12)
 
     @pytest.fixture(scope="class")
     def unheralded(self, cfg):
         """8192 unheralded traces of cfg, with a0, the field at each one's
         herald sample, read from the chain as run_ensemble runs it."""
         plan = sim.DemodPlan(cfg)
-        a0, evolve = [], plan.model.evolve_block
-
-        def evolve_block(*args):
-            b, a = evolve(*args)
-            a0.append(a[:, plan.center].copy())
-            return b, a
-
-        plan.model.evolve_block = evolve_block
+        a0 = _herald_fields(plan)
         ens = sim.run_ensemble(cfg, "none", n_traces=8192, plan=plan)
         return plan, ens, np.concatenate(a0)
 
@@ -708,6 +746,21 @@ class TestRecordLaw:
         assert_within_se(beta.real, plan.record_law()[1][plan.herald_col].real
                          / plan.model.var_a, math.sqrt(np.sum(resid.real ** 2)) / norm,
                          "herald column's coefficient on a0")
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_herald_column_follows_the_mixture_law(self, order):
+        # conditioned with unit weights, the herald column's |z|^2 is exactly
+        # the law's Binomial(n, p)-Gamma(k + 1) mixture, so its transform is
+        # uniform and the KS gate's false-alarm chance is at most 1e-3
+        c = sim.SimConfig(trace_len=1024, seed=39, chunk_traces=1024)
+        plan = sim.DemodPlan(c)
+        ens = sim.run_ensemble(c, sim.HERALD_KINDS[order], n_traces=4096,
+                               threads=2, plan=plan)
+        cov, k, _ = plan.record_law()
+        k_h, var_a = k[plan.herald_col], plan.model.var_a
+        u = herald_column_cdf(np.abs(ens.z[:, plan.herald_col]) ** 2, order,
+                              k_h / var_a, cov[0].real - abs(k_h) ** 2 / var_a, var_a)
+        assert_uniform(u, f"order {order} herald column against its law")
 
 
 class TestSteadyColumns:
@@ -1407,25 +1460,33 @@ class TestClicks:
     def test_click_blocks_draw_apart_from_ensemble_chunks(self, cfg, monkeypatch):
         # block i of a click stream and chunk i of an ensemble once shared a
         # generator; now no block's starts like any chunk's, at 8 of each
-        firsts = {"block": set(), "chunk": set()}
+        firsts = {"block": set(), "chunk": set(), "herald": set()}
 
         def block(model, first, n, m_steps, hit_scale, spad, t_end, rng):
             firsts["block"].add(tuple(rng.bit_generator.random_raw(4)))
             empty = np.empty(0)
             return empty, empty.astype(np.int8), empty.astype(bool)
 
-        def chunk(cfg_, model, plan, n, order, rng):
+        def chunk(plan, n, rng):
             firsts["chunk"].add(tuple(rng.bit_generator.random_raw(4)))
-            return np.zeros((n, plan.cols.size), dtype=complex), np.ones(n)
+            return np.zeros((n, plan.cols.size), complex), np.ones(n, complex)
+
+        def condition(z, a0, order, var_a, gains, rng):
+            firsts["herald"].add(tuple(rng.bit_generator.random_raw(4)))
 
         monkeypatch.setattr(sim, "_draw_block", block)
         monkeypatch.setattr(sim, "_simulate_chunk", chunk)
+        monkeypatch.setattr(sim, "_condition", condition)
         for seed in (5, 4242):
             c = replace(cfg, seed=seed, chunk_traces=1)
             sim.gated_click_stream(c, 8 * sim._CLICK_BLOCK_GATES / c.spad.gate_rate)
-            sim.run_ensemble(c, sim.HERALD_NONE, n_traces=8)
+            for kind in sim.HERALD_KINDS:
+                sim.run_ensemble(c, kind, n_traces=8)
+        # each order's herald draws, node (i, order), start like no other stream
         assert len(firsts["block"]) == len(firsts["chunk"]) == 16
-        assert not firsts["block"] & firsts["chunk"]
+        assert len(firsts["herald"]) == 32
+        assert not (firsts["block"] & firsts["chunk"] or firsts["herald"]
+                    & (firsts["block"] | firsts["chunk"]))
 
     def test_block_streams_are_made_one_at_a_time(self, cfg, monkeypatch):
         # block i still draws from node (_CLICK_SEED_BRANCH, i), as spawn gives
