@@ -165,8 +165,7 @@ def cmd_simulate(cfg: RunConfig, args, out, stage):
     sim = _given(cfg.sim, trace_len=args.trace_len, n_traces=args.n_traces)
     plan = simulator.DemodPlan(sim)              # refuse before any work
     order = HERALD_KINDS.index(args.herald)
-    steady = simulator.steady_columns(plan.taus, plan.margin_cols, plan.model.rate,
-                                      order, ConfigError)
+    steady = simulator.steady_columns(plan.taus, plan.margin_cols, plan.model.rate, order)
     # the click stream refuses its own settings before the costly ensemble
     report = {"herald_kind": args.herald}
     if args.click_seconds > 0:

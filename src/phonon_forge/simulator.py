@@ -54,7 +54,7 @@ from . import budget as budget_mod
 from ._formats import write_csv, write_json
 from .dynamics import VarianceCurve, correlation_amplitude, correlation_bracket, \
     relaxation_rate, steady_state_variance
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError
 from .params import HERALD_KINDS, HERALD_SINGLE, UNITS_HETERODYNE, \
     SimConfig, SpadConfig, require_choice, require_integer, require_positive
 from .phase_space import PhaseSpaceGrid, s_from_eta
@@ -231,7 +231,7 @@ def _circular_normal(shape, rng):
 # ---------------------------------------------------------------------------
 
 class DemodPlan:
-    """Filter response, calibration constants, the record's field model and law."""
+    """Filter response, field model, and the record's law and calibration from _sums."""
 
     def __init__(self, cfg: SimConfig, model: FieldModel | None = None):
         self.cfg = cfg
@@ -265,14 +265,15 @@ class DemodPlan:
         self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
 
         # unit vacuum, then 1 + eta nbar_th from signal and image (no signal: pure vacuum)
-        noise, signal = self._auto_sums([0])[:, 0].real
-        self.sigma_vac = 1.0 / math.sqrt(noise)
+        self.r_h = np.correlate(self.h, self.h, mode="full")
+        signal = self._sums(self.r_h, self.h.size - 1, range(1)).sum().real
+        self.sigma_vac = 1.0 / math.sqrt(self.r_h[self.h.size - 1])
         self.gain, self.sigma_inf, self._herald_rho_sq = 0.0, 1.0, 0.0
         if signal > 0:
             eta_nbar_th = cfg.params.eta_total * cfg.params.nbar_th
             self.gain = math.sqrt(2.0 * eta_nbar_th / signal)
             self.sigma_inf = steady_state_variance(cfg.params)
-            cross_sq = np.sum(np.abs(self._cross_sums(range(1))) ** 2)
+            cross_sq = np.sum(np.abs(self._sums(self.h, self.h_center, range(1))) ** 2)
             self._herald_rho_sq = float(cross_sq / model.var_a / signal)
 
         # the record zero-padded past the filter support, in whole bands of
@@ -309,43 +310,34 @@ class DemodPlan:
         q8 = np.divide(lo, hi, out=np.zeros(n), where=hi > 0) ** 8
         return np.where(t <= t_c, 1.0, q8) / (1.0 + q8)
 
-    def _auto_sums(self, lags):
-        """With _cross_sums, the one home of the record's second moments: for k >= 0 in
-        lags, direct sums over the filter's support, tau = (k d - w) dt, of the noise
-        r_h(k d) and signal S_k + I_k, S_k = sum_w r_h(w) c_a(tau), I_k its image."""
-        h, d = self.h, self.cfg.decimate
-        r_h, w = np.correlate(h, h, mode="full"), np.arange(1 - h.size, h.size)
-
-        def sums(k):
-            tau = (k * d - w) * self.dt_s
-            c = r_h * self.model.correlation_a(tau)
-            return (np.sum(h[k * d:] * h[:max(h.size - k * d, 0)]),
-                    np.sum(c) + np.sum(c * np.exp(-2j * self.cfg.params.omega_het * tau)))
-        return np.array([sums(k) for k in lags], dtype=complex).T
-
-    def _cross_sums(self, lags):
-        """C_k and J_k, S_k and I_k with h for r_h, for k in the range lags: every d-th
-        point of h's convolutions with c_a and with its image on the sample grid."""
-        h, d = self.h, self.cfg.decimate
-        tau = np.arange(lags[0] * d - (h.size - 1 - self.h_center),
-                        lags[-1] * d + self.h_center + 1) * self.dt_s
+    def _sums(self, kernel, center, lags):
+        """The one home of the record's second moments: for k in the range lags, sums of
+        kernel[center + w] c_a(tau), tau = (k d - w) dt, and of each term times the image
+        e^(-2i w_het tau), as every d-th point of two convolutions on the sample grid.
+        With (h, h_center) they are C_k and J_k; with (r_h, h.size - 1), S_k and I_k."""
+        d = self.cfg.decimate
+        tau = np.arange(lags[0] * d - (kernel.size - 1 - center),
+                        lags[-1] * d + center + 1) * self.dt_s
         c = self.model.correlation_a(tau)
         image = c * np.exp(-2j * self.cfg.params.omega_het * tau)
-        return np.array([np.convolve(x, h, "valid")[::d] for x in (c, image)])
+        return np.array([np.convolve(x, kernel, "valid")[::d] for x in (c, image)])
 
     def record_law(self):
         """(cov, k, l): cov[m] = E[z_j z*_(j+m)] = g^2 (S_m + I_m) + 2 sigma_vac^2
         r_h(m d), and herald_cross's k and l.  Exact only where the filter's support
         lies inside the record, as at every steady_columns column: column 0 reads
         16.31 against cov[0] = 15.94 at the defaults."""
-        r, signal = self._auto_sums(range(self.cols.size))
-        return (self.gain ** 2 * signal + 2.0 * self.sigma_vac ** 2 * r.real,
+        n, h = self.cols.size, self.h
+        signal = self._sums(self.r_h, h.size - 1, range(n)).sum(axis=0)
+        noise = np.pad(self.r_h[h.size - 1::self.cfg.decimate], (0, n))[:n]
+        return (self.gain ** 2 * signal + 2.0 * self.sigma_vac ** 2 * noise,
                 *self.herald_cross())
 
     def herald_cross(self):
         """(k, l) at every column: k[j] = E[z_j a0*] = g C_(j - herald_col) and l[j] =
         E[z_j a0] = g e^(2i w_het t_c) conj(J_(j - herald_col)), a0 the field at t_c."""
-        c, j = self._cross_sums(range(-self.herald_col, self.cols.size - self.herald_col))
+        c, j = self._sums(self.h, self.h_center,
+                          range(-self.herald_col, self.cols.size - self.herald_col))
         at_herald = np.exp(2j * self.cfg.params.omega_het * self.center * self.dt_s)
         return np.array([self.gain * c, self.gain * at_herald * np.conj(j)])
 
@@ -392,7 +384,9 @@ class TraceEnsemble:
     """Herald-aligned demodulated quadrature records.
 
     z[i, j] = X + iP of trace i at taus[j] relative to the herald; a herald
-    conditions z itself, so run_ensemble's weights are all 1 (readers apply any).
+    conditions z itself, so no reader weights.  weights stays, all ones, and the
+    .npz stores it, as perfbench/ reads it and calls dataclasses.replace(ens,
+    weights=...); it goes once the benchmark stops reading it.
     """
 
     z: np.ndarray
@@ -495,37 +489,32 @@ def ensemble_variance(ens: TraceEnsemble) -> VarianceCurve:
     """Pooled X/P sample variance versus herald-relative time."""
     if ens.n_traces < 2:
         raise ConfigError("need at least 2 traces for a variance estimate")
-    w = ens.weights
-    wsum = w.sum()
-    if wsum <= 0:
-        raise ConfigError("ensemble weights sum to zero (no herald signal)")
-    rows = _slab_rows(ens.z[0].nbytes)
-    blocks = [slice(lo, lo + rows) for lo in range(0, ens.n_traces, rows)]
+    n, rows = ens.n_traces, _slab_rows(ens.z[0].nbytes)
+    blocks = [ens.z[lo:lo + rows] for lo in range(0, n, rows)]
     # the mean, then |z - mean|^2, summed over blocks of rows in a fixed
-    # order, so no scratch of z's size exists; einsum without optimize never
-    # calls BLAS, whose reduction order depends on its thread count
-    mean = sum(np.einsum("i,ij->j", w[s], ens.z[s]) for s in blocks) / wsum
-    var = sum(np.einsum("i,ij->j", w[s], np.abs(ens.z[s] - mean) ** 2)
-              for s in blocks) / (2.0 * wsum)
+    # order, so no scratch of z's size exists; a sum over rows never calls
+    # BLAS, whose reduction order depends on its thread count
+    mean = sum(b.sum(axis=0) for b in blocks) / n
+    var = sum((np.abs(b - mean) ** 2).sum(axis=0) for b in blocks) / (2.0 * n)
     return VarianceCurve(ens.taus.copy(), var, order=ens.order)
 
 
-def steady_columns(taus, margin_cols, slow_rate, order, error=NumericsError):
+def steady_columns(taus, margin_cols, slow_rate, order):
     """The usable columns, clear of the filter's edge transients; heralded
     (order > 0), those beyond 0.6 of the usable half-span from the herald and
-    beyond three relaxation times of it.  error if none, or under four wings."""
+    beyond three relaxation times of it.  ConfigError if none, or under four wings."""
     usable = np.zeros(taus.size, dtype=bool)
     usable[margin_cols:taus.size - margin_cols] = True
     if not order:
         if not usable.any():
-            raise error("trace too short: no column is clear of the filter's "
-                        "edge transients")
+            raise ConfigError("trace too short: no column is clear of the filter's "
+                              "edge transients")
         return usable
     tau_wing = 0.6 * np.abs(taus[usable]).max() if usable.any() else 0.0
     tau_wing = max(tau_wing, 3.0 / slow_rate) if slow_rate else tau_wing
     wings = usable & (np.abs(taus) >= tau_wing)
     if wings.sum() < 4:
-        raise error("trace too short to estimate the steady-state wings")
+        raise ConfigError("trace too short to estimate the steady-state wings")
     return wings
 
 
@@ -544,25 +533,23 @@ def variance_ratio_report(ens: TraceEnsemble, curve=None) -> dict:
         "ideal_ratio": 1.0 + ens.order,
         "predicted_ratio": ens.meta.get("predicted_ratio"),
         "sigma_sq_inf_expected": ens.meta.get("sigma_inf_expected"),
-        "effective_samples": float(ens.weights.sum() ** 2 / np.sum(ens.weights ** 2)),
+        "effective_samples": float(ens.n_traces),
     }
 
 
 def herald_histogram(ens: TraceEnsemble, npts=41, half_width=None) -> PhaseSpaceGrid:
-    """Weighted 2D histogram of (X, P) at the herald time, as a density grid."""
+    """2D histogram of (X, P) at the herald time, as a density grid."""
     require_integer("npts", npts, 2)
     z0 = ens.z[:, ens.herald_col]
-    w = ens.weights
     if half_width is None:
-        var = float(np.average(np.abs(z0) ** 2, weights=w)) / 2.0
+        var = float(np.mean(np.abs(z0) ** 2)) / 2.0
         half_width = 5.0 * math.sqrt(var)
     else:
         require_positive("half_width", half_width)
     d = 2.0 * half_width / (npts - 1)
     edges = np.linspace(-half_width - d / 2, half_width + d / 2, npts + 1)
-    counts, _, _ = np.histogram2d(z0.real, z0.imag, bins=(edges, edges),
-                                  weights=w)
-    values = counts / (w.sum() * d * d)
+    counts, _, _ = np.histogram2d(z0.real, z0.imag, bins=(edges, edges))
+    values = counts / (ens.n_traces * d * d)
     s_tag = s_from_eta(ens.meta.get("eta_total", 1.0))
     return PhaseSpaceGrid(half_width=half_width, npts=npts, values=values,
                           s_param=s_tag, units=ens.units)
@@ -858,10 +845,8 @@ def load_ensemble(path_base) -> TraceEnsemble:
         if sidecar[name] >= taus.size:
             raise ConfigError(f"{name} {sidecar[name]} lies outside the "
                               f"{taus.size} columns")
-    # NaN fails every comparison, and an infinite weight makes the sum infinite
-    if weights.dtype.kind not in "fiu" \
-            or not ((weights >= 0).all() and 0 < weights.sum() < math.inf):
-        raise ConfigError("weights must be finite and >= 0, with a positive sum")
+    if weights.dtype.kind not in "fiu" or not (weights == 1).all():
+        raise ConfigError("weights must be all 1: a weighted ensemble is not read")
     # z is read a slab of rows at a time, so no scratch of its size exists
     rows = _slab_rows(z[0].nbytes)
     if taus.dtype.kind != "f" or not (np.isfinite(taus).all() and all(

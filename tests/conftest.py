@@ -83,7 +83,7 @@ def grid_cell_masses(values, half_width, coarse_npts):
     return w1 @ values @ w1.T
 
 
-def radial_peak(samples_r, weights, r_max, nbins=48, window=5):
+def radial_peak(samples_r, r_max, nbins=48, window=5):
     """Ridge radius of a 2D density from radial samples.
 
     Histograms the radii, divides out the r measure, and fits a parabola
@@ -91,7 +91,7 @@ def radial_peak(samples_r, weights, r_max, nbins=48, window=5):
     broad rings.
     """
     edges = np.linspace(0.0, r_max, nbins + 1)
-    counts, _ = np.histogram(samples_r, bins=edges, weights=weights)
+    counts, _ = np.histogram(samples_r, bins=edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
     density = counts / centers
     i = int(np.argmax(density))

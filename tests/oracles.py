@@ -89,18 +89,26 @@ def herald_column_cdf(x, order, c, sigma_sq, var_a):
     return 1.0 - np.exp(-u) * tail
 
 
-def direct_cross_sums(plan, lags):
-    """(C_k, J_k) for k in lags by direct sums over the filter's support, lag by
-    lag: C_k = sum_w h(w) c_a(tau), tau = (k d - w) dt, and J_k the same sum with
-    each term times e^(-2i w_het tau), the reference for DemodPlan._cross_sums."""
-    h, d = plan.h, plan.cfg.decimate
-    w = np.arange(h.size) - plan.h_center
+def direct_cross_sums(plan, kernel, center, lags):
+    """For k in lags, by direct sums over kernel's support, lag by lag: sum_w
+    kernel[center + w] c_a(tau), tau = (k d - w) dt, and the same sum with each term
+    times e^(-2i w_het tau).  C_k and J_k for (h, h_center), S_k and I_k for (r_h,
+    h.size - 1): the reference for DemodPlan._sums."""
+    d = plan.cfg.decimate
+    w = np.arange(kernel.size) - center
     sums = []
     for k in lags:
         tau = (k * d - w) * plan.dt_s
-        c = h * plan.model.correlation_a(tau)
+        c = kernel * plan.model.correlation_a(tau)
         sums.append((np.sum(c), np.sum(c * np.exp(-2j * plan.cfg.params.omega_het * tau))))
     return np.array(sums).T
+
+
+def direct_noise(plan, lags):
+    """r_h(k d) = sum_i h[i + k d] h[i] for k >= 0 in lags, lag by lag: the record's
+    vacuum covariance per unit sigma_vac^2 / 2, the reference for record_law's."""
+    h, d = plan.h, plan.cfg.decimate
+    return np.array([np.sum(h[k * d:] * h[:max(h.size - k * d, 0)]) for k in lags])
 
 
 def simulate_fields(cfg, n_steps, n_traces, seed):
