@@ -97,6 +97,19 @@ def _thread_count(args):
     return args.threads
 
 
+def _provenance(sim):
+    """What a report was made from: the versions, the seed, and the sha256 of the
+    effective SimConfig as sorted-key JSON.  No thread count: no result depends on it."""
+    import hashlib
+    import platform
+
+    from . import __version__
+    config = json.dumps(dataclasses.asdict(sim), sort_keys=True).encode()
+    return {"phonon_forge_version": __version__, "numpy_version": np.__version__,
+            "python_version": platform.python_version(), "seed": sim.seed,
+            "config_sha256": hashlib.sha256(config).hexdigest()}
+
+
 def _state_spec(cfg, args):
     """The state of --n, --nbar (default: cooled) and --eta (default: config)."""
     from . import dynamics, phase_space
@@ -167,7 +180,7 @@ def cmd_simulate(cfg: RunConfig, args, out, stage):
     order = HERALD_KINDS.index(args.herald)
     steady = simulator.steady_columns(plan.taus, plan.margin_cols, plan.model.rate, order)
     # the click stream refuses its own settings before the costly ensemble
-    report = {"herald_kind": args.herald}
+    report = {"herald_kind": args.herald, "provenance": _provenance(sim)}
     if args.click_seconds > 0:
         clicks = simulator.gated_click_stream(sim, args.click_seconds)
         heralds = simulator.herald_select(clicks, args.herald if order else HERALD_SINGLE)

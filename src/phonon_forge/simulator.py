@@ -264,17 +264,28 @@ class DemodPlan:
         margin_time = (3 * half_width + 16) * self.dt_s
         self.margin_cols = int(math.ceil(margin_time / (self.dt_s * cfg.decimate)))
 
-        # unit vacuum, then 1 + eta nbar_th from signal and image (no signal: pure vacuum)
-        self.r_h = np.correlate(self.h, self.h, mode="full")
-        signal = self._sums(self.r_h, self.h.size - 1, range(1)).sum().real
-        self.sigma_vac = 1.0 / math.sqrt(self.r_h[self.h.size - 1])
+        # the law of the columns z_j and of a0, the field at t_c: cov[m] = E[z_j z*_(j+m)]
+        # = g^2 (S_m + I_m) + 2 sigma_vac^2 r_h(m d); cross = (k, l), k[j] = E[z_j a0*] =
+        # g C_(j - hc), l[j] = E[z_j a0] = g e^(2i w_het t_c) conj(J_(j - hc)).  Exact where
+        # the filter's support lies inside the record, as at every steady_columns column
+        # (column 0 reads 16.31 against cov[0] = 15.94 at the defaults).  The calibration
+        # reads lag 0 and column hc: unit vacuum, then 1 + eta nbar_th (no signal: vacuum)
+        n, hc, h = self.cols.size, self.herald_col, self.h
+        self.r_h = np.correlate(h, h, mode="full")
+        signal = self._sums(self.r_h, h.size - 1, range(n)).sum(axis=0)
+        c, j = self._sums(h, self.h_center, range(-hc, n - hc))
+        self.sigma_vac = 1.0 / math.sqrt(self.r_h[h.size - 1])
         self.gain, self.sigma_inf, self._herald_rho_sq = 0.0, 1.0, 0.0
-        if signal > 0:
+        if signal[0].real > 0:
             eta_nbar_th = cfg.params.eta_total * cfg.params.nbar_th
-            self.gain = math.sqrt(2.0 * eta_nbar_th / signal)
+            self.gain = math.sqrt(2.0 * eta_nbar_th / signal[0].real)
             self.sigma_inf = steady_state_variance(cfg.params)
-            cross_sq = np.sum(np.abs(self._sums(self.h, self.h_center, range(1))) ** 2)
-            self._herald_rho_sq = float(cross_sq / model.var_a / signal)
+            cross_sq = np.sum(np.abs([c[hc], j[hc]]) ** 2)
+            self._herald_rho_sq = float(cross_sq / model.var_a / signal[0].real)
+        noise = np.pad(self.r_h[h.size - 1::cfg.decimate], (0, n))[:n]
+        self.cov = self.gain ** 2 * signal + 2.0 * self.sigma_vac ** 2 * noise
+        at_herald = np.exp(2j * cfg.params.omega_het * self.center * self.dt_s)
+        self.cross = np.array([self.gain * c, self.gain * at_herald * np.conj(j)])
 
         # the record zero-padded past the filter support, in whole bands of
         # n_fft/decimate; the response also moves column `offset` to 0
@@ -321,25 +332,6 @@ class DemodPlan:
         c = self.model.correlation_a(tau)
         image = c * np.exp(-2j * self.cfg.params.omega_het * tau)
         return np.array([np.convolve(x, kernel, "valid")[::d] for x in (c, image)])
-
-    def record_law(self):
-        """(cov, k, l): cov[m] = E[z_j z*_(j+m)] = g^2 (S_m + I_m) + 2 sigma_vac^2
-        r_h(m d), and herald_cross's k and l.  Exact only where the filter's support
-        lies inside the record, as at every steady_columns column: column 0 reads
-        16.31 against cov[0] = 15.94 at the defaults."""
-        n, h = self.cols.size, self.h
-        signal = self._sums(self.r_h, h.size - 1, range(n)).sum(axis=0)
-        noise = np.pad(self.r_h[h.size - 1::self.cfg.decimate], (0, n))[:n]
-        return (self.gain ** 2 * signal + 2.0 * self.sigma_vac ** 2 * noise,
-                *self.herald_cross())
-
-    def herald_cross(self):
-        """(k, l) at every column: k[j] = E[z_j a0*] = g C_(j - herald_col) and l[j] =
-        E[z_j a0] = g e^(2i w_het t_c) conj(J_(j - herald_col)), a0 the field at t_c."""
-        c, j = self._sums(self.h, self.h_center,
-                          range(-self.herald_col, self.cols.size - self.herald_col))
-        at_herald = np.exp(2j * self.cfg.params.omega_het * self.center * self.dt_s)
-        return np.array([self.gain * c, self.gain * at_herald * np.conj(j)])
 
     def predicted_ratio(self, order):
         """The herald-time factor 1 + n after demodulation filtering, the law's
@@ -428,7 +420,7 @@ def run_ensemble(cfg: SimConfig, herald_kind=HERALD_SINGLE, n_traces=None,
     if order and var_a == 0:
         raise ConfigError("no herald signal: the scattered field is empty "
                           "(p_in or nbar_th is 0)")
-    gains = plan.herald_cross() / var_a if order else None
+    gains = plan.cross / var_a if order else None
 
     n_chunks = (n_traces + cfg.chunk_traces - 1) // cfg.chunk_traces
     z = np.empty((n_traces, plan.cols.size), dtype=complex)
@@ -538,7 +530,10 @@ def variance_ratio_report(ens: TraceEnsemble, curve=None) -> dict:
 
 
 def herald_histogram(ens: TraceEnsemble, npts=41, half_width=None) -> PhaseSpaceGrid:
-    """2D histogram of (X, P) at the herald time, as a density grid."""
+    """2D histogram of (X, P) at the herald time, as a density grid.  Its s_param
+    is the unfiltered s_from_eta(eta_total); by the record's law the herald column
+    reads a0 with its own eta nbar, rho / (1 - rho), rho = (|k|^2 + |l|^2) / (var_a
+    cov[0]) at the herald: 6.906 at the defaults, against eta nbar_th = 6.9706."""
     require_integer("npts", npts, 2)
     z0 = ens.z[:, ens.herald_col]
     if half_width is None:

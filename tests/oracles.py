@@ -106,7 +106,7 @@ def direct_cross_sums(plan, kernel, center, lags):
 
 def direct_noise(plan, lags):
     """r_h(k d) = sum_i h[i + k d] h[i] for k >= 0 in lags, lag by lag: the record's
-    vacuum covariance per unit sigma_vac^2 / 2, the reference for record_law's."""
+    vacuum covariance per unit sigma_vac^2 / 2, the reference for DemodPlan.cov's."""
     h, d = plan.h, plan.cfg.decimate
     return np.array([np.sum(h[k * d:] * h[:max(h.size - k * d, 0)]) for k in lags])
 

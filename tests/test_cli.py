@@ -2,9 +2,11 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phonon_forge
 from phonon_forge import cli, dynamics, simulator
 from phonon_forge.errors import NumericsError
 from phonon_forge.params import GridConfig, SimConfig, SpadConfig, SystemParams
@@ -219,6 +222,27 @@ class TestCommands:
         assert (outdir / "histogram_single.csv").exists()
         assert (outdir / "clicks.csv").exists()
         assert (outdir / "heralds_single.csv").exists()
+
+    def test_simulate_report_states_its_provenance(self, tmp_path):
+        def report(name, n_traces):
+            out = tmp_path / name
+            assert run(["--out", str(out), "simulate", "--herald", "none",
+                        "--n-traces", n_traces, "--trace-len", "1024",
+                        "--click-seconds", "0"]) == 0
+            return (out / "report_none.json").read_bytes()
+
+        first, rerun, more = report("a", "8"), report("b", "8"), report("c", "16")
+        assert rerun == first
+        prov, more_prov = (json.loads(r)["provenance"] for r in (first, more))
+        sim = SimConfig(trace_len=1024, n_traces=8, seed=20210)
+        config = json.dumps(dataclasses.asdict(sim), sort_keys=True).encode()
+        assert prov == {"phonon_forge_version": phonon_forge.__version__,
+                        "numpy_version": np.__version__,
+                        "python_version": platform.python_version(), "seed": 20210,
+                        "config_sha256": hashlib.sha256(config).hexdigest()}
+        # the digest covers every setting, the trace count too
+        assert more_prov.pop("config_sha256") != prov.pop("config_sha256")
+        assert more_prov == prov
 
     def test_simulate_rejects_bad_settings(self, tmp_path, outdir):
         assert run_with({"sim": {"sample_rate": 0.5e9}}, tmp_path, outdir,

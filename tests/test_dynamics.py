@@ -8,6 +8,7 @@ from phonon_forge import dynamics as dyn
 from phonon_forge.errors import ConfigError
 from phonon_forge.params import TWO_PI, SimConfig
 
+from conftest import assert_within_se
 from oracles import curve_fit_linewidth, wick_oracle
 
 
@@ -218,11 +219,12 @@ class TestWickOracle:
             ratio, se = wick_oracle(params, n, tau, n_samples=400_000,
                                     seed=1234 + n)
             b = dyn.correlation_bracket(params.kappa2, params.gamma, tau)
-            assert abs(ratio - (1 + n * b * b)) < 3 * se + 1e-9
+            assert_within_se(ratio, 1 + n * b * b, se,
+                             f"n = {n} ratio at tau = {tau:.3g}", k=3)
 
     def test_decorrelated_limit(self, params):
         ratio, se = wick_oracle(params, 2, 1.0, n_samples=200_000, seed=5)
-        assert abs(ratio - 1.0) < 3 * se + 1e-9
+        assert_within_se(ratio, 1.0, se, "decorrelated ratio", k=3)
 
     def test_deterministic(self, params):
         a = wick_oracle(params, 1, 0.0, n_samples=100_000, seed=9)

@@ -73,7 +73,7 @@ class TestFieldModel:
             cfg.params.kappa2 * (cfg.params.kappa2 + cfg.params.gamma))
         t_total = n_steps * n_traces * cfg.dt
         se = expected * math.sqrt(2.0 * (1.0 / (2 * cfg.params.gamma)) / t_total)
-        assert abs(emp - expected) < 3 * se
+        assert_within_se(emp, expected, se, "mean occupation", k=3)
 
     def test_two_time_correlation(self, cfg):
         model = sim.FieldModel(cfg, cfg.dt)
@@ -402,7 +402,7 @@ def _assert_conditioned(z, z0, a0, plan):
     the law's gains on a0, the field at the herald sample: delta is read off the
     herald column, so an update that turns a0's phase, or reads a0 at another
     sample, fails."""
-    _, k, l = plan.record_law()
+    k, l = plan.cross
     k, l, hc = k / plan.model.var_a, l / plan.model.var_a, plan.herald_col
     ratio = (z - z0)[:, hc] / (a0 * k[hc] + a0.conj() * l[hc])
     assert np.all(np.abs(ratio.imag) <= 1e-12 * (1.0 + np.abs(ratio.real)))
@@ -639,15 +639,26 @@ def _chain_moments(plan):
 
 
 class TestRecordLaw:
-    """DemodPlan.record_law, the demodulated record's second moments, against
-    the chain it describes: by linear algebra, and by Monte-Carlo at its se."""
+    """DemodPlan.cov and DemodPlan.cross, the demodulated record's second moments,
+    against the chain they describe: by linear algebra, and by Monte-Carlo at its se."""
+
+    def test_the_law_is_computed_once_per_plan(self, monkeypatch):
+        # DemodPlan() builds the law from one _sums call per kernel, and a heralded
+        # run_ensemble conditions on plan.cross without asking for it again
+        calls, sums = [], sim.DemodPlan._sums
+        monkeypatch.setattr(sim.DemodPlan, "_sums",
+                            lambda plan, *args: calls.append(args) or sums(plan, *args))
+        c = sim.SimConfig(trace_len=1024, chunk_traces=64)
+        plan = sim.DemodPlan(c)
+        sim.run_ensemble(c, "single", n_traces=64, plan=plan)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("changes", [
         {}, {"demod_filter": "boxcar"}, {"mech_linewidth": "effective"},
         {"decimate": 7}], ids=["butter4", "boxcar", "effective", "decimate7"])
     def test_law_is_the_chains_by_linear_algebra(self, changes):
         plan = sim.DemodPlan(sim.SimConfig(trace_len=1024, **changes))
-        cov, k, l = plan.record_law()
+        cov, (k, l) = plan.cov, plan.cross
         chain_cov, pseudo, chain_k, chain_l = _chain_moments(plan)
         usable = np.flatnonzero(sim.steady_columns(plan.taus, plan.margin_cols,
                                                    plan.model.rate, 0))
@@ -677,7 +688,7 @@ class TestRecordLaw:
     def test_cross_sums_equal_the_direct_sums(self, changes, kernel):
         # the convolutions add the same terms as the per-lag sums, in another
         # order: within the rounding of a kernel.size-term sum; h at every
-        # column's lag from the herald, r_h at every lag of record_law
+        # column's lag from the herald, r_h at every lag of plan.cov
         plan = sim.DemodPlan(sim.SimConfig(trace_len=3125, **changes))
         eps = np.finfo(float).eps
         if kernel == "h":
@@ -691,9 +702,9 @@ class TestRecordLaw:
         print(f"{changes}: gap {gap / scale:.2g} of max|sum| over {args[0].size} terms")
         assert gap <= args[0].size * eps * scale
         if kernel == "r_h":
-            # record_law's vacuum term, r_h(k d) read by index, past the
+            # plan.cov's vacuum term, r_h(k d) read by index, past the
             # filter's support too, against the direct per-lag sums
-            cov = plan.record_law()[0]
+            cov = plan.cov
             noise = (cov - plan.gain ** 2 * fast.sum(axis=0)) / (2.0 * plan.sigma_vac ** 2)
             ref = direct_noise(plan, args[2])
             gap = np.abs(noise - ref).max()
@@ -727,7 +738,7 @@ class TestRecordLaw:
         plan = sim.DemodPlan(sim.SimConfig(**changes))
         assert (plan.gain.hex(), plan.sigma_vac.hex(),
                 plan.predicted_ratio(1).hex()) == values
-        cov, k, l = plan.record_law()
+        cov, (k, l) = plan.cov, plan.cross
         assert cov[0].real == pytest.approx(2.0 * plan.sigma_inf, rel=1e-12)
         hc = plan.herald_col
         rho_sq = (abs(k[hc]) ** 2 + abs(l[hc]) ** 2) \
@@ -746,7 +757,7 @@ class TestRecordLaw:
     @pytest.mark.parametrize("lag", [0, 1, 2, 5])
     def test_lag_covariance_matches_the_law(self, unheralded, lag):
         plan, ens, _ = unheralded
-        cov = plan.record_law()[0]
+        cov = plan.cov
         usable = np.flatnonzero(sim.steady_columns(plan.taus, plan.margin_cols,
                                                    plan.model.rate, 0))
         j = usable[usable + lag <= usable[-1]]
@@ -761,7 +772,7 @@ class TestRecordLaw:
         norm = np.sum(np.abs(a0) ** 2)
         beta = np.sum(z * a0.conj()) / norm
         resid = (z - beta * a0) * a0.conj()
-        assert_within_se(beta.real, plan.record_law()[1][plan.herald_col].real
+        assert_within_se(beta.real, plan.cross[0, plan.herald_col].real
                          / plan.model.var_a, math.sqrt(np.sum(resid.real ** 2)) / norm,
                          "herald column's coefficient on a0")
 
@@ -774,7 +785,7 @@ class TestRecordLaw:
         plan = sim.DemodPlan(c)
         ens = sim.run_ensemble(c, sim.HERALD_KINDS[order], n_traces=4096,
                                threads=2, plan=plan)
-        cov, k, _ = plan.record_law()
+        cov, k = plan.cov, plan.cross[0]
         k_h, var_a = k[plan.herald_col], plan.model.var_a
         u = herald_column_cdf(np.abs(ens.z[:, plan.herald_col]) ** 2, order,
                               k_h / var_a, cov[0].real - abs(k_h) ** 2 / var_a, var_a)
